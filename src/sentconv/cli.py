@@ -28,7 +28,8 @@ EXIT_QUERY = 4
 
 
 class CheckpointError(Exception):
-    """A checkpoint file that cannot be trusted (bad magic, version, truncation)."""
+    """A checkpoint file that cannot be trusted (bad magic, version, truncation,
+    undecodable text, tensors that disagree with the config or are not finite)."""
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +67,10 @@ def _read_u32(fh) -> int:
 
 
 def _read_str(fh) -> str:
-    return _read_exact(fh, _read_u32(fh)).decode("utf-8")
+    try:
+        return _read_exact(fh, _read_u32(fh)).decode("utf-8")
+    except UnicodeDecodeError:
+        raise CheckpointError("string is not valid UTF-8") from None
 
 
 def _read_tensor(fh) -> tuple[str, np.ndarray]:
@@ -104,11 +108,6 @@ def save_checkpoint(path, params: net.ModelParams, vocab: Vocabulary,
             _write_tensor(fh, name, tensor)
 
 
-def _channel_flags(variant: str) -> list[bool]:
-    return {"rand": [True], "static": [False],
-            "non-static": [True], "multichannel": [False, True]}[variant]
-
-
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         if _read_exact(fh, 4) != MAGIC:
@@ -140,20 +139,31 @@ def load_checkpoint(path) -> Checkpoint:
         if fh.read(1) != b"":
             raise CheckpointError("trailing garbage after checkpoint payload")
 
-    flags = _channel_flags(config.variant)
-    expected = [f"channel{i}" for i in range(len(flags))]
-    expected += [f"conv{h}.{part}" for h in config.widths for part in ("weights", "biases")]
-    expected += ["output.weights", "output.biases"]
-    if sorted(tensors) != sorted(expected):
+    flags = embed.VARIANT_CHANNELS[config.variant]
+    maps = config.maps_per_width
+    out_b = tensors.get("output.biases", np.empty(0))
+    classes = out_b.shape[0] if out_b.ndim == 1 else 0
+    shapes = {f"channel{i}": (len(vocab), config.dim) for i in range(len(flags))}
+    for h in config.widths:
+        shapes[f"conv{h}.weights"] = (maps, h, config.dim)
+        shapes[f"conv{h}.biases"] = (maps,)
+    shapes["output.weights"] = (classes, maps * len(config.widths))
+    shapes["output.biases"] = (classes,)
+    if sorted(tensors) != sorted(shapes):
         raise CheckpointError("tensor set does not match the embedded config")
+    for name, shape in shapes.items():
+        if tensors[name].shape != shape:
+            raise CheckpointError(f"tensor {name} has shape {tensors[name].shape}, "
+                                  f"expected {shape} from the vocabulary and config")
+        if not np.isfinite(tensors[name]).all():
+            raise CheckpointError(f"tensor {name} holds non-finite values")
+    if classes < 1:
+        raise CheckpointError("output layer has no classes")
     try:
         channels = [embed.EmbeddingChannel(tensors[f"channel{i}"], trainable=flag)
                     for i, flag in enumerate(flags)]
     except ValueError as exc:
         raise CheckpointError(str(exc)) from None
-    for ch in channels:
-        if ch.matrix.shape != (len(vocab), config.dim):
-            raise CheckpointError("channel shape disagrees with vocabulary/config")
     banks = [net.FilterBank(h, tensors[f"conv{h}.weights"], tensors[f"conv{h}.biases"])
              for h in config.widths]
     output = net.OutputLayer(tensors["output.weights"], tensors["output.biases"])

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,7 @@ _PUNCT = re.compile(r"([,!?()])")
 
 
 def clean_and_tokenize(raw: str) -> list[str]:
-    """Split raw text into lowercase tokens.
+    """Break raw text into lowercase tokens.
 
     Contraction suffixes ('ve 're 'll n't 's 'd) are detached, the
     punctuation marks , ! ? ( ) become standalone tokens, and every other
@@ -96,31 +96,14 @@ class Example:
 
 
 @dataclass
-class Split:
-    """Index partition of a dataset; parts must be disjoint and exhaustive."""
-
-    train: list[int] = field(default_factory=list)
-    dev: list[int] = field(default_factory=list)
-    test: list[int] = field(default_factory=list)
-
-    def validate(self, n: int) -> None:
-        all_idx = list(self.train) + list(self.dev) + list(self.test)
-        if sorted(all_idx) != list(range(n)):
-            raise ValueError("split parts must partition the dataset")
-
-
-@dataclass
 class Dataset:
     examples: list[Example]
     num_classes: int
-    split: Split | None = None
 
     def __post_init__(self):
         for i, ex in enumerate(self.examples):
             if not 0 <= ex.label < self.num_classes:
                 raise ValueError(f"example {i}: label {ex.label} outside [0, {self.num_classes})")
-        if self.split is not None:
-            self.split.validate(len(self.examples))
 
     def __len__(self) -> int:
         return len(self.examples)

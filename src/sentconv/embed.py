@@ -9,7 +9,15 @@ import numpy as np
 from ._seeds import RAND_MATRIX, UNKNOWN_INIT, derive_seed
 from .corpus import PAD_ID, Vocabulary
 
-VARIANTS = ("rand", "static", "non-static", "multichannel")
+# Per model variant, the trainable flag of each embedding channel, in channel
+# order.  Every channel starts as a copy of the same base matrix.
+VARIANT_CHANNELS = {
+    "rand": (True,),
+    "static": (False,),
+    "non-static": (True,),
+    "multichannel": (False, True),
+}
+VARIANTS = tuple(VARIANT_CHANNELS)
 
 
 @dataclass
@@ -170,12 +178,9 @@ def variance_matched_init(matrix, matched_ids, unknown_ids, seed: int,
     matched rows) falls back to `fallback_a`.
     """
     matched_ids = np.asarray(sorted(matched_ids), dtype=np.int64)
-    unknown_ids = np.asarray(sorted(unknown_ids), dtype=np.int64)
     pooled_var = float(matrix[matched_ids].var()) if matched_ids.size else 0.0
     a = float(np.sqrt(3.0 * pooled_var)) if pooled_var > 0.0 else fallback_a
-    if unknown_ids.size:
-        rng = np.random.default_rng(seed)
-        matrix[unknown_ids] = rng.uniform(-a, a, size=(unknown_ids.size, matrix.shape[1]))
+    fill_uniform(matrix, unknown_ids, a, seed)
     return a
 
 
@@ -210,8 +215,8 @@ def build_base_matrix(vocab: Vocabulary, dim: int, variant: str, seed: int,
     if vectors_path is None:
         raise ValueError(f"{variant} variant requires pre-trained vectors")
     matrix, matched = load_vectors(vectors_path, vocab, dim)
-    matched_ids = [vocab.id(w) for w in matched]
-    unknown_ids = [i for i in range(1, len(vocab)) if i not in set(matched_ids)]
+    matched_ids = {vocab.id(w) for w in matched}
+    unknown_ids = [i for i in range(1, len(vocab)) if i not in matched_ids]
     if unknown_init == "variance_matched":
         variance_matched_init(matrix, matched_ids, unknown_ids,
                               derive_seed(seed, UNKNOWN_INIT), fallback_a=rand_a)
@@ -228,14 +233,7 @@ def assemble_channels(variant: str, base_matrix) -> list[EmbeddingChannel]:
     Every channel gets its own copy, so fine-tuning one channel can never
     leak into another.
     """
+    if variant not in VARIANT_CHANNELS:
+        raise ValueError(f"unknown variant {variant!r}")
     base = np.asarray(base_matrix, dtype=np.float64)
-    if variant == "rand":
-        return [EmbeddingChannel(base.copy(), trainable=True)]
-    if variant == "static":
-        return [EmbeddingChannel(base.copy(), trainable=False)]
-    if variant == "non-static":
-        return [EmbeddingChannel(base.copy(), trainable=True)]
-    if variant == "multichannel":
-        return [EmbeddingChannel(base.copy(), trainable=False),
-                EmbeddingChannel(base.copy(), trainable=True)]
-    raise ValueError(f"unknown variant {variant!r}")
+    return [EmbeddingChannel(base.copy(), trainable=flag) for flag in VARIANT_CHANNELS[variant]]

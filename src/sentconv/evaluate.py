@@ -10,15 +10,7 @@ import numpy as np
 from . import corpus, embed, net, optim
 from ._seeds import DEV_SPLIT, FOLDS, PARAMS, derive_seed
 from .corpus import Dataset, Vocabulary
-
-
-def accuracy(params: net.ModelParams, examples) -> float:
-    """Fraction of examples whose inference-mode argmax class is the label."""
-    examples = list(examples)
-    if not examples:
-        raise ValueError("no examples to score")
-    hits = sum(net.predict_class(params, ex.token_ids) == ex.label for ex in examples)
-    return hits / len(examples)
+from .net import accuracy
 
 
 @dataclass
@@ -68,8 +60,6 @@ def run_cross_validation(dataset: Dataset, config: optim.TrainConfig, base_matri
                          n_folds: int = 10) -> CvReport:
     """Train on 9 folds (with an inner dev split for early stopping) and score
     the held-out fold, for each fold in a seed-fixed plan."""
-    if dataset.split is not None:
-        raise ValueError("dataset already has a standard split; cross-validation expects none")
     config.validate()
     plan = cv_fold_plan(len(dataset), config, n_folds)
     params0 = initial_params(config, base_matrix, dataset.num_classes)
@@ -100,6 +90,8 @@ def nearest_neighbors(channel_matrix, vocab: Vocabulary, query: str,
     matrix = np.asarray(channel_matrix, dtype=np.float64)
     qid = vocab.id(query)
     candidates = np.array([i for i in range(1, len(vocab)) if i != qid], dtype=np.int64)
+    if count < 1:
+        raise ValueError(f"requested {count} neighbors; the count must be at least 1")
     if count > candidates.size:
         raise ValueError(f"requested {count} neighbors but only {candidates.size} candidates exist")
     q = matrix[qid]

@@ -40,28 +40,6 @@ def _activate_grad(pre: np.ndarray, kind: str) -> np.ndarray:
 
 
 @dataclass
-class ConvFilter:
-    """A single filter: an h x k weight window plus a scalar bias."""
-
-    width: int
-    weights: np.ndarray
-    bias: float
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.shape[0] != self.width:
-            raise ValueError("weight rows must equal the filter width")
-
-
-@dataclass
-class FeatureMap:
-    """Filter responses over all windows; argmax is the first maximum."""
-
-    values: np.ndarray
-    argmax: int
-
-
-@dataclass
 class FilterBank:
     """All filters of one width, stacked: weights (F, h, k), biases (F,)."""
 
@@ -162,28 +140,9 @@ def summed_embedding(channels, token_ids: np.ndarray) -> np.ndarray:
 
 
 def _window_stack(embedded: np.ndarray, h: int) -> np.ndarray:
-    """(n, k) -> (n - h + 1, h, k) sliding windows."""
-    n = embedded.shape[0]
-    if n < h:
-        raise ValueError(f"sentence of length {n} is shorter than filter width {h}")
+    """(n, k) -> (n - h + 1, h, k) sliding windows; needs n >= h."""
     view = np.lib.stride_tricks.sliding_window_view(embedded, h, axis=0)
     return np.ascontiguousarray(view.transpose(0, 2, 1))
-
-
-def conv_feature_map(token_ids, channels, filt: ConvFilter,
-                     activation: str = "relu") -> FeatureMap:
-    """Apply one filter to every window of the (channel-summed) sentence."""
-    token_ids = np.asarray(token_ids, dtype=np.int64)
-    windows = _window_stack(summed_embedding(channels, token_ids), filt.width)
-    flat = windows.reshape(windows.shape[0], -1)
-    values = _activate(flat @ filt.weights.ravel() + filt.bias, activation)
-    return FeatureMap(values, int(np.argmax(values)))
-
-
-def max_over_time(fmap: FeatureMap) -> tuple[float, int]:
-    """Largest feature and the first position attaining it."""
-    idx = int(np.argmax(fmap.values))
-    return float(fmap.values[idx]), idx
 
 
 def forward(params: ModelParams, token_ids, *, train: bool = False,
@@ -299,20 +258,17 @@ def predict_class(params: ModelParams, token_ids) -> int:
     return int(np.argmax(logits))
 
 
-def trainable_tensors(params: ModelParams) -> list[tuple[str, np.ndarray]]:
-    """Named views of every tensor the optimizer may touch, in update order."""
-    tensors = [(f"channel{i}", ch.matrix)
-               for i, ch in enumerate(params.channels) if ch.trainable]
-    for bank in params.filters:
-        tensors.append((f"conv{bank.width}.weights", bank.weights))
-        tensors.append((f"conv{bank.width}.biases", bank.biases))
-    tensors.append(("output.weights", params.output.weights))
-    tensors.append(("output.biases", params.output.biases))
-    return tensors
+def accuracy(params: ModelParams, examples) -> float:
+    """Fraction of examples whose inference-mode argmax class is the label."""
+    examples = list(examples)
+    if not examples:
+        raise ValueError("no examples to score")
+    hits = sum(predict_class(params, ex.token_ids) == ex.label for ex in examples)
+    return hits / len(examples)
 
 
 def all_tensors(params: ModelParams) -> list[tuple[str, np.ndarray]]:
-    """Named views of every tensor, static channels included (checkpointing)."""
+    """Named views of every tensor, static channels included, in update order."""
     tensors = [(f"channel{i}", ch.matrix) for i, ch in enumerate(params.channels)]
     for bank in params.filters:
         tensors.append((f"conv{bank.width}.weights", bank.weights))
@@ -320,6 +276,12 @@ def all_tensors(params: ModelParams) -> list[tuple[str, np.ndarray]]:
     tensors.append(("output.weights", params.output.weights))
     tensors.append(("output.biases", params.output.biases))
     return tensors
+
+
+def trainable_tensors(params: ModelParams) -> list[tuple[str, np.ndarray]]:
+    """`all_tensors` without the frozen channels: what the optimizer updates."""
+    frozen = {f"channel{i}" for i, ch in enumerate(params.channels) if not ch.trainable}
+    return [(name, tensor) for name, tensor in all_tensors(params) if name not in frozen]
 
 
 def clone_params(params: ModelParams) -> ModelParams:

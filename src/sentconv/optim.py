@@ -6,7 +6,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import net
+from . import embed, net
 from ._seeds import DROPOUT, SHUFFLE, derive_seed
 from .corpus import PAD_ID
 
@@ -36,10 +36,9 @@ class TrainConfig:
     rand_init_a: float = 0.25
     unknown_init: str = "variance_matched"
     dev_fraction: float = 0.10
-    constrain_filters: bool = False
 
     def validate(self) -> None:
-        if self.variant not in ("rand", "static", "non-static", "multichannel"):
+        if self.variant not in embed.VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if not self.widths or any(h < 1 for h in self.widths):
             raise ValueError("widths must be positive")
@@ -68,8 +67,6 @@ class TrainConfig:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     if isinstance(value, float):
@@ -78,10 +75,6 @@ def _format_value(value) -> str:
 
 
 def _parse_value(text: str, kind):
-    if kind is bool:
-        if text not in ("true", "false"):
-            raise ValueError(f"expected true/false, got {text!r}")
-        return text == "true"
     if kind is int:
         return int(text)
     if kind is float:
@@ -174,15 +167,6 @@ def l2_renorm(output: net.OutputLayer, s: float) -> net.OutputLayer:
     return output
 
 
-def renorm_filter_rows(bank: net.FilterBank, s: float) -> None:
-    """Optional max-norm projection of each filter's flattened weight vector."""
-    flat = bank.weights.reshape(bank.weights.shape[0], -1)
-    norms = np.sqrt((flat * flat).sum(axis=1))
-    over = norms > s * (1.0 + _RENORM_SLACK)
-    if np.any(over):
-        flat[over] *= (s / norms[over])[:, None]
-
-
 def make_minibatches(n: int, batch_size: int, seed: int, epoch: int) -> list[np.ndarray]:
     """Fresh deterministic permutation per (seed, epoch), chunked; the final
     short batch is kept."""
@@ -225,9 +209,6 @@ def train_epoch(params: net.ModelParams, examples, config: TrainConfig,
         for name, tensor in net.trainable_tensors(params):
             adadelta_step(tensor, grads[name] * scale, states[name])
         l2_renorm(params.output, config.norm_limit)
-        if config.constrain_filters:
-            for bank in params.filters:
-                renorm_filter_rows(bank, config.norm_limit)
         for _, ch in trainable_channels:
             ch.matrix[PAD_ID] = 0.0
     return total_loss / len(examples)
@@ -264,11 +245,6 @@ class FitResult:
     best_dev_accuracy: float
 
 
-def _mean_accuracy(params: net.ModelParams, examples) -> float:
-    hits = sum(net.predict_class(params, ex.token_ids) == ex.label for ex in examples)
-    return hits / len(examples)
-
-
 def fit(params: net.ModelParams, train_examples, dev_examples, config: TrainConfig,
         *, fold: int = 0) -> FitResult:
     """Train with per-epoch dev evaluation; returns the best-dev-epoch parameters."""
@@ -287,7 +263,7 @@ def fit(params: net.ModelParams, train_examples, dev_examples, config: TrainConf
     for epoch in range(1, config.max_epochs + 1):
         loss = train_epoch(params, train_examples, config, states, mask_rng,
                            shuffle_seed, epoch)
-        dev_acc = _mean_accuracy(params, dev_examples)
+        dev_acc = net.accuracy(params, dev_examples)
         history.append((epoch, loss, dev_acc))
         improved = dev_acc > stopper.best_metric
         should_stop = stopper.update(epoch, dev_acc)

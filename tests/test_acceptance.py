@@ -115,15 +115,15 @@ def test_criterion_1_gradient_oracle():
 # criterion 2: convolution matches a naive triple-loop oracle
 # -------------------------------------------------------------------------
 
-def _oracle_feature_map(token_ids, channels, filt, activation):
-    n, h = len(token_ids), filt.width
+def _oracle_feature_map(token_ids, channels, weights, bias, activation):
+    n, h = len(token_ids), len(weights)
     values = []
     for i in range(n - h + 1):
-        total = filt.bias
+        total = bias
         for ch in channels:
             for t in range(h):
                 for d in range(ch.matrix.shape[1]):
-                    total += filt.weights[t, d] * ch.matrix[token_ids[i + t], d]
+                    total += weights[t, d] * ch.matrix[token_ids[i + t], d]
         values.append(math.tanh(total) if activation == "tanh" else max(0.0, total))
     return np.array(values)
 
@@ -143,11 +143,16 @@ def test_criterion_2_convolution_oracle():
             m = np.zeros((vocab_size, k))
             m[1:] = rng.normal(0.0, 0.8, (vocab_size - 1, k))
             channels.append(embed.EmbeddingChannel(m, trainable=(c == 0)))
-        filt = net.ConvFilter(h, rng.normal(size=(h, k)), float(rng.normal()))
+        weights, bias = rng.normal(size=(h, k)), float(rng.normal())
         ids = rng.integers(0, vocab_size, size=n)
         activation = "tanh" if case % 2 else "relu"
-        got = net.conv_feature_map(ids, channels, filt, activation).values
-        want = _oracle_feature_map(ids, channels, filt, activation)
+        params = net.ModelParams(channels, [net.FilterBank(h, weights[None], np.array([bias]))],
+                                 net.OutputLayer(np.zeros((2, 1)), np.zeros(2)),
+                                 activation=activation)
+        _, trace = net.forward(params, ids, train=False)
+        pre = trace.preacts[0][:, 0]
+        got = np.tanh(pre) if activation == "tanh" else np.maximum(pre, 0.0)
+        want = _oracle_feature_map(ids, channels, weights, bias, activation)
         worst = max(worst, float(np.max(np.abs(got - want))))
     elapsed = time.monotonic() - start
     assert worst <= 1e-12

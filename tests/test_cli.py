@@ -200,6 +200,15 @@ class TestNeighborsCommand:
         assert code == EXIT_QUERY
         assert "unknown word" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_is_validation_error(self, workdir, capsys, count):
+        code = main(["neighbors", "--checkpoint", str(workdir["ckpt"]), "goodish",
+                     "--count", count])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert captured.out == ""
+        assert "at least 1" in captured.err
+
 
 class TestInspectDataCommand:
     def test_reports_table_statistics(self, workdir, capsys):
@@ -265,10 +274,76 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(bad)
 
-    def test_variant_flags_restored(self, workdir):
-        ckpt = load_checkpoint(workdir["ckpt"])
-        assert [ch.trainable for ch in ckpt.params.channels] == [False, True]
-        assert ckpt.params.keep_prob == ckpt.config.keep_prob
+    def test_variant_flags_restored(self, workdir, tmp_path):
+        vocab = workdir["vocab"]
+        base = synthdata.planted_vectors(vocab, 8, seed=5)
+        for variant in embed.VARIANTS:
+            config = optim.TrainConfig(variant=variant, widths=(2, 3), maps_per_width=3,
+                                       dim=8, keep_prob=0.4)
+            params = evaluate.initial_params(config, base, 2)
+            path = tmp_path / f"{variant}.ckpt"
+            save_checkpoint(path, params, vocab, config)
+            ckpt = load_checkpoint(path)
+            assert [ch.trainable for ch in ckpt.params.channels] == \
+                [ch.trainable for ch in params.channels], variant
+            assert ckpt.params.keep_prob == ckpt.config.keep_prob == 0.4
+
+
+def _resaved(workdir, tmp_path, mutate, history_csv=""):
+    """The trained checkpoint, changed by `mutate(params)` and saved again."""
+    ckpt = load_checkpoint(workdir["ckpt"])
+    mutate(ckpt.params)
+    path = tmp_path / "changed.ckpt"
+    save_checkpoint(path, ckpt.params, ckpt.vocab, ckpt.config, history_csv)
+    return path
+
+
+class TestCheckpointRejections:
+    @pytest.fixture(autouse=True)
+    def one_line_stdin(self, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("plainly goodish\n"))
+
+    def _predict(self, path, capsys):
+        code = main(["predict", "--checkpoint", str(path), "--input", "-"])
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize("change,message", [
+        ("conv", "shape"), ("output", "shape"), ("no-classes", "no classes")])
+    def test_shape_disagreeing_with_config(self, workdir, tmp_path, capsys, change, message):
+        def reshape(params):
+            if change == "conv":
+                params.filters[0].weights = params.filters[0].weights[:, :, :-1]
+            elif change == "output":
+                params.output.weights = params.output.weights[:, :-1]
+            else:
+                params.output = net.OutputLayer(params.output.weights[:0],
+                                                params.output.biases[:0])
+        path = _resaved(workdir, tmp_path, reshape)
+        code, captured = self._predict(path, capsys)
+        assert code == EXIT_CORRUPT
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_non_finite_values(self, workdir, tmp_path, capsys):
+        def poison(params):
+            params.output.weights[0, 0] = np.nan
+        path = _resaved(workdir, tmp_path, poison)
+        code, captured = self._predict(path, capsys)
+        assert code == EXIT_CORRUPT
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+
+    def test_non_utf8_string(self, workdir, tmp_path, capsys):
+        marker = "history-\u00e9"
+        path = _resaved(workdir, tmp_path, lambda params: None, history_csv=marker)
+        blob = path.read_bytes()
+        encoded = marker.encode("utf-8")
+        assert blob.count(encoded) == 1
+        path.write_bytes(blob.replace(encoded, encoded[:-2] + b"\xff\xfe"))
+        code, captured = self._predict(path, capsys)
+        assert code == EXIT_CORRUPT
+        assert captured.out == ""
+        assert "UTF-8" in captured.err
 
 
 class TestModuleInvocation:

@@ -9,7 +9,6 @@ from sentconv.corpus import (
     PAD_TOKEN,
     Dataset,
     Example,
-    Split,
     Vocabulary,
     assign_folds,
     build_vocabulary,
@@ -211,12 +210,6 @@ class TestDataset:
     def test_label_range_checked(self):
         with pytest.raises(ValueError):
             Dataset([Example(np.array([1]), 2)], num_classes=2)
-
-    def test_split_must_partition(self):
-        examples = [Example(np.array([1]), 0) for _ in range(4)]
-        with pytest.raises(ValueError):
-            Dataset(examples, 1, split=Split(train=[0, 1], dev=[1], test=[2, 3]))
-        Dataset(examples, 1, split=Split(train=[0, 1], dev=[2], test=[3]))
 
 
 class TestLoadTsv:

@@ -91,13 +91,6 @@ class TestCrossValidation:
         tested = np.concatenate([plan.indices(f) for f in range(10)])
         assert sorted(tested.tolist()) == list(range(len(dataset)))
 
-    def test_split_dataset_rejected(self):
-        dataset, config, base, _ = cv_setup(n=80)
-        dataset.split = corpus.Split(train=list(range(70)), dev=[70, 71],
-                                     test=list(range(72, 80)))
-        with pytest.raises(ValueError, match="split"):
-            run_cross_validation(dataset, config, base)
-
     def test_report_serializations(self):
         report = evaluate.CvReport([0.5, 0.75], 0.625, "abc123", seed=9)
         csv_lines = report.to_csv().splitlines()

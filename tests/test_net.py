@@ -7,27 +7,19 @@ import pytest
 
 from sentconv import embed, net
 from sentconv.embed import EmbeddingChannel
-from sentconv.net import (
-    ConvFilter,
-    FeatureMap,
-    backward,
-    conv_feature_map,
-    forward,
-    loss_and_probs,
-    max_over_time,
-)
+from sentconv.net import backward, forward, loss_and_probs
 
 
-def oracle_feature_map(token_ids, channels, filt, activation="relu"):
+def oracle_feature_map(token_ids, channels, weights, bias, activation="relu"):
     """Naive triple-loop reference: explicit sums over window, dims, channels."""
-    n, h = len(token_ids), filt.width
+    n, h = len(token_ids), len(weights)
     values = []
     for i in range(n - h + 1):
-        total = filt.bias
+        total = bias
         for ch in channels:
             for t in range(h):
                 for d in range(ch.matrix.shape[1]):
-                    total += filt.weights[t, d] * ch.matrix[token_ids[i + t], d]
+                    total += weights[t, d] * ch.matrix[token_ids[i + t], d]
         values.append(math.tanh(total) if activation == "tanh" else max(0.0, total))
     return values
 
@@ -48,63 +40,97 @@ def toy_params(rng, channels, num_classes=3, widths=(2, 3), maps=4, keep_prob=0.
                            activation=activation, init_scale=init_scale)
 
 
+def single_filter_params(channels, weights, bias, activation="relu"):
+    """One filter (an h x k window plus a bias) feeding a zero two-class output."""
+    weights = np.asarray(weights, dtype=np.float64)
+    bank = net.FilterBank(weights.shape[0], weights[None], np.array([float(bias)]))
+    output = net.OutputLayer(np.zeros((2, 1)), np.zeros(2))
+    return net.ModelParams(channels, [bank], output, activation=activation)
+
+
+def feature_maps(params, token_ids):
+    """Per width group, the (n_windows, F) activations of an inference forward."""
+    _, trace = forward(params, token_ids, train=False)
+    if params.activation == "tanh":
+        return [np.tanh(pre) for pre in trace.preacts]
+    return [np.maximum(pre, 0.0) for pre in trace.preacts]
+
+
+def scalar_channel(values):
+    """A 1-dimensional channel whose row i+1 holds values[i] (row 0 is the pad)."""
+    return [EmbeddingChannel(np.array([0.0] + list(values))[:, None], trainable=False)]
+
+
 class TestConvFeatureMap:
     def test_zero_filter_gives_zero_map(self):
         rng = np.random.default_rng(0)
         channels = random_channels(rng, 1, 6, 4)
-        filt = ConvFilter(2, np.zeros((2, 4)), 0.0)
-        fmap = conv_feature_map([1, 2, 3, 4, 5], channels, filt)
-        assert np.all(fmap.values == 0.0)
+        params = single_filter_params(channels, np.zeros((2, 4)), 0.0)
+        assert np.all(feature_maps(params, [1, 2, 3, 4, 5])[0] == 0.0)
 
     def test_sentence_equal_to_width(self):
         rng = np.random.default_rng(1)
         channels = random_channels(rng, 1, 6, 4)
-        filt = ConvFilter(3, rng.normal(size=(3, 4)), 0.1)
-        fmap = conv_feature_map([1, 2, 3], channels, filt)
-        assert len(fmap.values) == 1
+        params = single_filter_params(channels, rng.normal(size=(3, 4)), 0.1)
+        assert feature_maps(params, [1, 2, 3])[0].shape == (1, 1)
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(2)
         channels = random_channels(rng, 2, 8, 4)
-        filt = ConvFilter(2, rng.normal(size=(2, 4)), rng.normal())
+        weights, bias = rng.normal(size=(2, 4)), rng.normal()
         ids = rng.integers(1, 8, size=5)
-        fmap = conv_feature_map(ids, channels, filt)
-        expected = oracle_feature_map(ids, channels, filt)
-        assert np.max(np.abs(fmap.values - np.array(expected))) <= 1e-12
+        got = feature_maps(single_filter_params(channels, weights, bias), ids)[0][:, 0]
+        expected = oracle_feature_map(ids, channels, weights, bias)
+        assert np.max(np.abs(got - np.array(expected))) <= 1e-12
 
     def test_oracle_sweep(self):
+        # Every filter of a multi-filter bank, through the batched forward.
         rng = np.random.default_rng(3)
         for _ in range(100):
             n_ch = int(rng.integers(1, 3))
             k = int(rng.integers(1, 9))
             n = int(rng.integers(1, 13))
             h = int(rng.integers(1, min(n, 5) + 1))
+            maps = int(rng.integers(1, 4))
             vocab_size = int(rng.integers(2, 12))
             channels = random_channels(rng, n_ch, vocab_size, k)
-            filt = ConvFilter(h, rng.normal(size=(h, k)), rng.normal())
-            ids = rng.integers(0, vocab_size, size=n)
             activation = "tanh" if rng.random() < 0.5 else "relu"
-            got = conv_feature_map(ids, channels, filt, activation).values
-            want = oracle_feature_map(ids, channels, filt, activation)
-            assert np.max(np.abs(got - np.array(want))) <= 1e-12
+            bank = net.FilterBank(h, rng.normal(size=(maps, h, k)), rng.normal(size=maps))
+            params = net.ModelParams(channels, [bank],
+                                     net.OutputLayer(np.zeros((2, maps)), np.zeros(2)),
+                                     activation=activation)
+            ids = rng.integers(0, vocab_size, size=n)
+            got = feature_maps(params, ids)[0]
+            for f in range(maps):
+                want = oracle_feature_map(ids, channels, bank.weights[f], bank.biases[f],
+                                          activation)
+                assert np.max(np.abs(got[:, f] - np.array(want))) <= 1e-12
 
     def test_too_short_raises(self):
         rng = np.random.default_rng(4)
         channels = random_channels(rng, 1, 6, 4)
-        filt = ConvFilter(4, rng.normal(size=(4, 4)), 0.0)
+        params = single_filter_params(channels, rng.normal(size=(4, 4)), 0.0)
         with pytest.raises(ValueError, match="shorter"):
-            conv_feature_map([1, 2], channels, filt)
+            forward(params, [1, 2], train=False)
 
 
 class TestMaxOverTime:
+    # A width-1 identity filter on a 1-dimensional channel: the feature map is
+    # relu of the channel values, so the pooled value and argmax are known.
+    def pool(self, values):
+        params = single_filter_params(scalar_channel(values), [[1.0]], 0.0)
+        _, trace = forward(params, np.arange(1, len(values) + 1), train=False)
+        return float(trace.z[0]), int(trace.argmax[0][0])
+
     def test_basic(self):
-        assert max_over_time(FeatureMap(np.array([1.0, 3.0, 2.0]), 1)) == (3.0, 1)
+        assert self.pool([1.0, 3.0, 2.0]) == (3.0, 1)
 
     def test_tie_takes_first(self):
-        assert max_over_time(FeatureMap(np.array([2.0, 2.0]), 0)) == (2.0, 0)
+        assert self.pool([2.0, 2.0]) == (2.0, 0)
+        assert self.pool([1.0, 2.0, 0.5, 2.0]) == (2.0, 1)
 
     def test_dead_relu_map(self):
-        assert max_over_time(FeatureMap(np.zeros(4), 0)) == (0.0, 0)
+        assert self.pool([-1.0, -3.0, -0.5, -2.0]) == (0.0, 0)
 
 
 class TestLossAndProbs:
@@ -327,15 +353,18 @@ class TestStructuralInvariants:
         assert np.max(np.abs(logits - base_logits)) <= 1e-12
 
     def test_forward_consistent_with_per_filter_path(self):
+        # Pooled features and argmax windows agree with per-filter oracle maps.
         rng = np.random.default_rng(18)
         channels = random_channels(rng, 2, 10, 4)
         params = toy_params(rng, channels, widths=(2, 3), maps=3, keep_prob=1.0)
         ids = rng.integers(1, 10, size=7)
         _, trace = forward(params, ids, train=False)
-        pooled = []
+        pooled, argmax = [], []
         for bank in params.filters:
             for f in range(bank.weights.shape[0]):
-                filt = ConvFilter(bank.width, bank.weights[f], float(bank.biases[f]))
-                fmap = conv_feature_map(ids, params.channels, filt, params.activation)
-                pooled.append(max_over_time(fmap)[0])
+                fmap = oracle_feature_map(ids, params.channels, bank.weights[f],
+                                          bank.biases[f], params.activation)
+                pooled.append(max(fmap))
+                argmax.append(int(np.argmax(fmap)))
         assert np.max(np.abs(trace.z - np.array(pooled))) <= 1e-12
+        assert np.concatenate(trace.argmax).tolist() == argmax

@@ -277,8 +277,7 @@ class TestConfigText:
     def test_round_trip(self):
         config = TrainConfig(variant="multichannel", widths=(2, 4), maps_per_width=7,
                              dim=12, keep_prob=0.4, norm_limit=2.5, batch_size=10,
-                             rho=0.9, eps=1e-7, max_epochs=3, patience=2, seed=99,
-                             constrain_filters=True)
+                             rho=0.9, eps=1e-7, max_epochs=3, patience=2, seed=99)
         assert parse_config(config_to_text(config)) == config
 
     def test_defaults_round_trip(self):
