@@ -150,10 +150,10 @@ def test_criterion_2_convolution_oracle():
                                  net.OutputLayer(np.zeros((2, 1)), np.zeros(2)),
                                  activation=activation)
         _, trace = net.forward(params, ids, train=False)
-        pre = trace.preacts[0][:, 0]
-        got = np.tanh(pre) if activation == "tanh" else np.maximum(pre, 0.0)
+        got = net._activate(trace.preacts[0][:, 0], activation)
         want = _oracle_feature_map(ids, channels, weights, bias, activation)
-        worst = max(worst, float(np.max(np.abs(got - want))))
+        worst = max(worst, float(np.max(np.abs(got - want))),
+                    abs(float(trace.z[0]) - float(np.max(want))))
     elapsed = time.monotonic() - start
     assert worst <= 1e-12
     assert elapsed < 30.0

@@ -49,11 +49,10 @@ def single_filter_params(channels, weights, bias, activation="relu"):
 
 
 def feature_maps(params, token_ids):
-    """Per width group, the (n_windows, F) activations of an inference forward."""
+    """Per width group, the (n_windows, F) activations of an inference forward,
+    through the library's activation, and the pooled features z."""
     _, trace = forward(params, token_ids, train=False)
-    if params.activation == "tanh":
-        return [np.tanh(pre) for pre in trace.preacts]
-    return [np.maximum(pre, 0.0) for pre in trace.preacts]
+    return [net._activate(pre, params.activation) for pre in trace.preacts], trace.z
 
 
 def scalar_channel(values):
@@ -66,22 +65,26 @@ class TestConvFeatureMap:
         rng = np.random.default_rng(0)
         channels = random_channels(rng, 1, 6, 4)
         params = single_filter_params(channels, np.zeros((2, 4)), 0.0)
-        assert np.all(feature_maps(params, [1, 2, 3, 4, 5])[0] == 0.0)
+        maps, z = feature_maps(params, [1, 2, 3, 4, 5])
+        assert np.all(maps[0] == 0.0) and np.all(z == 0.0)
 
     def test_sentence_equal_to_width(self):
         rng = np.random.default_rng(1)
         channels = random_channels(rng, 1, 6, 4)
         params = single_filter_params(channels, rng.normal(size=(3, 4)), 0.1)
-        assert feature_maps(params, [1, 2, 3])[0].shape == (1, 1)
+        assert feature_maps(params, [1, 2, 3])[0][0].shape == (1, 1)
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(2)
         channels = random_channels(rng, 2, 8, 4)
         weights, bias = rng.normal(size=(2, 4)), rng.normal()
         ids = rng.integers(1, 8, size=5)
-        got = feature_maps(single_filter_params(channels, weights, bias), ids)[0][:, 0]
-        expected = oracle_feature_map(ids, channels, weights, bias)
-        assert np.max(np.abs(got - np.array(expected))) <= 1e-12
+        for activation in ("relu", "tanh"):
+            params = single_filter_params(channels, weights, bias, activation)
+            maps, z = feature_maps(params, ids)
+            expected = oracle_feature_map(ids, channels, weights, bias, activation)
+            assert np.max(np.abs(maps[0][:, 0] - np.array(expected))) <= 1e-12
+            assert abs(z[0] - max(expected)) <= 1e-12
 
     def test_oracle_sweep(self):
         # Every filter of a multi-filter bank, through the batched forward.
@@ -100,11 +103,12 @@ class TestConvFeatureMap:
                                      net.OutputLayer(np.zeros((2, maps)), np.zeros(2)),
                                      activation=activation)
             ids = rng.integers(0, vocab_size, size=n)
-            got = feature_maps(params, ids)[0]
+            got, z = feature_maps(params, ids)
             for f in range(maps):
                 want = oracle_feature_map(ids, channels, bank.weights[f], bank.biases[f],
                                           activation)
-                assert np.max(np.abs(got[:, f] - np.array(want))) <= 1e-12
+                assert np.max(np.abs(got[0][:, f] - np.array(want))) <= 1e-12
+                assert abs(z[f] - max(want)) <= 1e-12
 
     def test_too_short_raises(self):
         rng = np.random.default_rng(4)
@@ -116,9 +120,9 @@ class TestConvFeatureMap:
 
 class TestMaxOverTime:
     # A width-1 identity filter on a 1-dimensional channel: the feature map is
-    # relu of the channel values, so the pooled value and argmax are known.
-    def pool(self, values):
-        params = single_filter_params(scalar_channel(values), [[1.0]], 0.0)
+    # the activation of the channel values, so the pooled value and argmax are known.
+    def pool(self, values, activation="relu"):
+        params = single_filter_params(scalar_channel(values), [[1.0]], 0.0, activation)
         _, trace = forward(params, np.arange(1, len(values) + 1), train=False)
         return float(trace.z[0]), int(trace.argmax[0][0])
 
@@ -131,6 +135,10 @@ class TestMaxOverTime:
 
     def test_dead_relu_map(self):
         assert self.pool([-1.0, -3.0, -0.5, -2.0]) == (0.0, 0)
+
+    def test_tanh_map(self):
+        z, arg = self.pool([0.5, -2.0, 1.5, 1.0], "tanh")
+        assert abs(z - math.tanh(1.5)) <= 1e-12 and arg == 2
 
 
 class TestLossAndProbs:
@@ -356,15 +364,17 @@ class TestStructuralInvariants:
         # Pooled features and argmax windows agree with per-filter oracle maps.
         rng = np.random.default_rng(18)
         channels = random_channels(rng, 2, 10, 4)
-        params = toy_params(rng, channels, widths=(2, 3), maps=3, keep_prob=1.0)
-        ids = rng.integers(1, 10, size=7)
-        _, trace = forward(params, ids, train=False)
-        pooled, argmax = [], []
-        for bank in params.filters:
-            for f in range(bank.weights.shape[0]):
-                fmap = oracle_feature_map(ids, params.channels, bank.weights[f],
-                                          bank.biases[f], params.activation)
-                pooled.append(max(fmap))
-                argmax.append(int(np.argmax(fmap)))
-        assert np.max(np.abs(trace.z - np.array(pooled))) <= 1e-12
-        assert np.concatenate(trace.argmax).tolist() == argmax
+        for activation in ("relu", "tanh"):
+            params = toy_params(rng, channels, widths=(2, 3), maps=3, keep_prob=1.0,
+                                activation=activation)
+            ids = rng.integers(1, 10, size=7)
+            _, trace = forward(params, ids, train=False)
+            pooled, argmax = [], []
+            for bank in params.filters:
+                for f in range(bank.weights.shape[0]):
+                    fmap = oracle_feature_map(ids, params.channels, bank.weights[f],
+                                              bank.biases[f], activation)
+                    pooled.append(max(fmap))
+                    argmax.append(int(np.argmax(fmap)))
+            assert np.max(np.abs(trace.z - np.array(pooled))) <= 1e-12
+            assert np.concatenate(trace.argmax).tolist() == argmax
