@@ -48,25 +48,16 @@ def finite_difference(tensor, step=1e-5):
 
 
 _, trace = net.forward(params, token_ids, train=True, mask=mask)
-grads = net.backward(params, trace, label)
-
-checks = [
-    ("output weights", grads.output_weights, params.output.weights),
-    ("output biases", grads.output_biases, params.output.biases),
-    ("width-2 filters", grads.filter_weights[0], params.filters[0].weights),
-    ("width-2 biases", grads.filter_biases[0], params.filters[0].biases),
-    ("width-3 filters", grads.filter_weights[1], params.filters[1].weights),
-    ("width-3 biases", grads.filter_biases[1], params.filters[1].biases),
-    ("tuned embeddings", grads.dense_channel(1, tuned.shape), params.channels[1].matrix),
-]
+grads = {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
+net.backward(params, trace, label, grads)
 
 print(f"{'tensor':18s} {'entries':>8s} {'max |analytic - numeric|':>26s}")
-for name, analytic, tensor in checks:
+for name, tensor in net.trainable_tensors(params):
     numeric = finite_difference(tensor)
-    worst = np.max(np.abs(analytic - numeric))
-    print(f"{name:18s} {analytic.size:8d} {worst:26.3e}")
+    worst = np.max(np.abs(grads[name] - numeric))
+    print(f"{name:18s} {tensor.size:8d} {worst:26.3e}")
 
-print("\nstatic channel receives no gradient:", grads.channels[0] is None)
+print("\nstatic channel receives no gradient:", "channel0" not in grads)
 print("masked pooled units (positions 1 and 6) backpropagate exactly zero:",
-      bool(np.all(grads.filter_weights[0][1] == 0)
-           and np.all(grads.filter_weights[1][2] == 0)))
+      bool(np.all(grads["conv2.weights"][1] == 0)
+           and np.all(grads["conv3.weights"][2] == 0)))

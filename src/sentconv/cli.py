@@ -7,6 +7,8 @@ Exit codes: 0 success, 1 usage, 2 validation, 3 corrupt artifact, 4 query error.
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import struct
 import sys
 from dataclasses import dataclass
@@ -55,31 +57,40 @@ def _write_tensor(fh, name: str, tensor: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
 
 
-def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise CheckpointError("truncated checkpoint")
-    return data
+class _Reader:
+    """Checkpoint fields in file order.  No read asks for more bytes than the
+    file has left, so a corrupt length or dimension never sizes an allocation."""
 
+    def __init__(self, fh):
+        self.fh = fh
+        self.left = os.fstat(fh.fileno()).st_size
 
-def _read_u32(fh) -> int:
-    return struct.unpack("<I", _read_exact(fh, 4))[0]
+    def exact(self, n: int) -> bytes:
+        if n > self.left:
+            raise CheckpointError("truncated checkpoint")
+        self.left -= n
+        data = self.fh.read(n)
+        if len(data) != n:
+            raise CheckpointError("truncated checkpoint")
+        return data
 
+    def u32(self) -> int:
+        return struct.unpack("<I", self.exact(4))[0]
 
-def _read_str(fh) -> str:
-    try:
-        return _read_exact(fh, _read_u32(fh)).decode("utf-8")
-    except UnicodeDecodeError:
-        raise CheckpointError("string is not valid UTF-8") from None
+    def text(self) -> str:
+        try:
+            return self.exact(self.u32()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError("string is not valid UTF-8") from None
 
-
-def _read_tensor(fh) -> tuple[str, np.ndarray]:
-    name = _read_str(fh)
-    rank = _read_u32(fh)
-    dims = [struct.unpack("<Q", _read_exact(fh, 8))[0] for _ in range(rank)]
-    n_values = int(np.prod(dims)) if dims else 1
-    data = np.frombuffer(_read_exact(fh, 8 * n_values), dtype="<f8")
-    return name, data.reshape(dims).copy()
+    def tensor(self) -> tuple[str, np.ndarray]:
+        name = self.text()
+        dims = [struct.unpack("<Q", self.exact(8))[0] for _ in range(self.u32())]
+        data = np.frombuffer(self.exact(8 * math.prod(dims)), dtype="<f8")
+        try:
+            return name, data.reshape(dims).copy()
+        except ValueError:
+            raise CheckpointError(f"tensor {name} has unsupported dims") from None
 
 
 @dataclass
@@ -110,33 +121,37 @@ def save_checkpoint(path, params: net.ModelParams, vocab: Vocabulary,
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4) != MAGIC:
+        reader = _Reader(fh)
+        if reader.exact(4) != MAGIC:
             raise CheckpointError("magic mismatch: not a checkpoint file")
-        version = _read_u32(fh)
+        version = reader.u32()
         if version != VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        variant = _read_str(fh)
-        config_text = _read_str(fh)
-        history_csv = _read_str(fh)
+        variant = reader.text()
+        config_text = reader.text()
+        history_csv = reader.text()
         try:
             config = optim.parse_config(config_text)
         except ValueError as exc:
             raise CheckpointError(f"bad embedded config: {exc}") from None
         if config.variant != variant:
             raise CheckpointError("variant tag disagrees with embedded config")
-        n_words = _read_u32(fh)
-        words = [_read_str(fh) for _ in range(n_words)]
+        words = [reader.text() for _ in range(reader.u32())]
         if not words or words[0] != PAD_TOKEN:
             raise CheckpointError("vocabulary does not start with the pad token")
         try:
             vocab = Vocabulary(words[1:])
         except ValueError as exc:
             raise CheckpointError(str(exc)) from None
-        if len(vocab) != n_words:
+        if len(vocab) != len(words):
             raise CheckpointError("duplicate words in checkpoint vocabulary")
-        n_tensors = _read_u32(fh)
-        tensors = dict(_read_tensor(fh) for _ in range(n_tensors))
-        if fh.read(1) != b"":
+        tensors = {}
+        for _ in range(reader.u32()):
+            name, tensor = reader.tensor()
+            if name in tensors:
+                raise CheckpointError(f"tensor {name} appears twice")
+            tensors[name] = tensor
+        if reader.left:
             raise CheckpointError("trailing garbage after checkpoint payload")
 
     flags = embed.VARIANT_CHANNELS[config.variant]
@@ -299,7 +314,7 @@ def cmd_inspect_data(args) -> int:
     token_lists, labels = corpus.tokenize_corpus(pairs)
     vocab = corpus.build_vocabulary(token_lists)
     avg_len = float(np.mean([len(toks) for toks in token_lists]))
-    sys.stdout.write(f"c\t{max(labels) + 1}\n")
+    sys.stdout.write(f"c\t{corpus.count_classes(labels)}\n")
     sys.stdout.write(f"l\t{round(avg_len)}\n")
     sys.stdout.write(f"N\t{len(pairs)}\n")
     sys.stdout.write(f"V\t{len(vocab) - 1}\n")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -181,10 +182,19 @@ def tokenize_corpus(pairs):
     return token_lists, labels
 
 
-def encode_corpus(token_lists, labels, vocab: Vocabulary, h_max: int,
-                  num_classes: int | None = None) -> Dataset:
-    if num_classes is None:
-        num_classes = max(labels) + 1
+def count_classes(labels) -> int:
+    """The class count c: the labels must be exactly 0..c-1, each one used."""
+    present = set(labels)
+    c = max(present) + 1
+    if len(present) < c:
+        missing = list(itertools.islice((i for i in range(c) if i not in present), 5))
+        more = ", ..." if c - len(present) > len(missing) else ""
+        raise ValueError(f"class labels must be 0..{c - 1} with every class present; "
+                         f"missing {', '.join(map(str, missing))}{more}")
+    return c
+
+
+def encode_corpus(token_lists, labels, vocab: Vocabulary, h_max: int) -> Dataset:
     examples = [Example(encode_and_pad(toks, vocab, h_max), label)
                 for toks, label in zip(token_lists, labels)]
-    return Dataset(examples, num_classes)
+    return Dataset(examples, count_classes(labels))

@@ -26,12 +26,6 @@ class CvReport:
         lines.append(f"mean,{self.mean:.6f}")
         return "\n".join(lines) + "\n"
 
-    def to_tsv(self) -> str:
-        lines = [f"seed\t{self.seed}", f"config\t{self.config_fingerprint}"]
-        lines += [f"{i}\t{acc:.6f}" for i, acc in enumerate(self.accuracies)]
-        lines.append(f"mean\t{self.mean:.6f}")
-        return "\n".join(lines) + "\n"
-
 
 def config_fingerprint(config: optim.TrainConfig) -> str:
     return hashlib.sha256(optim.config_to_text(config).encode("utf-8")).hexdigest()[:12]

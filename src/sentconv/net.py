@@ -80,36 +80,12 @@ class ForwardTrace:
     """Everything the backward pass needs to replay one forward exactly."""
 
     token_ids: np.ndarray
-    windows: list[np.ndarray]   # per width group: (n_windows, h, k), summed over channels
+    embedded: np.ndarray        # (n, k) row lookups summed over channels
     preacts: list[np.ndarray]   # per width group: (n_windows, F)
     argmax: list[np.ndarray]    # per width group: (F,) first index of the max feature
     z: np.ndarray               # (m,) pooled features
-    mask: np.ndarray | None     # (m,) 0/1 dropout mask, None at inference
+    mask: np.ndarray | None     # (m,) 0/1 dropout mask; None marks an inference trace
     logits: np.ndarray
-    train: bool
-
-
-@dataclass
-class Gradients:
-    """Per-example loss gradients.
-
-    Channel entries are sparse `(rows, vecs)` pairs (rows may repeat and are
-    accumulated on use); static channels carry None.
-    """
-
-    channels: list
-    filter_weights: list[np.ndarray]
-    filter_biases: list[np.ndarray]
-    output_weights: np.ndarray
-    output_biases: np.ndarray
-
-    def dense_channel(self, index: int, shape) -> np.ndarray:
-        dense = np.zeros(shape, dtype=np.float64)
-        entry = self.channels[index]
-        if entry is not None:
-            rows, vecs = entry
-            np.add.at(dense, rows, vecs)
-        return dense
 
 
 def init_params(channels: list[EmbeddingChannel], num_classes: int, widths,
@@ -159,14 +135,13 @@ def forward(params: ModelParams, token_ids, *, train: bool = False,
         raise ValueError("sentence shorter than the widest filter; pad it first")
     embedded = summed_embedding(params.channels, token_ids)
 
-    windows, preacts, argmaxes, pooled = [], [], [], []
+    preacts, argmaxes, pooled = [], [], []
     for bank in params.filters:
         win = _window_stack(embedded, bank.width)
         flat = win.reshape(win.shape[0], -1)
         pre = flat @ bank.weights.reshape(bank.weights.shape[0], -1).T + bank.biases
         act = _activate(pre, params.activation)
         arg = np.argmax(act, axis=0)
-        windows.append(win)
         preacts.append(pre)
         argmaxes.append(arg)
         pooled.append(act[arg, np.arange(act.shape[1])])
@@ -187,7 +162,7 @@ def forward(params: ModelParams, token_ids, *, train: bool = False,
         mask = None
         logits = (params.keep_prob * params.output.weights) @ z + params.output.biases
 
-    trace = ForwardTrace(token_ids, windows, preacts, argmaxes, z, mask, logits, train)
+    trace = ForwardTrace(token_ids, embedded, preacts, argmaxes, z, mask, logits)
     return logits, trace
 
 
@@ -198,53 +173,46 @@ def loss_and_probs(logits: np.ndarray, label: int):
     return np.exp(log_probs), float(-log_probs[label])
 
 
-def backward(params: ModelParams, trace: ForwardTrace, label: int) -> Gradients:
-    """Analytic gradients of the cross-entropy loss for one example.
+def backward(params: ModelParams, trace: ForwardTrace, label: int,
+             grads: dict[str, np.ndarray]) -> float:
+    """Add one example's cross-entropy gradients into `grads`; return its loss.
 
-    Dropout-masked pooled units contribute zero everywhere upstream; each
-    filter's gradient flows only through its argmax window and only where
-    the activation derivative is nonzero; embedding gradients cover only
-    trainable channels and never the pad row.
+    `grads` holds one array per `trainable_tensors` name.  Dropout-masked
+    pooled units contribute zero everywhere upstream; each filter's gradient
+    flows only through its argmax window and only where the activation
+    derivative is nonzero; embedding gradients go only into trainable
+    channels and never into the pad row.
     """
-    if not trace.train:
+    if trace.mask is None:
         raise ValueError("backward needs a train-mode trace")
-    if len(trace.windows) != len(params.filters) or \
+    if len(trace.preacts) != len(params.filters) or \
             trace.z.shape[0] != params.output.weights.shape[1] or \
             trace.logits.shape[0] != params.num_classes:
         raise ValueError("trace does not match params")
 
-    probs, _ = loss_and_probs(trace.logits, label)
-    dlogits = probs.copy()
+    dlogits, loss = loss_and_probs(trace.logits, label)
     dlogits[label] -= 1.0
-
-    masked_z = trace.z * trace.mask
-    d_out_w = np.outer(dlogits, masked_z)
-    d_out_b = dlogits.copy()
+    grads["output.weights"] += np.outer(dlogits, trace.z * trace.mask)
+    grads["output.biases"] += dlogits
     dz = (params.output.weights.T @ dlogits) * trace.mask
 
-    filter_w_grads, filter_b_grads = [], []
-    all_rows, all_vecs = [], []
+    tuned = [grads[f"channel{i}"] for i, ch in enumerate(params.channels) if ch.trainable]
     offset = 0
-    for g, bank in enumerate(params.filters):
-        n_maps = bank.weights.shape[0]
-        h = bank.width
+    for bank, pre, arg in zip(params.filters, trace.preacts, trace.argmax):
+        n_maps, h = bank.weights.shape[0], bank.width
         dz_g = dz[offset:offset + n_maps]
         offset += n_maps
-        arg = trace.argmax[g]
-        pre_win = trace.preacts[g][arg, np.arange(n_maps)]
-        dpre = dz_g * _activate_grad(pre_win, params.activation)
-        filter_w_grads.append(dpre[:, None, None] * trace.windows[g][arg])
-        filter_b_grads.append(dpre.copy())
-        rows = trace.token_ids[arg[:, None] + np.arange(h)[None, :]]
-        vecs = dpre[:, None, None] * bank.weights
-        keep = rows.ravel() != PAD_ID
-        all_rows.append(rows.ravel()[keep])
-        all_vecs.append(vecs.reshape(n_maps * h, -1)[keep])
-
-    rows = np.concatenate(all_rows)
-    vecs = np.concatenate(all_vecs)
-    channel_grads = [(rows, vecs) if ch.trainable else None for ch in params.channels]
-    return Gradients(channel_grads, filter_w_grads, filter_b_grads, d_out_w, d_out_b)
+        dpre = dz_g * _activate_grad(pre[arg, np.arange(n_maps)], params.activation)
+        positions = arg[:, None] + np.arange(h)[None, :]
+        grads[f"conv{h}.weights"] += dpre[:, None, None] * trace.embedded[positions]
+        grads[f"conv{h}.biases"] += dpre
+        if tuned:
+            rows = trace.token_ids[positions].ravel()
+            keep = rows != PAD_ID
+            vecs = (dpre[:, None, None] * bank.weights).reshape(n_maps * h, -1)[keep]
+            for dense in tuned:
+                np.add.at(dense, rows[keep], vecs)
+    return loss
 
 
 def predict_probs(params: ModelParams, token_ids) -> np.ndarray:

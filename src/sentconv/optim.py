@@ -187,30 +187,21 @@ def train_epoch(params: net.ModelParams, examples, config: TrainConfig,
     gradients averaged over the batch, an Adadelta step on every trainable
     tensor, the output-row norm projection, and pad rows pinned to zero.
     """
-    trainable_channels = [(i, ch) for i, ch in enumerate(params.channels) if ch.trainable]
     total_loss = 0.0
     for batch in make_minibatches(len(examples), config.batch_size, shuffle_seed, epoch):
         grads = {name: np.zeros_like(tensor) for name, tensor in net.trainable_tensors(params)}
         for idx in batch:
             ex = examples[idx]
-            logits, trace = net.forward(params, ex.token_ids, train=True, rng=mask_rng)
-            total_loss += net.loss_and_probs(logits, ex.label)[1]
-            g = net.backward(params, trace, ex.label)
-            for i, _ in trainable_channels:
-                rows, vecs = g.channels[i]
-                np.add.at(grads[f"channel{i}"], rows, vecs)
-            for bank, gw, gb in zip(params.filters, g.filter_weights, g.filter_biases):
-                grads[f"conv{bank.width}.weights"] += gw
-                grads[f"conv{bank.width}.biases"] += gb
-            grads["output.weights"] += g.output_weights
-            grads["output.biases"] += g.output_biases
+            _, trace = net.forward(params, ex.token_ids, train=True, rng=mask_rng)
+            total_loss += net.backward(params, trace, ex.label, grads)
 
         scale = 1.0 / len(batch)
         for name, tensor in net.trainable_tensors(params):
             adadelta_step(tensor, grads[name] * scale, states[name])
         l2_renorm(params.output, config.norm_limit)
-        for _, ch in trainable_channels:
-            ch.matrix[PAD_ID] = 0.0
+        for ch in params.channels:
+            if ch.trainable:
+                ch.matrix[PAD_ID] = 0.0
     return total_loss / len(examples)
 
 
@@ -265,9 +256,8 @@ def fit(params: net.ModelParams, train_examples, dev_examples, config: TrainConf
                            shuffle_seed, epoch)
         dev_acc = net.accuracy(params, dev_examples)
         history.append((epoch, loss, dev_acc))
-        improved = dev_acc > stopper.best_metric
         should_stop = stopper.update(epoch, dev_acc)
-        if improved:
+        if stopper.best_epoch == epoch:
             best_params = net.clone_params(params)
         if should_stop:
             break

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, output formats, checkpoint round trips."""
 
 import io
+import struct
 import subprocess
 import sys
 
@@ -15,6 +16,7 @@ from sentconv.cli import (
     EXIT_QUERY,
     EXIT_USAGE,
     EXIT_VALIDATION,
+    Checkpoint,
     CheckpointError,
     load_checkpoint,
     main,
@@ -109,6 +111,13 @@ class TestTrainCommand:
         code = main(["train", "--config", str(cfg), "--data", str(workdir["data"])])
         assert code == EXIT_VALIDATION
         assert "unknown key" in capsys.readouterr().err
+
+    def test_non_contiguous_labels_rejected(self, tmp_path, capsys):
+        data = tmp_path / "gap.tsv"
+        data.write_text("0\tfine film\n5\tdull film\n" * 10, encoding="utf-8")
+        code = main(["train", "--data", str(data), "--variant", "rand"])
+        assert code == EXIT_VALIDATION
+        assert "missing 1, 2, 3, 4" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["train"]) == EXIT_USAGE  # --data is required
@@ -228,6 +237,15 @@ class TestInspectDataCommand:
         main(["inspect-data", "--data", str(workdir["data"])])
         assert "V_pre" not in capsys.readouterr().out
 
+    def test_non_contiguous_labels_rejected(self, tmp_path, capsys):
+        data = tmp_path / "gap.tsv"
+        data.write_text("0\tfine film\n5\tdull film\n", encoding="utf-8")
+        code = main(["inspect-data", "--data", str(data)])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert captured.out == ""
+        assert "missing 1, 2, 3, 4" in captured.err
+
 
 class TestCheckpointRoundTrip:
     def test_save_load_save_identical_bytes(self, workdir, tmp_path):
@@ -344,6 +362,62 @@ class TestCheckpointRejections:
         assert code == EXIT_CORRUPT
         assert captured.out == ""
         assert "UTF-8" in captured.err
+
+
+    def test_repeated_tensor_name(self, workdir, tmp_path, capsys, monkeypatch):
+        all_tensors = net.all_tensors
+        monkeypatch.setattr(net, "all_tensors", lambda params: all_tensors(params) + [
+            ("output.biases", np.full_like(params.output.biases, 7.0))])
+        path = _resaved(workdir, tmp_path, lambda params: None)
+        monkeypatch.setattr(net, "all_tensors", all_tensors)
+        code, captured = self._predict(path, capsys)
+        assert code == EXIT_CORRUPT
+        assert captured.out == ""
+        assert "output.biases appears twice" in captured.err
+
+    @pytest.mark.parametrize("dims,message", [
+        ((2**32, 2**32), "truncated"), ((0, 2**63), "unsupported dims")])
+    def test_impossible_dims(self, workdir, tmp_path, capsys, dims, message):
+        # (2**32, 2**32) float64s: the count must not wrap to 0, and the read
+        # is refused for the bytes the file lacks, not attempted.  (0, 2**63)
+        # holds no values but is beyond any array numpy can shape.
+        path = _resaved(workdir, tmp_path, lambda params: None)
+        blob = path.read_bytes()
+        name = b"channel0"
+        header = struct.pack("<I", len(name)) + name + struct.pack("<I", 2)
+        assert blob.count(header) == 1
+        dims_at = blob.index(header) + len(header)
+        packed = struct.pack("<QQ", *dims)
+        path.write_bytes(blob[:dims_at] + packed + blob[dims_at + len(packed):])
+        code, captured = self._predict(path, capsys)
+        assert code == EXIT_CORRUPT
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_fuzzed_tiny_checkpoint(self, tmp_path):
+        vocab = corpus.build_vocabulary([["good", "bad", "film"]])
+        config = optim.TrainConfig(variant="rand", widths=(1, 2), maps_per_width=1, dim=2)
+        base = np.ones((len(vocab), 2))
+        base[0] = 0.0
+        params = evaluate.initial_params(config, base, 2)
+        path = tmp_path / "tiny.ckpt"
+        save_checkpoint(path, params, vocab, config, "epoch,train_loss,dev_acc\n")
+        blob = path.read_bytes()
+        assert isinstance(load_checkpoint(path), Checkpoint)
+
+        def loads_or_rejects(data):
+            path.write_bytes(data)
+            try:
+                assert isinstance(load_checkpoint(path), Checkpoint)
+            except CheckpointError:
+                pass
+
+        for end in range(len(blob)):
+            path.write_bytes(blob[:end])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+        for i in range(len(blob)):
+            loads_or_rejects(blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1:])
 
 
 class TestModuleInvocation:

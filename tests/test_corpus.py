@@ -211,6 +211,17 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset([Example(np.array([1]), 2)], num_classes=2)
 
+    def test_class_count_needs_every_label_from_zero(self):
+        assert corpus.count_classes([1, 0, 2, 1]) == 3
+        assert corpus.count_classes([0, 0]) == 1
+        with pytest.raises(ValueError, match="missing 1, 2, 3, 4$"):
+            corpus.count_classes([0, 5, 0])
+        with pytest.raises(ValueError, match="missing 0$"):
+            corpus.count_classes([1, 1])
+        # a stray huge label is named without enumerating the gap
+        with pytest.raises(ValueError, match=r"missing 2, 3, 4, 5, 6, \.\.\.$"):
+            corpus.count_classes([0, 1, 10**12])
+
 
 class TestLoadTsv:
     def test_happy_path_and_blank_lines(self, tmp_path):

@@ -97,8 +97,6 @@ class TestCrossValidation:
         assert csv_lines[0] == "fold,accuracy"
         assert csv_lines[1] == "0,0.500000"
         assert csv_lines[-1] == "mean,0.625000"
-        tsv = report.to_tsv()
-        assert "seed\t9" in tsv and "config\tabc123" in tsv
 
     def test_deterministic_report(self):
         dataset, config, base, _ = cv_setup()

@@ -40,6 +40,13 @@ def toy_params(rng, channels, num_classes=3, widths=(2, 3), maps=4, keep_prob=0.
                            activation=activation, init_scale=init_scale)
 
 
+def grads_of(params, trace, label):
+    """One example's gradients, keyed by `net.trainable_tensors` name."""
+    grads = {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
+    backward(params, trace, label, grads)
+    return grads
+
+
 def single_filter_params(channels, weights, bias, activation="relu"):
     """One filter (an h x k window plus a bias) feeding a zero two-class output."""
     weights = np.asarray(weights, dtype=np.float64)
@@ -259,49 +266,54 @@ class TestBackward:
             logits, _ = forward(params, ids, train=True, mask=mask)
             return loss_and_probs(logits, label)[1]
 
-        logits, trace = forward(params, ids, train=True, mask=mask)
-        grads = backward(params, trace, label)
-        assert_grads_close(grads.output_weights, finite_difference(loss_fn, params.output.weights))
-        assert_grads_close(grads.output_biases, finite_difference(loss_fn, params.output.biases))
-        bank = params.filters[0]
-        assert_grads_close(grads.filter_weights[0], finite_difference(loss_fn, bank.weights))
-        assert_grads_close(grads.filter_biases[0], finite_difference(loss_fn, bank.biases))
-        dense = grads.dense_channel(1, params.channels[1].matrix.shape)
-        assert_grads_close(dense, finite_difference(loss_fn, params.channels[1].matrix))
+        _, trace = forward(params, ids, train=True, mask=mask)
+        grads = {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
+        assert backward(params, trace, label, grads) == loss_fn()
+        for name, tensor in net.trainable_tensors(params):
+            assert_grads_close(grads[name], finite_difference(loss_fn, tensor))
 
     def test_masked_filter_gradient_exactly_zero(self):
         params, ids, mask = self._setup()
         _, trace = forward(params, ids, train=True, mask=mask)
-        grads = backward(params, trace, 0)
+        grads = grads_of(params, trace, 0)
         # mask entry 1 belongs to the width-2 bank (4 maps); entry 6 to width-3
-        assert np.all(grads.filter_weights[0][1] == 0.0)
-        assert grads.filter_biases[0][1] == 0.0
-        assert np.all(grads.filter_weights[1][2] == 0.0)
-        assert grads.filter_biases[1][2] == 0.0
+        assert np.all(grads["conv2.weights"][1] == 0.0)
+        assert grads["conv2.biases"][1] == 0.0
+        assert np.all(grads["conv3.weights"][2] == 0.0)
+        assert grads["conv3.biases"][2] == 0.0
 
     def test_static_channel_gets_no_gradient(self):
         params, ids, mask = self._setup()
+        static = params.channels[0].matrix.copy()
         _, trace = forward(params, ids, train=True, mask=mask)
-        grads = backward(params, trace, 2)
-        assert grads.channels[0] is None
-        assert np.all(grads.dense_channel(0, params.channels[0].matrix.shape) == 0.0)
-        assert grads.channels[1] is not None
+        grads = grads_of(params, trace, 2)
+        assert "channel0" not in grads
+        assert np.array_equal(params.channels[0].matrix, static)
+        assert np.any(grads["channel1"] != 0.0)
 
     def test_pad_row_gradient_forced_zero(self):
         params, _, mask = self._setup()
         ids = np.array([0, 3, 4, 0, 5, 0, 0])  # pads inside the sentence
         _, trace = forward(params, ids, train=True, mask=mask)
-        grads = backward(params, trace, 0)
-        rows, _ = grads.channels[1]
-        assert np.all(rows != 0)
-        dense = grads.dense_channel(1, params.channels[1].matrix.shape)
-        assert np.all(dense[0] == 0.0)
+        grads = grads_of(params, trace, 0)
+        assert np.all(grads["channel1"][0] == 0.0)
+        assert np.any(grads["channel1"][[3, 4, 5]] != 0.0)
+
+    def test_examples_accumulate_into_the_buffers(self):
+        params, ids, mask = self._setup()
+        _, first = forward(params, ids, train=True, mask=mask)
+        _, second = forward(params, ids[::-1], train=True, mask=mask[::-1])
+        both = grads_of(params, first, 0)
+        backward(params, second, 2, both)
+        one, two = grads_of(params, first, 0), grads_of(params, second, 2)
+        for name, _ in net.trainable_tensors(params):
+            assert np.allclose(both[name], one[name] + two[name], rtol=0.0, atol=1e-12)
 
     def test_inference_trace_rejected(self):
         params, ids, _ = self._setup()
         _, trace = forward(params, ids, train=False)
         with pytest.raises(ValueError, match="train-mode"):
-            backward(params, trace, 0)
+            grads_of(params, trace, 0)
 
     def test_mismatched_params_rejected(self):
         params, ids, mask = self._setup()
@@ -309,7 +321,7 @@ class TestBackward:
         rng = np.random.default_rng(13)
         other = toy_params(rng, random_channels(rng, 2, 10, 6), widths=(2,), maps=3)
         with pytest.raises(ValueError, match="match"):
-            backward(other, trace, 0)
+            grads_of(other, trace, 0)
 
 
 class TestStructuralInvariants:
@@ -322,16 +334,16 @@ class TestStructuralInvariants:
         ids = np.arange(1, 9)  # distinct tokens: positions map to unique rows
         _, trace = forward(params, ids, train=True)
         winner = int(trace.argmax[0][0])
-        grads = backward(params, trace, 0)
+        grads = grads_of(params, trace, 0)
 
         loser_positions = [p for p in range(len(ids)) if p < winner or p > winner + 1]
         target_row = ids[loser_positions[0]]
         params.channels[0].matrix[target_row] += 0.01
         _, trace2 = forward(params, ids, train=True)
         assert int(trace2.argmax[0][0]) == winner
-        grads2 = backward(params, trace2, 0)
-        assert np.array_equal(grads.filter_weights[0], grads2.filter_weights[0])
-        assert np.array_equal(grads.filter_biases[0], grads2.filter_biases[0])
+        grads2 = grads_of(params, trace2, 0)
+        assert np.array_equal(grads["conv2.weights"], grads2["conv2.weights"])
+        assert np.array_equal(grads["conv2.biases"], grads2["conv2.biases"])
 
     def test_multichannel_additivity_with_zero_channel(self):
         rng = np.random.default_rng(15)
