@@ -197,6 +197,7 @@ def backward(params: ModelParams, trace: ForwardTrace, label: int,
     dz = (params.output.weights.T @ dlogits) * trace.mask
 
     tuned = [grads[f"channel{i}"] for i, ch in enumerate(params.channels) if ch.trainable]
+    d_embedded = np.zeros_like(trace.embedded) if tuned else None
     offset = 0
     for bank, pre, arg in zip(params.filters, trace.preacts, trace.argmax):
         n_maps, h = bank.weights.shape[0], bank.width
@@ -207,11 +208,18 @@ def backward(params: ModelParams, trace: ForwardTrace, label: int,
         grads[f"conv{h}.weights"] += dpre[:, None, None] * trace.embedded[positions]
         grads[f"conv{h}.biases"] += dpre
         if tuned:
-            rows = trace.token_ids[positions].ravel()
-            keep = rows != PAD_ID
-            vecs = (dpre[:, None, None] * bank.weights).reshape(n_maps * h, -1)[keep]
-            for dense in tuned:
-                np.add.at(dense, rows[keep], vecs)
+            # Transposed convolution: each filter's gradient sits at its argmax
+            # window, one GEMM lowers it to per-window rows, and window offset j
+            # lands on position p + j.
+            dpre_map = np.zeros_like(pre)
+            dpre_map[arg, np.arange(n_maps)] = dpre
+            d_windows = (dpre_map @ bank.weights.reshape(n_maps, -1)).reshape(len(pre), h, -1)
+            for j in range(h):
+                d_embedded[j:j + len(pre)] += d_windows[:, j]
+    if tuned:
+        keep = trace.token_ids != PAD_ID
+        for dense in tuned:
+            np.add.at(dense, trace.token_ids[keep], d_embedded[keep])
     return loss
 
 

@@ -137,18 +137,26 @@ def init_states(params: net.ModelParams, rho: float, eps: float) -> dict[str, Ad
             for name, tensor in net.trainable_tensors(params)}
 
 
-def adadelta_step(param: np.ndarray, grad: np.ndarray, state: AdadeltaState) -> np.ndarray:
-    """One in-place update: step size is RMS(past steps) / RMS(past grads)."""
-    grad = np.asarray(grad, dtype=np.float64)
+def adadelta_step(param: np.ndarray, grad: np.ndarray, state: AdadeltaState,
+                  rows=slice(None)) -> np.ndarray:
+    """One in-place update: step size is RMS(past steps) / RMS(past grads).
+
+    Both accumulators decay over the whole tensor, but the gradient is read
+    and the step taken only on `rows` (default: every row).  Rows left out
+    must have zero gradient; for them the whole-tensor step is -0.0, so the
+    result is bit-identical to updating every row.
+    """
+    grad = np.asarray(grad, dtype=np.float64)[rows]
     if not np.all(np.isfinite(grad)):
         raise ValueError("diverged: non-finite gradient")
     rho, eps = state.rho, state.eps
-    state.acc_grad_sq *= rho
-    state.acc_grad_sq += (1.0 - rho) * grad * grad
-    step = -np.sqrt(state.acc_update_sq + eps) / np.sqrt(state.acc_grad_sq + eps) * grad
-    state.acc_update_sq *= rho
-    state.acc_update_sq += (1.0 - rho) * step * step
-    param += step
+    acc_grad_sq, acc_update_sq = state.acc_grad_sq, state.acc_update_sq
+    acc_grad_sq *= rho
+    acc_grad_sq[rows] += (1.0 - rho) * grad * grad
+    step = -np.sqrt(acc_update_sq[rows] + eps) / np.sqrt(acc_grad_sq[rows] + eps) * grad
+    acc_update_sq *= rho
+    acc_update_sq[rows] += (1.0 - rho) * step * step
+    param[rows] += step
     return param
 
 
@@ -186,18 +194,31 @@ def train_epoch(params: net.ModelParams, examples, config: TrainConfig,
     Per mini-batch: per-example forward/backward with fresh dropout masks,
     gradients averaged over the batch, an Adadelta step on every trainable
     tensor, the output-row norm projection, and pad rows pinned to zero.
+    One gradient buffer per tensor serves the whole epoch; on an embedding
+    channel only the batch's token rows are scaled, stepped and zeroed.
     """
+    grads = {name: np.zeros_like(tensor) for name, tensor in net.trainable_tensors(params)}
     total_loss = 0.0
-    for batch in make_minibatches(len(examples), config.batch_size, shuffle_seed, epoch):
-        grads = {name: np.zeros_like(tensor) for name, tensor in net.trainable_tensors(params)}
+    batches = make_minibatches(len(examples), config.batch_size, shuffle_seed, epoch)
+    for number, batch in enumerate(batches, 1):
         for idx in batch:
             ex = examples[idx]
             _, trace = net.forward(params, ex.token_ids, train=True, rng=mask_rng)
             total_loss += net.backward(params, trace, ex.label, grads)
 
+        # Embedding gradients are nonzero only on the batch's tokens.
+        touched = np.unique(np.concatenate([examples[idx].token_ids for idx in batch]))
+        touched = touched[touched != PAD_ID]
         scale = 1.0 / len(batch)
         for name, tensor in net.trainable_tensors(params):
-            adadelta_step(tensor, grads[name] * scale, states[name])
+            rows = touched if name.startswith("channel") else slice(None)
+            grad = grads[name]
+            grad[rows] *= scale
+            try:
+                adadelta_step(tensor, grad, states[name], rows)
+            except ValueError as exc:
+                raise ValueError(f"{exc} in {name} at epoch {epoch}, batch {number}") from None
+            grad[rows] = 0.0
         l2_renorm(params.output, config.norm_limit)
         for ch in params.channels:
             if ch.trainable:

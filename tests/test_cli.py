@@ -119,6 +119,26 @@ class TestTrainCommand:
         assert code == EXIT_VALIDATION
         assert "missing 1, 2, 3, 4" in capsys.readouterr().err
 
+    def test_divergence_names_tensor_epoch_and_batch(self, workdir, capsys, monkeypatch):
+        calls = []
+        original = net.backward
+
+        def poisoned_backward(params, trace, label, grads):
+            loss = original(params, trace, label, grads)
+            calls.append(None)
+            if len(calls) == 25:  # batch_size 20: inside the second batch
+                grads["output.biases"][0] = np.nan
+            return loss
+
+        monkeypatch.setattr(net, "backward", poisoned_backward)
+        code = main(["train", "--config", str(workdir["config"]), "--data", str(workdir["data"]),
+                     "--vectors", str(workdir["vectors"])])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert captured.out == ""
+        assert captured.err == ("sentconv: diverged: non-finite gradient in output.biases "
+                                "at epoch 1, batch 2\n")
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["train"]) == EXIT_USAGE  # --data is required
         assert main(["no-such-command"]) == EXIT_USAGE

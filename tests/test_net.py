@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sentconv import embed, net
+from sentconv.corpus import PAD_ID
 from sentconv.embed import EmbeddingChannel
 from sentconv.net import backward, forward, loss_and_probs
 
@@ -45,6 +46,31 @@ def grads_of(params, trace, label):
     grads = {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
     backward(params, trace, label, grads)
     return grads
+
+
+def oracle_embedding_gradient(params, trace, label):
+    """Per-window scatter: every (filter f, window offset j) pair adds
+    dpre[f] * W[f, j] to the row of the token at position argmax[f] + j."""
+    probs, _ = loss_and_probs(trace.logits, label)
+    dlogits = probs.copy()
+    dlogits[label] -= 1.0
+    dz = (params.output.weights.T @ dlogits) * trace.mask
+    grad = np.zeros_like(params.channels[0].matrix)
+    unit = 0
+    for bank, pre, arg in zip(params.filters, trace.preacts, trace.argmax):
+        for f in range(bank.weights.shape[0]):
+            p = pre[arg[f], f]
+            if params.activation == "relu":
+                slope = 1.0 if p > 0.0 else 0.0
+            else:
+                slope = 1.0 - math.tanh(p) ** 2
+            dpre = dz[unit] * slope
+            unit += 1
+            for j in range(bank.width):
+                token = trace.token_ids[arg[f] + j]
+                if token != PAD_ID:
+                    grad[token] += dpre * bank.weights[f, j]
+    return grad
 
 
 def single_filter_params(channels, weights, bias, activation="relu"):
@@ -308,6 +334,29 @@ class TestBackward:
         one, two = grads_of(params, first, 0), grads_of(params, second, 2)
         for name, _ in net.trainable_tensors(params):
             assert np.allclose(both[name], one[name] + two[name], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_embedding_gradient_matches_per_window_scatter(self, activation):
+        rng = np.random.default_rng(19)
+        for flags in ([True], [False, True], [True, True]):
+            for _ in range(10):
+                channels = [EmbeddingChannel(ch.matrix, trainable)
+                            for ch, trainable in zip(random_channels(rng, len(flags), 6, 5), flags)]
+                params = toy_params(rng, channels, widths=(2, 3, 4), maps=5,
+                                    activation=activation)
+                # a 6-word vocabulary forces repeated tokens and pad rows
+                ids = rng.integers(0, 6, size=int(rng.integers(4, 12)))
+                ids[0] = PAD_ID
+                mask = np.ones(params.num_filters)
+                mask[rng.choice(params.num_filters, size=4, replace=False)] = 0.0
+                label = int(rng.integers(0, params.num_classes))
+                _, trace = forward(params, ids, train=True, mask=mask)
+                grads = grads_of(params, trace, label)
+                expected = oracle_embedding_gradient(params, trace, label)
+                assert np.any(expected != 0.0) and np.all(expected[0] == 0.0)
+                for i, ch in enumerate(channels):
+                    if ch.trainable:
+                        assert np.max(np.abs(grads[f"channel{i}"] - expected)) <= 1e-12
 
     def test_inference_trace_rejected(self):
         params, ids, _ = self._setup()

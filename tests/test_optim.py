@@ -60,6 +60,31 @@ class TestAdadeltaStep:
         with pytest.raises(ValueError, match="diverged"):
             adadelta_step(param, np.array([np.nan, 0.0]), state)
 
+    def test_rows_form_equals_whole_tensor_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        rho = 0.95
+        dense = rng.normal(size=(12, 5))
+        dense[3] = -0.0  # a signed zero row must keep its sign bit too
+        sparse = dense.copy()
+        dense_state, sparse_state = init_state(dense, rho, 1e-6), init_state(sparse, rho, 1e-6)
+        for _ in range(6):
+            rows = np.sort(rng.choice(12, size=5, replace=False))
+            grad = np.zeros((12, 5))
+            grad[rows] = rng.normal(size=(5, 5))
+            grad[rows[0]] = 0.0  # a touched row may still have a zero gradient
+            untouched = np.setdiff1d(np.arange(12), rows)
+            before = (sparse[untouched].tobytes(), sparse_state.acc_grad_sq[untouched],
+                      sparse_state.acc_update_sq[untouched])
+            adadelta_step(dense, grad, dense_state)
+            adadelta_step(sparse, grad, sparse_state, rows)
+            assert sparse.tobytes() == dense.tobytes()
+            assert np.array_equal(sparse_state.acc_grad_sq, dense_state.acc_grad_sq)
+            assert np.array_equal(sparse_state.acc_update_sq, dense_state.acc_update_sq)
+            assert sparse[untouched].tobytes() == before[0]
+            assert np.array_equal(sparse_state.acc_grad_sq[untouched], rho * before[1])
+            assert np.array_equal(sparse_state.acc_update_sq[untouched], rho * before[2])
+        assert np.any(sparse_state.acc_update_sq != 0.0)
+
     def test_scale_freeness_at_first_step(self):
         # The ratio-normalized update grows sublinearly in the gradient.
         g = np.array([0.2, -1.5, 3.0])
@@ -207,6 +232,84 @@ class TestTrainEpoch:
         expected |= {f"conv{h}.{part}" for h in config.widths for part in ("weights", "biases")}
         expected |= {"output.weights", "output.biases"}
         assert changed == expected
+
+
+def dense_reference_epoch(params, examples, config, states, mask_rng, shuffle_seed, epoch):
+    """`train_epoch` as a plain loop: fresh zeroed gradients every batch and
+    whole-tensor Adadelta steps."""
+    for batch in make_minibatches(len(examples), config.batch_size, shuffle_seed, epoch):
+        grads = {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
+        for idx in batch:
+            ex = examples[idx]
+            _, trace = net.forward(params, ex.token_ids, train=True, rng=mask_rng)
+            net.backward(params, trace, ex.label, grads)
+        for name, tensor in net.trainable_tensors(params):
+            adadelta_step(tensor, grads[name] * (1.0 / len(batch)), states[name])
+        l2_renorm(params.output, config.norm_limit)
+        for ch in params.channels:
+            if ch.trainable:
+                ch.matrix[corpus.PAD_ID] = 0.0
+
+
+class TestTrainEpochAgainstReference:
+    @pytest.mark.parametrize("variant", ["non-static", "multichannel"])
+    def test_matches_dense_reference_loop(self, variant):
+        results = []
+        for epoch_fn in (train_epoch, dense_reference_epoch):
+            params, dataset, config = tiny_setup(variant=variant, keep_prob=0.5)
+            states = optim.init_states(params, config.rho, config.eps)
+            mask_rng = np.random.default_rng([config.seed, 0])
+            for epoch in (1, 2):  # six batches of 20 per epoch
+                epoch_fn(params, dataset.examples, config, states, mask_rng, config.seed, epoch)
+            results.append((tensor_hashes(params),
+                            {name: (s.acc_grad_sq.tobytes(), s.acc_update_sq.tobytes())
+                             for name, s in states.items()}))
+        assert results[0] == results[1]
+
+    def test_adadelta_called_through_the_module_once_per_tensor(self, monkeypatch):
+        params, dataset, config = tiny_setup(variant="non-static", keep_prob=0.5)
+        calls = []
+
+        def recording_step(*args):
+            param, grad, _, rows = args
+            touched = np.flatnonzero(np.any(grad != 0.0, axis=1)) if grad.ndim == 2 else None
+            calls.append((param, rows, touched))
+            return adadelta_step(*args)
+
+        monkeypatch.setattr(optim, "adadelta_step", recording_step)
+        states = optim.init_states(params, config.rho, config.eps)
+        train_epoch(params, dataset.examples, config, states,
+                    np.random.default_rng(0), config.seed, 1)
+        batches = make_minibatches(len(dataset.examples), config.batch_size, config.seed, 1)
+        names = [name for name, _ in net.trainable_tensors(params)]
+        assert len(calls) == len(batches) * len(names)
+        embedding = params.channels[0].matrix
+        for batch, batch_calls in zip(batches, np.split(np.arange(len(calls)), len(batches))):
+            stepped = [calls[i] for i in batch_calls]
+            assert [c[0] is embedding for c in stepped] == [n == "channel0" for n in names]
+            tokens = np.unique(np.concatenate([dataset.examples[i].token_ids for i in batch]))
+            _, rows, touched = stepped[names.index("channel0")]
+            assert np.array_equal(rows, tokens[tokens != corpus.PAD_ID])
+            assert len(touched) > 0 and np.all(np.isin(touched, rows))
+
+    def test_non_finite_gradient_names_tensor_epoch_and_batch(self, monkeypatch):
+        params, dataset, config = tiny_setup(variant="non-static")
+        calls = []
+        original = net.backward
+
+        def poisoned_backward(params, trace, label, grads):
+            loss = original(params, trace, label, grads)
+            calls.append(None)
+            if len(calls) == config.batch_size + 3:  # inside the second batch
+                grads["conv3.weights"][0, 0, 0] = np.inf
+            return loss
+
+        monkeypatch.setattr(net, "backward", poisoned_backward)
+        states = optim.init_states(params, config.rho, config.eps)
+        with pytest.raises(ValueError, match=r"^diverged: non-finite gradient in "
+                                             r"conv3\.weights at epoch 4, batch 2$"):
+            train_epoch(params, dataset.examples, config, states,
+                        np.random.default_rng(0), config.seed, 4)
 
 
 class TestEarlyStopper:
