@@ -29,7 +29,7 @@ for variant in ("rand", "static"):
                                patience=12, seed=11, init_scale=0.1)
     dataset = corpus.encode_corpus(token_lists, labels, vocab, max(config.widths))
     plan = evaluate.cv_fold_plan(len(dataset), config)
-    print(f"{variant}: fold sizes {plan.sizes().tolist()}")
+    print(f"{variant}: fold sizes {np.bincount(plan.fold_of, minlength=plan.n_folds).tolist()}")
     if variant == "rand":
         base, _ = embed.build_base_matrix(vocab, config.dim, "rand", config.seed)
     else:

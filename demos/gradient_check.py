@@ -28,7 +28,7 @@ label = 2
 
 
 def loss():
-    logits, _ = net.forward(params, token_ids, train=True, mask=mask)
+    logits, _ = net.forward(params, token_ids, mask=mask)
     return net.loss_and_probs(logits, label)[1]
 
 
@@ -47,7 +47,7 @@ def finite_difference(tensor, step=1e-5):
     return grad
 
 
-_, trace = net.forward(params, token_ids, train=True, mask=mask)
+_, trace = net.forward(params, token_ids, mask=mask)
 grads = {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
 net.backward(params, trace, label, grads)
 

@@ -62,7 +62,7 @@ for wid in range(1, len(vocab)):
     else:
         planted[wid] = rng.uniform(-0.25, 0.25, 16)
 blob = io.BytesIO()
-embed.write_word2vec_binary(blob, vocab.words(), planted[1:])
+embed.write_word2vec_binary(blob, vocab.id_to_word[1:], planted[1:])
 
 # --- train each variant from the same seed ---------------------------------
 results = {}

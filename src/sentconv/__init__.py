@@ -5,7 +5,7 @@ dropout with test-time weight scaling, an L2 row-norm constraint, Adadelta
 updates, and one or two embedding channels (static and/or fine-tuned).
 """
 
-from . import cli, corpus, embed, evaluate, net, optim
+from . import checkpoint, cli, corpus, embed, evaluate, net, optim
 from .corpus import (
     Dataset,
     Example,
@@ -29,7 +29,7 @@ from .net import ModelParams, backward, forward, loss_and_probs
 from .optim import TrainConfig, fit, parse_config
 
 __all__ = [
-    "cli", "corpus", "embed", "evaluate", "net", "optim",
+    "checkpoint", "cli", "corpus", "embed", "evaluate", "net", "optim",
     "Dataset", "Example", "FoldPlan", "Vocabulary",
     "assign_folds", "build_vocabulary", "clean_and_tokenize", "encode_and_pad",
     "select_dev_split",

@@ -63,10 +63,6 @@ class Vocabulary:
     def id(self, word: str) -> int:
         return self.word_to_id[word]
 
-    def words(self) -> list[str]:
-        """All real tokens, i.e. everything except the pad entry."""
-        return self.id_to_word[1:]
-
 
 def build_vocabulary(token_lists) -> Vocabulary:
     """Vocabulary over all distinct tokens, ids in first-occurrence order."""
@@ -120,12 +116,6 @@ class FoldPlan:
 
     def indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.fold_of == fold)
-
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.fold_of, minlength=self.n_folds)
-
-    def to_tsv(self) -> str:
-        return "".join(f"{i}\t{f}\n" for i, f in enumerate(self.fold_of))
 
 
 def assign_folds(n_examples: int, n_folds: int, seed: int) -> FoldPlan:

@@ -154,7 +154,10 @@ def write_word2vec_text(stream, words, matrix) -> None:
 
 
 def load_vectors(path, vocab: Vocabulary, expected_dim: int | None = None):
-    """Parse a vector file, sniffing binary vs. text by the header line."""
+    """Parse a vector file, sniffing binary vs. text by the header line.
+
+    A matched vector holding NaN or infinity is rejected, naming the word.
+    """
     with open(path, "rb") as fh:
         fields = fh.readline().split()
         fh.seek(0)
@@ -164,9 +167,13 @@ def load_vectors(path, vocab: Vocabulary, expected_dim: int | None = None):
                 int(fields[0]), int(fields[1])
             except ValueError:
                 is_binary = False
-        if is_binary:
-            return parse_word2vec_binary(fh, vocab, expected_dim)
-        return parse_word2vec_text(fh, vocab, expected_dim)
+        parse = parse_word2vec_binary if is_binary else parse_word2vec_text
+        matrix, matched = parse(fh, vocab, expected_dim)
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: vector for {vocab.id_to_word[bad[0]]!r} "
+                         f"holds non-finite values")
+    return matrix, matched
 
 
 def variance_matched_init(matrix, matched_ids, unknown_ids, seed: int,

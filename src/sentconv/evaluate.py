@@ -50,6 +50,14 @@ def initial_params(config: optim.TrainConfig, base_matrix, num_classes: int) -> 
                            activation=config.activation, init_scale=config.init_scale)
 
 
+def fit_with_dev_split(params: net.ModelParams, dataset: Dataset, config: optim.TrainConfig,
+                       fold: int = 0) -> optim.FitResult:
+    """Fit on `dataset` minus the fold's seeded dev split, which drives early stopping."""
+    train_ds, dev_ds = corpus.select_dev_split(dataset, config.dev_fraction,
+                                               derive_seed(config.seed, DEV_SPLIT, fold))
+    return optim.fit(params, train_ds.examples, dev_ds.examples, config, fold=fold)
+
+
 def run_cross_validation(dataset: Dataset, config: optim.TrainConfig, base_matrix,
                          n_folds: int = 10) -> CvReport:
     """Train on 9 folds (with an inner dev split for early stopping) and score
@@ -62,11 +70,8 @@ def run_cross_validation(dataset: Dataset, config: optim.TrainConfig, base_matri
     for fold in range(n_folds):
         test_idx = plan.indices(fold)
         train_idx = np.flatnonzero(plan.fold_of != fold)
-        train_ds, dev_ds = corpus.select_dev_split(
-            dataset.subset(train_idx), config.dev_fraction,
-            derive_seed(config.seed, DEV_SPLIT, fold))
-        result = optim.fit(net.clone_params(params0), train_ds.examples,
-                           dev_ds.examples, config, fold=fold)
+        result = fit_with_dev_split(net.clone_params(params0), dataset.subset(train_idx),
+                                    config, fold)
         accuracies.append(accuracy(result.params, dataset.subset(test_idx).examples))
     return CvReport(accuracies, float(np.mean(accuracies)),
                     config_fingerprint(config), config.seed)

@@ -121,14 +121,13 @@ def _window_stack(embedded: np.ndarray, h: int) -> np.ndarray:
     return np.ascontiguousarray(view.transpose(0, 2, 1))
 
 
-def forward(params: ModelParams, token_ids, *, train: bool = False,
-            rng: np.random.Generator | None = None,
-            mask: np.ndarray | None = None):
+def forward(params: ModelParams, token_ids, mask: np.ndarray | None = None):
     """One forward pass; returns (logits, trace).
 
-    Train mode masks the pooled vector with a fresh (or supplied) 0/1
-    dropout mask.  Inference mode applies no mask and scales the output
-    weights by keep_prob on the fly, leaving the stored weights untouched.
+    A 0/1 dropout `mask` over the pooled vector makes it a training pass
+    whose trace `backward` accepts.  Without one it is inference: no mask,
+    and the output weights are scaled by keep_prob on the fly, leaving the
+    stored weights untouched.
     """
     token_ids = np.asarray(token_ids, dtype=np.int64)
     if token_ids.shape[0] < params.max_width:
@@ -147,20 +146,11 @@ def forward(params: ModelParams, token_ids, *, train: bool = False,
         pooled.append(act[arg, np.arange(act.shape[1])])
     z = np.concatenate(pooled)
 
-    if train:
-        if mask is None:
-            if params.keep_prob >= 1.0:
-                mask = np.ones_like(z)
-            elif rng is None:
-                raise ValueError("train-mode forward needs an rng or an explicit mask")
-            else:
-                mask = (rng.random(z.shape[0]) < params.keep_prob).astype(np.float64)
-        else:
-            mask = np.asarray(mask, dtype=np.float64)
-        logits = params.output.weights @ (z * mask) + params.output.biases
-    else:
-        mask = None
+    if mask is None:
         logits = (params.keep_prob * params.output.weights) @ z + params.output.biases
+    else:
+        mask = np.asarray(mask, dtype=np.float64)
+        logits = params.output.weights @ (z * mask) + params.output.biases
 
     trace = ForwardTrace(token_ids, embedded, preacts, argmaxes, z, mask, logits)
     return logits, trace
@@ -224,13 +214,13 @@ def backward(params: ModelParams, trace: ForwardTrace, label: int,
 
 
 def predict_probs(params: ModelParams, token_ids) -> np.ndarray:
-    logits, _ = forward(params, token_ids, train=False)
+    logits, _ = forward(params, token_ids)
     probs, _ = loss_and_probs(logits, 0)
     return probs
 
 
 def predict_class(params: ModelParams, token_ids) -> int:
-    logits, _ = forward(params, token_ids, train=False)
+    logits, _ = forward(params, token_ids)
     return int(np.argmax(logits))
 
 

@@ -38,6 +38,10 @@ class TrainConfig:
     dev_fraction: float = 0.10
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.variant not in embed.VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if not self.widths or any(h < 1 for h in self.widths):
@@ -48,8 +52,9 @@ class TrainConfig:
             raise ValueError("maps_per_width and dim must be positive")
         if not 0.0 < self.keep_prob <= 1.0:
             raise ValueError("keep_prob must be in (0, 1]")
-        if self.norm_limit <= 0.0:
-            raise ValueError("norm_limit must be positive")
+        for name in ("norm_limit", "init_scale", "rand_init_a"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 <= self.rho < 1.0 or self.eps <= 0.0:
@@ -203,7 +208,8 @@ def train_epoch(params: net.ModelParams, examples, config: TrainConfig,
     for number, batch in enumerate(batches, 1):
         for idx in batch:
             ex = examples[idx]
-            _, trace = net.forward(params, ex.token_ids, train=True, rng=mask_rng)
+            mask = (mask_rng.random(params.num_filters) < params.keep_prob).astype(np.float64)
+            _, trace = net.forward(params, ex.token_ids, mask)
             total_loss += net.backward(params, trace, ex.label, grads)
 
         # Embedding gradients are nonzero only on the batch's tokens.

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import synthdata
-from sentconv import cli, corpus, embed, evaluate, net, optim
+from sentconv import checkpoint, cli, corpus, embed, evaluate, net, optim
 
 MR_PATH = os.environ.get("SENTCONV_MR_TSV")
 W2V_PATH = os.environ.get("SENTCONV_W2V_BIN")
@@ -72,7 +72,7 @@ def test_criterion_1_gradient_oracle():
 
     # fixture sanity: stay clear of ReLU kinks and pooling ties so the
     # finite-difference window cannot flip a gate or an argmax
-    _, trace = net.forward(params, token_ids, train=True, mask=mask)
+    _, trace = net.forward(params, token_ids, mask=mask)
     for pre in trace.preacts:
         assert np.min(np.abs(pre)) > 1e-3
         acts = np.maximum(pre, 0.0)
@@ -80,7 +80,7 @@ def test_criterion_1_gradient_oracle():
         assert np.all(top2[1] - top2[0] > 1e-3)
 
     def loss_fn():
-        logits, _ = net.forward(params, token_ids, train=True, mask=mask)
+        logits, _ = net.forward(params, token_ids, mask=mask)
         return net.loss_and_probs(logits, label)[1]
 
     grads = {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
@@ -141,7 +141,7 @@ def test_criterion_2_convolution_oracle():
         params = net.ModelParams(channels, [net.FilterBank(h, weights[None], np.array([bias]))],
                                  net.OutputLayer(np.zeros((2, 1)), np.zeros(2)),
                                  activation=activation)
-        _, trace = net.forward(params, ids, train=False)
+        _, trace = net.forward(params, ids)
         got = net._activate(trace.preacts[0][:, 0], activation)
         want = _oracle_feature_map(ids, channels, weights, bias, activation)
         worst = max(worst, float(np.max(np.abs(got - want))),
@@ -183,7 +183,7 @@ def test_criterion_3_synthetic_end_to_end():
     # informative planted vectors, written and re-read through the binary format
     planted = synthdata.planted_vectors(vocab, config.dim, seed=7)
     blob = io.BytesIO()
-    embed.write_word2vec_binary(blob, vocab.words(), planted[1:])
+    embed.write_word2vec_binary(blob, vocab.id_to_word[1:], planted[1:])
     for variant in ("static", "non-static"):
         config = _variant_config(variant)
         blob.seek(0)
@@ -269,12 +269,13 @@ def test_criterion_5_invariant_suite():
     rng = np.random.default_rng(77)
     mc_params = net.clone_params(params)
     ids = dataset.examples[0].token_ids
-    infer_logits, _ = net.forward(mc_params, ids, train=False)
+    infer_logits, _ = net.forward(mc_params, ids)
     n_samples = 10_000
     samples = np.empty((n_samples, mc_params.num_classes))
     mask_rng = np.random.default_rng(1234)
     for s in range(n_samples):
-        samples[s], _ = net.forward(mc_params, ids, train=True, rng=mask_rng)
+        mask = (mask_rng.random(mc_params.num_filters) < mc_params.keep_prob).astype(np.float64)
+        samples[s], _ = net.forward(mc_params, ids, mask=mask)
     mean = samples.mean(axis=0)
     sem = samples.std(axis=0, ddof=1) / math.sqrt(n_samples)
     assert np.all(np.abs(mean - infer_logits) <= 4.0 * sem)
@@ -370,11 +371,11 @@ def test_criterion_8_checkpoint_round_trip(tmp_path):
     history = optim.history_to_csv(result.history)
 
     first = tmp_path / "model.ckpt"
-    cli.save_checkpoint(first, result.params, vocab, config, history)
-    loaded = cli.load_checkpoint(first)
+    checkpoint.save_checkpoint(first, result.params, vocab, config, history)
+    loaded = checkpoint.load_checkpoint(first)
     second = tmp_path / "model2.ckpt"
-    cli.save_checkpoint(second, loaded.params, loaded.vocab, loaded.config,
-                        loaded.history_csv)
+    checkpoint.save_checkpoint(second, loaded.params, loaded.vocab, loaded.config,
+                               loaded.history_csv)
     assert second.read_bytes() == first.read_bytes()
 
     rng = np.random.default_rng(9)

@@ -9,19 +9,9 @@ import numpy as np
 import pytest
 
 import synthdata
-from sentconv import corpus, embed, evaluate, net, optim
-from sentconv.cli import (
-    EXIT_CORRUPT,
-    EXIT_OK,
-    EXIT_QUERY,
-    EXIT_USAGE,
-    EXIT_VALIDATION,
-    Checkpoint,
-    CheckpointError,
-    load_checkpoint,
-    main,
-    save_checkpoint,
-)
+from sentconv import cli, corpus, embed, evaluate, net, optim
+from sentconv.checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
+from sentconv.cli import EXIT_CORRUPT, EXIT_OK, EXIT_QUERY, EXIT_USAGE, EXIT_VALIDATION, main
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +35,7 @@ def workdir(tmp_path_factory):
     vectors = root / "vectors.bin"
     planted = synthdata.planted_vectors(vocab, 8, seed=5)
     with open(vectors, "wb") as fh:
-        embed.write_word2vec_binary(fh, vocab.words(), planted[1:])
+        embed.write_word2vec_binary(fh, vocab.id_to_word[1:], planted[1:])
 
     ckpt = root / "model.ckpt"
     code = main(["train", "--config", str(config), "--data", str(data),
@@ -53,6 +43,15 @@ def workdir(tmp_path_factory):
     assert code == EXIT_OK
     return {"root": root, "data": data, "config": config, "vectors": vectors,
             "ckpt": ckpt, "vocab": vocab}
+
+
+def _non_finite_vectors(workdir, tmp_path):
+    """A vector file whose records for the first two vocabulary words hold inf and nan."""
+    words = workdir["vocab"].id_to_word[1:3]
+    path = tmp_path / "bad.bin"
+    with open(path, "wb") as fh:
+        embed.write_word2vec_binary(fh, words, np.array([[np.inf] * 8, [np.nan] * 8]))
+    return path, words[0]
 
 
 class TestTrainCommand:
@@ -118,6 +117,28 @@ class TestTrainCommand:
         code = main(["train", "--data", str(data), "--variant", "rand"])
         assert code == EXIT_VALIDATION
         assert "missing 1, 2, 3, 4" in capsys.readouterr().err
+
+    def test_non_finite_vectors_rejected(self, workdir, tmp_path, capsys):
+        vectors, word = _non_finite_vectors(workdir, tmp_path)
+        code = main(["train", "--config", str(workdir["config"]), "--data", str(workdir["data"]),
+                     "--vectors", str(vectors), "--variant", "static"])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert captured.out == ""
+        assert f"{vectors}: vector for {word!r} holds non-finite values" in captured.err
+
+    @pytest.mark.parametrize("line", ["norm_limit = nan", "norm_limit = inf", "eps = nan",
+                                      "init_scale = 0", "rand_init_a = -1"])
+    def test_bad_float_config_value_rejected(self, workdir, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(workdir["config"].read_text(encoding="utf-8") + line + "\n",
+                       encoding="utf-8")
+        code = main(["train", "--config", str(cfg), "--data", str(workdir["data"]),
+                     "--variant", "rand"])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert captured.out == ""
+        assert captured.err.startswith(f"sentconv: {line.split()[0]} must be ")
 
     def test_divergence_names_tensor_epoch_and_batch(self, workdir, capsys, monkeypatch):
         calls = []
@@ -257,6 +278,14 @@ class TestInspectDataCommand:
         main(["inspect-data", "--data", str(workdir["data"])])
         assert "V_pre" not in capsys.readouterr().out
 
+    def test_non_finite_vectors_rejected(self, workdir, tmp_path, capsys):
+        vectors, word = _non_finite_vectors(workdir, tmp_path)
+        code = main(["inspect-data", "--data", str(workdir["data"]), "--vectors", str(vectors)])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert "V_pre" not in captured.out
+        assert f"{vectors}: vector for {word!r} holds non-finite values" in captured.err
+
     def test_non_contiguous_labels_rejected(self, tmp_path, capsys):
         data = tmp_path / "gap.tsv"
         data.write_text("0\tfine film\n5\tdull film\n", encoding="utf-8")
@@ -371,6 +400,16 @@ class TestCheckpointRejections:
         assert captured.out == ""
         assert "non-finite" in captured.err
 
+    def test_invalid_embedded_config(self, workdir, tmp_path, capsys):
+        ckpt = load_checkpoint(workdir["ckpt"])
+        ckpt.config.norm_limit = float("nan")
+        path = tmp_path / "nan-config.ckpt"
+        save_checkpoint(path, ckpt.params, ckpt.vocab, ckpt.config)
+        code, captured = self._predict(path, capsys)
+        assert code == EXIT_CORRUPT
+        assert captured.out == ""
+        assert "bad embedded config: norm_limit must be finite" in captured.err
+
     def test_non_utf8_string(self, workdir, tmp_path, capsys):
         marker = "history-\u00e9"
         path = _resaved(workdir, tmp_path, lambda params: None, history_csv=marker)
@@ -441,6 +480,22 @@ class TestCheckpointRejections:
 
 
 class TestModuleInvocation:
+    @pytest.mark.parametrize("command", [["predict", "--input", "-"], ["neighbors", "goodish"]])
+    def test_checkpoint_loaded_through_the_cli_module(self, workdir, monkeypatch, capsys,
+                                                      command):
+        # The benchmark times `cli.load_checkpoint` by wrapping the module attribute.
+        calls = []
+
+        def recording_load(path):
+            calls.append(path)
+            return load_checkpoint(path)
+
+        monkeypatch.setattr(cli, "load_checkpoint", recording_load)
+        monkeypatch.setattr("sys.stdin", io.StringIO("plainly goodish\n"))
+        code = main([command[0], "--checkpoint", str(workdir["ckpt"]), *command[1:]])
+        assert code == EXIT_OK
+        assert calls == [str(workdir["ckpt"])]
+
     def test_python_dash_m_entry_point(self, workdir):
         proc = subprocess.run(
             [sys.executable, "-m", "sentconv", "inspect-data", "--data",

@@ -1,6 +1,7 @@
 """Word-vector parsing/writing, unknown-word init, channel assembly."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -166,6 +167,19 @@ class TestLoadVectors:
         matrix, matched = load_vectors(p, vocab)
         assert matched == {"cat", "dog"}
         assert matrix[vocab.id("dog")].tolist() == [-1.0, 0.5, 0.25]
+
+    def test_non_finite_vector_names_word_and_file(self, tmp_path):
+        vocab = build_vocabulary([["cat", "dog"]])
+        binary = tmp_path / "v.bin"
+        binary.write_bytes(binary_fixture([("cat", [1.0, 2.0, 3.0]), ("dog", [np.inf, 0, 0])]))
+        text = tmp_path / "v.txt"
+        text.write_bytes(b"cat 1.0 nan 3.0\ndog -1.0 0.5 0.25\n")
+        for path, word in ((binary, "dog"), (text, "cat")):
+            with pytest.raises(ValueError, match=re.escape(f"{path}: vector for '{word}'")):
+                load_vectors(path, vocab)
+        # a record for a word outside the vocabulary is skipped, whatever it holds
+        text.write_bytes(b"cat 1.0 2.0 3.0\nemu nan inf -inf\n")
+        assert load_vectors(text, vocab)[1] == {"cat"}
 
 
 class TestVarianceMatchedInit:

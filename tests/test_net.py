@@ -84,7 +84,7 @@ def single_filter_params(channels, weights, bias, activation="relu"):
 def feature_maps(params, token_ids):
     """Per width group, the (n_windows, F) activations of an inference forward,
     through the library's activation, and the pooled features z."""
-    _, trace = forward(params, token_ids, train=False)
+    _, trace = forward(params, token_ids)
     return [net._activate(pre, params.activation) for pre in trace.preacts], trace.z
 
 
@@ -148,7 +148,7 @@ class TestConvFeatureMap:
         channels = random_channels(rng, 1, 6, 4)
         params = single_filter_params(channels, rng.normal(size=(4, 4)), 0.0)
         with pytest.raises(ValueError, match="shorter"):
-            forward(params, [1, 2], train=False)
+            forward(params, [1, 2])
 
 
 class TestMaxOverTime:
@@ -156,7 +156,7 @@ class TestMaxOverTime:
     # the activation of the channel values, so the pooled value and argmax are known.
     def pool(self, values, activation="relu"):
         params = single_filter_params(scalar_channel(values), [[1.0]], 0.0, activation)
-        _, trace = forward(params, np.arange(1, len(values) + 1), train=False)
+        _, trace = forward(params, np.arange(1, len(values) + 1))
         return float(trace.z[0]), int(trace.argmax[0][0])
 
     def test_basic(self):
@@ -198,8 +198,8 @@ class TestForward:
         channels = random_channels(rng, 1, 9, 5)
         params = toy_params(rng, channels, keep_prob=1.0)
         ids = rng.integers(1, 9, size=7)
-        train_logits, _ = forward(params, ids, train=True)
-        infer_logits, _ = forward(params, ids, train=False)
+        train_logits, _ = forward(params, ids, mask=np.ones(params.num_filters))
+        infer_logits, _ = forward(params, ids)
         assert np.array_equal(train_logits, infer_logits)
 
     def test_all_pad_sentence_closed_form(self):
@@ -210,12 +210,12 @@ class TestForward:
             bank.biases[:] = rng.normal(size=bank.biases.shape)
         params.output.biases[:] = rng.normal(size=3)
         ids = np.zeros(6, dtype=np.int64)
-        logits, _ = forward(params, ids, train=False)
+        logits, _ = forward(params, ids)
         # zero embeddings: every window's feature is relu(bias)
         z = np.concatenate([np.maximum(bank.biases, 0.0) for bank in params.filters])
         expected = params.keep_prob * params.output.weights @ z + params.output.biases
         assert np.allclose(logits, expected, atol=1e-15)
-        again, _ = forward(params, ids, train=False)
+        again, _ = forward(params, ids)
         assert np.array_equal(logits, again)
 
     def test_train_mode_mean_matches_inference(self):
@@ -224,29 +224,23 @@ class TestForward:
         channels = random_channels(rng, 1, 9, 5)
         params = toy_params(rng, channels, keep_prob=0.5)
         ids = rng.integers(1, 9, size=8)
-        infer_logits, _ = forward(params, ids, train=False)
+        infer_logits, _ = forward(params, ids)
         n_samples = 3000
         samples = np.empty((n_samples, 3))
         mask_rng = np.random.default_rng(9)
         for s in range(n_samples):
-            samples[s], _ = forward(params, ids, train=True, rng=mask_rng)
+            mask = (mask_rng.random(params.num_filters) < params.keep_prob).astype(np.float64)
+            samples[s], _ = forward(params, ids, mask=mask)
         mean = samples.mean(axis=0)
         sem = samples.std(axis=0, ddof=1) / math.sqrt(n_samples)
         assert np.all(np.abs(mean - infer_logits) <= 4.0 * sem)
-
-    def test_train_mode_needs_randomness(self):
-        rng = np.random.default_rng(10)
-        channels = random_channels(rng, 1, 9, 5)
-        params = toy_params(rng, channels, keep_prob=0.5)
-        with pytest.raises(ValueError, match="rng"):
-            forward(params, rng.integers(1, 9, size=7), train=True)
 
     def test_short_sentence_rejected(self):
         rng = np.random.default_rng(11)
         channels = random_channels(rng, 1, 9, 5)
         params = toy_params(rng, channels, widths=(3, 4))
         with pytest.raises(ValueError, match="pad"):
-            forward(params, [1, 2], train=False)
+            forward(params, [1, 2])
 
 
 def finite_difference(loss_fn, tensor, step=1e-5):
@@ -289,10 +283,10 @@ class TestBackward:
         label = 1
 
         def loss_fn():
-            logits, _ = forward(params, ids, train=True, mask=mask)
+            logits, _ = forward(params, ids, mask=mask)
             return loss_and_probs(logits, label)[1]
 
-        _, trace = forward(params, ids, train=True, mask=mask)
+        _, trace = forward(params, ids, mask=mask)
         grads = {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
         assert backward(params, trace, label, grads) == loss_fn()
         for name, tensor in net.trainable_tensors(params):
@@ -300,7 +294,7 @@ class TestBackward:
 
     def test_masked_filter_gradient_exactly_zero(self):
         params, ids, mask = self._setup()
-        _, trace = forward(params, ids, train=True, mask=mask)
+        _, trace = forward(params, ids, mask=mask)
         grads = grads_of(params, trace, 0)
         # mask entry 1 belongs to the width-2 bank (4 maps); entry 6 to width-3
         assert np.all(grads["conv2.weights"][1] == 0.0)
@@ -311,7 +305,7 @@ class TestBackward:
     def test_static_channel_gets_no_gradient(self):
         params, ids, mask = self._setup()
         static = params.channels[0].matrix.copy()
-        _, trace = forward(params, ids, train=True, mask=mask)
+        _, trace = forward(params, ids, mask=mask)
         grads = grads_of(params, trace, 2)
         assert "channel0" not in grads
         assert np.array_equal(params.channels[0].matrix, static)
@@ -320,15 +314,15 @@ class TestBackward:
     def test_pad_row_gradient_forced_zero(self):
         params, _, mask = self._setup()
         ids = np.array([0, 3, 4, 0, 5, 0, 0])  # pads inside the sentence
-        _, trace = forward(params, ids, train=True, mask=mask)
+        _, trace = forward(params, ids, mask=mask)
         grads = grads_of(params, trace, 0)
         assert np.all(grads["channel1"][0] == 0.0)
         assert np.any(grads["channel1"][[3, 4, 5]] != 0.0)
 
     def test_examples_accumulate_into_the_buffers(self):
         params, ids, mask = self._setup()
-        _, first = forward(params, ids, train=True, mask=mask)
-        _, second = forward(params, ids[::-1], train=True, mask=mask[::-1])
+        _, first = forward(params, ids, mask=mask)
+        _, second = forward(params, ids[::-1], mask=mask[::-1])
         both = grads_of(params, first, 0)
         backward(params, second, 2, both)
         one, two = grads_of(params, first, 0), grads_of(params, second, 2)
@@ -350,7 +344,7 @@ class TestBackward:
                 mask = np.ones(params.num_filters)
                 mask[rng.choice(params.num_filters, size=4, replace=False)] = 0.0
                 label = int(rng.integers(0, params.num_classes))
-                _, trace = forward(params, ids, train=True, mask=mask)
+                _, trace = forward(params, ids, mask=mask)
                 grads = grads_of(params, trace, label)
                 expected = oracle_embedding_gradient(params, trace, label)
                 assert np.any(expected != 0.0) and np.all(expected[0] == 0.0)
@@ -360,13 +354,13 @@ class TestBackward:
 
     def test_inference_trace_rejected(self):
         params, ids, _ = self._setup()
-        _, trace = forward(params, ids, train=False)
+        _, trace = forward(params, ids)
         with pytest.raises(ValueError, match="train-mode"):
             grads_of(params, trace, 0)
 
     def test_mismatched_params_rejected(self):
         params, ids, mask = self._setup()
-        _, trace = forward(params, ids, train=True, mask=mask)
+        _, trace = forward(params, ids, mask=mask)
         rng = np.random.default_rng(13)
         other = toy_params(rng, random_channels(rng, 2, 10, 6), widths=(2,), maps=3)
         with pytest.raises(ValueError, match="match"):
@@ -381,14 +375,14 @@ class TestStructuralInvariants:
         channels = random_channels(rng, 1, 12, 4)
         params = toy_params(rng, channels, widths=(2,), maps=1, keep_prob=1.0)
         ids = np.arange(1, 9)  # distinct tokens: positions map to unique rows
-        _, trace = forward(params, ids, train=True)
+        _, trace = forward(params, ids, mask=np.ones(params.num_filters))
         winner = int(trace.argmax[0][0])
         grads = grads_of(params, trace, 0)
 
         loser_positions = [p for p in range(len(ids)) if p < winner or p > winner + 1]
         target_row = ids[loser_positions[0]]
         params.channels[0].matrix[target_row] += 0.01
-        _, trace2 = forward(params, ids, train=True)
+        _, trace2 = forward(params, ids, mask=np.ones(params.num_filters))
         assert int(trace2.argmax[0][0]) == winner
         grads2 = grads_of(params, trace2, 0)
         assert np.array_equal(grads["conv2.weights"], grads2["conv2.weights"])
@@ -402,8 +396,8 @@ class TestStructuralInvariants:
         double = net.ModelParams([static[0], zero], single.filters, single.output,
                                  keep_prob=1.0, activation=single.activation)
         ids = rng.integers(1, 10, size=6)
-        one, _ = forward(single, ids, train=False)
-        two, _ = forward(double, ids, train=False)
+        one, _ = forward(single, ids)
+        two, _ = forward(double, ids)
         assert np.array_equal(one, two)
 
     def test_filter_permutation_leaves_logits_invariant(self):
@@ -411,14 +405,14 @@ class TestStructuralInvariants:
         channels = random_channels(rng, 1, 10, 5)
         params = toy_params(rng, channels, widths=(2, 3), maps=4, keep_prob=1.0)
         ids = rng.integers(1, 10, size=8)
-        base_logits, _ = forward(params, ids, train=False)
+        base_logits, _ = forward(params, ids)
 
         perm = np.array([2, 0, 3, 1])
         shuffled = net.clone_params(params)
         shuffled.filters[0].weights[:] = params.filters[0].weights[perm]
         shuffled.filters[0].biases[:] = params.filters[0].biases[perm]
         shuffled.output.weights[:, :4] = params.output.weights[:, :4][:, perm]
-        logits, _ = forward(shuffled, ids, train=False)
+        logits, _ = forward(shuffled, ids)
         assert np.max(np.abs(logits - base_logits)) <= 1e-12
 
     def test_forward_consistent_with_per_filter_path(self):
@@ -429,7 +423,7 @@ class TestStructuralInvariants:
             params = toy_params(rng, channels, widths=(2, 3), maps=3, keep_prob=1.0,
                                 activation=activation)
             ids = rng.integers(1, 10, size=7)
-            _, trace = forward(params, ids, train=False)
+            _, trace = forward(params, ids)
             pooled, argmax = [], []
             for bank in params.filters:
                 for f in range(bank.weights.shape[0]):

@@ -7,6 +7,7 @@ import pytest
 
 import synthdata
 from sentconv import corpus, embed, evaluate, net, optim
+from sentconv._seeds import DROPOUT
 from sentconv.optim import (
     EarlyStopper,
     TrainConfig,
@@ -241,7 +242,8 @@ def dense_reference_epoch(params, examples, config, states, mask_rng, shuffle_se
         grads = {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
         for idx in batch:
             ex = examples[idx]
-            _, trace = net.forward(params, ex.token_ids, train=True, rng=mask_rng)
+            mask = (mask_rng.random(params.num_filters) < params.keep_prob).astype(np.float64)
+            _, trace = net.forward(params, ex.token_ids, mask=mask)
             net.backward(params, trace, ex.label, grads)
         for name, tensor in net.trainable_tensors(params):
             adadelta_step(tensor, grads[name] * (1.0 / len(batch)), states[name])
@@ -252,13 +254,18 @@ def dense_reference_epoch(params, examples, config, states, mask_rng, shuffle_se
 
 
 class TestTrainEpochAgainstReference:
-    @pytest.mark.parametrize("variant", ["non-static", "multichannel"])
-    def test_matches_dense_reference_loop(self, variant):
+    @pytest.mark.parametrize("variant,keep_prob", [
+        pytest.param("non-static", 0.5, id="non-static"),
+        pytest.param("multichannel", 0.5, id="multichannel"),
+        pytest.param("non-static", 1.0, id="non-static-keep_prob-1"),
+    ])
+    def test_matches_dense_reference_loop(self, variant, keep_prob):
         results = []
         for epoch_fn in (train_epoch, dense_reference_epoch):
-            params, dataset, config = tiny_setup(variant=variant, keep_prob=0.5)
+            params, dataset, config = tiny_setup(variant=variant, keep_prob=keep_prob)
             states = optim.init_states(params, config.rho, config.eps)
-            mask_rng = np.random.default_rng([config.seed, 0])
+            # the dropout stream `fit` hands to fold 0
+            mask_rng = np.random.default_rng([config.seed, DROPOUT, 0])
             for epoch in (1, 2):  # six batches of 20 per epoch
                 epoch_fn(params, dataset.examples, config, states, mask_rng, config.seed, epoch)
             results.append((tensor_hashes(params),
@@ -291,6 +298,27 @@ class TestTrainEpochAgainstReference:
             _, rows, touched = stepped[names.index("channel0")]
             assert np.array_equal(rows, tokens[tokens != corpus.PAD_ID])
             assert len(touched) > 0 and np.all(np.isin(touched, rows))
+
+    def test_forward_called_through_the_module_once_per_example(self, monkeypatch):
+        # The benchmark counts FLOPs from `net.forward`'s first two positional arguments.
+        params, dataset, config = tiny_setup(variant="non-static", keep_prob=0.5)
+        calls = []
+        original = net.forward
+
+        def recording_forward(*args, **kwargs):
+            calls.append(args[:2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(net, "forward", recording_forward)
+        states = optim.init_states(params, config.rho, config.eps)
+        train_epoch(params, dataset.examples, config, states,
+                    np.random.default_rng(0), config.seed, 1)
+        order = np.concatenate(make_minibatches(len(dataset.examples), config.batch_size,
+                                                config.seed, 1))
+        assert len(calls) == len(order)
+        for (called_params, token_ids), idx in zip(calls, order):
+            assert called_params is params
+            assert token_ids is dataset.examples[idx].token_ids
 
     def test_non_finite_gradient_names_tensor_epoch_and_batch(self, monkeypatch):
         params, dataset, config = tiny_setup(variant="non-static")
@@ -401,8 +429,11 @@ class TestConfigText:
 
     def test_validation_rejects_bad_fields(self):
         for text in ("keep_prob = 0.0\n", "variant = magic\n", "widths = 0\n",
-                     "widths = 3,3\n", "norm_limit = -1.0\n"):
-            with pytest.raises(ValueError):
+                     "widths = 3,3\n", "norm_limit = -1.0\n", "norm_limit = nan\n",
+                     "norm_limit = inf\n", "eps = nan\n", "init_scale = nan\n",
+                     "init_scale = 0\n", "init_scale = -1\n", "rand_init_a = nan\n",
+                     "rand_init_a = 0\n", "keep_prob = nan\n", "dev_fraction = inf\n"):
+            with pytest.raises(ValueError, match=text.split()[0]):
                 parse_config(text)
 
     def test_history_csv_shape(self):
