@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,8 @@ def parse_word2vec_binary(stream, vocab: Vocabulary, expected_dim: int | None = 
     terminated by one space, `dim` little-endian float32 values, and an
     optional newline.  Values are widened to float64.  Returns the V x dim
     matrix (unmatched rows zero) and the set of matched vocabulary words.
+    The stream must be seekable: the header is checked against the bytes
+    after it, so a corrupt count or dimension never sizes the matrix.
     """
     header = stream.readline()
     parts = header.split()
@@ -90,6 +93,16 @@ def parse_word2vec_binary(stream, vocab: Vocabulary, expected_dim: int | None = 
         raise ValueError("bad header") from None
     if expected_dim is not None and dim != expected_dim:
         raise ValueError(f"file declares {dim}-dimensional vectors, expected {expected_dim}")
+    start = stream.tell()
+    left = stream.seek(0, io.SEEK_END) - start
+    stream.seek(start)
+    record_min = 1 + 4 * dim  # the word's terminating space, then the values
+    if count * record_min > left:
+        raise ValueError(f"truncated records: the header's {count} vectors of dimension {dim} "
+                         f"need at least {count * record_min} bytes, {left} follow it")
+    if record_min > left:
+        raise ValueError(f"a record of dimension {dim} needs at least {record_min} bytes, "
+                         f"{left} follow the header")
 
     matrix = np.zeros((len(vocab), dim), dtype=np.float64)
     exact: set[int] = set()
@@ -156,7 +169,8 @@ def write_word2vec_text(stream, words, matrix) -> None:
 def load_vectors(path, vocab: Vocabulary, expected_dim: int | None = None):
     """Parse a vector file, sniffing binary vs. text by the header line.
 
-    A matched vector holding NaN or infinity is rejected, naming the word.
+    Every parse error names the file; a matched vector holding NaN or
+    infinity is rejected, naming the word.
     """
     with open(path, "rb") as fh:
         fields = fh.readline().split()
@@ -168,7 +182,10 @@ def load_vectors(path, vocab: Vocabulary, expected_dim: int | None = None):
             except ValueError:
                 is_binary = False
         parse = parse_word2vec_binary if is_binary else parse_word2vec_text
-        matrix, matched = parse(fh, vocab, expected_dim)
+        try:
+            matrix, matched = parse(fh, vocab, expected_dim)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}: vector for {vocab.id_to_word[bad[0]]!r} "

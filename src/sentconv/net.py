@@ -115,10 +115,15 @@ def summed_embedding(channels, token_ids: np.ndarray) -> np.ndarray:
     return total
 
 
-def _window_stack(embedded: np.ndarray, h: int) -> np.ndarray:
-    """(n, k) -> (n - h + 1, h, k) sliding windows; needs n >= h."""
-    view = np.lib.stride_tricks.sliding_window_view(embedded, h, axis=0)
-    return np.ascontiguousarray(view.transpose(0, 2, 1))
+def _windows(embedded: np.ndarray, h: int) -> np.ndarray:
+    """(n, k) -> (n - h + 1, h·k) window rows; needs n >= h.  In a C-contiguous
+    lookup (ensured here, a no-op for a row lookup) window p is the h·k floats
+    from row p on, so a view with row stride k holds every window."""
+    embedded = np.ascontiguousarray(embedded)
+    n, k = embedded.shape
+    view = np.lib.stride_tricks.as_strided(embedded, (n - h + 1, h * k), embedded.strides,
+                                           writeable=False)
+    return np.ascontiguousarray(view)
 
 
 def forward(params: ModelParams, token_ids, mask: np.ndarray | None = None):
@@ -136,9 +141,8 @@ def forward(params: ModelParams, token_ids, mask: np.ndarray | None = None):
 
     preacts, argmaxes, pooled = [], [], []
     for bank in params.filters:
-        win = _window_stack(embedded, bank.width)
-        flat = win.reshape(win.shape[0], -1)
-        pre = flat @ bank.weights.reshape(bank.weights.shape[0], -1).T + bank.biases
+        win = _windows(embedded, bank.width)
+        pre = win @ bank.weights.reshape(bank.weights.shape[0], -1).T + bank.biases
         act = _activate(pre, params.activation)
         arg = np.argmax(act, axis=0)
         preacts.append(pre)
@@ -167,11 +171,17 @@ def backward(params: ModelParams, trace: ForwardTrace, label: int,
              grads: dict[str, np.ndarray]) -> float:
     """Add one example's cross-entropy gradients into `grads`; return its loss.
 
-    `grads` holds one array per `trainable_tensors` name.  Dropout-masked
-    pooled units contribute zero everywhere upstream; each filter's gradient
-    flows only through its argmax window and only where the activation
-    derivative is nonzero; embedding gradients go only into trainable
-    channels and never into the pad row.
+    `grads` holds one C-contiguous array per `trainable_tensors` name.
+    Dropout-masked pooled units contribute zero everywhere upstream; each
+    filter's gradient flows only through its argmax window and only where
+    the activation derivative is nonzero; embedding gradients go only into
+    trainable channels and never into the pad row.
+
+    Only live filters (nonzero preactivation gradient) are visited, one window
+    offset at a time, so every temporary is (live filters) x k.  A dead filter
+    would add ±0 into buffers that never hold -0, so the conv, bias and output
+    gradients are those of an all-filter pass bit for bit; the embedding GEMM
+    sums over fewer filters.
     """
     if trace.mask is None:
         raise ValueError("backward needs a train-mode trace")
@@ -194,22 +204,32 @@ def backward(params: ModelParams, trace: ForwardTrace, label: int,
         dz_g = dz[offset:offset + n_maps]
         offset += n_maps
         dpre = dz_g * _activate_grad(pre[arg, np.arange(n_maps)], params.activation)
-        positions = arg[:, None] + np.arange(h)[None, :]
-        grads[f"conv{h}.weights"] += dpre[:, None, None] * trace.embedded[positions]
         grads[f"conv{h}.biases"] += dpre
+        live = np.flatnonzero(dpre)
+        if live.size == 0:
+            continue
+        d_live, at = dpre[live], arg[live]
+        conv = grads[f"conv{h}.weights"]
         if tuned:
-            # Transposed convolution: each filter's gradient sits at its argmax
-            # window, one GEMM lowers it to per-window rows, and window offset j
-            # lands on position p + j.
-            dpre_map = np.zeros_like(pre)
-            dpre_map[arg, np.arange(n_maps)] = dpre
-            d_windows = (dpre_map @ bank.weights.reshape(n_maps, -1)).reshape(len(pre), h, -1)
-            for j in range(h):
-                d_embedded[j:j + len(pre)] += d_windows[:, j]
+            # Transposed convolution: live filter l's gradient sits at its
+            # argmax window, and window offset j lands on position p + j.
+            d_map = np.zeros((len(pre), live.size))
+            d_map[at, np.arange(live.size)] = d_live
+        for j in range(h):
+            conv[live, j] += d_live[:, None] * trace.embedded[at + j]
+            if tuned:
+                d_embedded[j:j + len(pre)] += d_map @ bank.weights[live, j]
     if tuned:
+        # One flat index per (row, column) of the sentence's non-pad tokens:
+        # np.add.at adds in the same order as with row indices, on its much
+        # faster 1-D path.  A C-contiguous buffer's flat reshape is a view.
         keep = trace.token_ids != PAD_ID
+        k = d_embedded.shape[1]
+        cells = (trace.token_ids[keep, None] * k + np.arange(k)).ravel()
         for dense in tuned:
-            np.add.at(dense, trace.token_ids[keep], d_embedded[keep])
+            if not dense.flags.c_contiguous:
+                raise ValueError("gradient buffers must be C-contiguous")
+            np.add.at(dense.reshape(-1), cells, d_embedded[keep].ravel())
     return loss
 
 

@@ -276,7 +276,9 @@ def fit(params: net.ModelParams, train_examples, dev_examples, config: TrainConf
     shuffle_seed = derive_seed(config.seed, SHUFFLE, fold)
 
     stopper = EarlyStopper(config.patience)
-    best_params = net.clone_params(params)
+    # Dev accuracy is finite, so epoch 1 always beats the stopper's -inf and
+    # sets `best_params`; no clone is needed before it.
+    best_params = None
     history: list[tuple[int, float, float]] = []
     for epoch in range(1, config.max_epochs + 1):
         loss = train_epoch(params, train_examples, config, states, mask_rng,

@@ -54,6 +54,16 @@ def _non_finite_vectors(workdir, tmp_path):
     return path, words[0]
 
 
+def _huge_header_vectors(tmp_path, header):
+    """A vector file whose header declares vectors far larger than the file."""
+    path = tmp_path / "huge.bin"
+    path.write_bytes(header + b"\ncat " + bytes(8))
+    return path
+
+
+HUGE_HEADERS = [b"1 2000000000000", b"0 2000000000000"]
+
+
 class TestTrainCommand:
     def test_cv_run_prints_csv_report(self, workdir, capsys, tmp_path):
         out_file = tmp_path / "report.csv"
@@ -126,6 +136,17 @@ class TestTrainCommand:
         assert code == EXIT_VALIDATION
         assert captured.out == ""
         assert f"{vectors}: vector for {word!r} holds non-finite values" in captured.err
+
+    @pytest.mark.parametrize("header", HUGE_HEADERS)
+    def test_huge_vector_header_rejected(self, workdir, tmp_path, capsys, header):
+        vectors = _huge_header_vectors(tmp_path, header)
+        code = main(["train", "--config", str(workdir["config"]), "--data", str(workdir["data"]),
+                     "--vectors", str(vectors), "--variant", "static"])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert captured.out == ""
+        assert captured.err.startswith(f"sentconv: {vectors}: ")
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("line", ["norm_limit = nan", "norm_limit = inf", "eps = nan",
                                       "init_scale = 0", "rand_init_a = -1"])
@@ -285,6 +306,16 @@ class TestInspectDataCommand:
         assert code == EXIT_VALIDATION
         assert "V_pre" not in captured.out
         assert f"{vectors}: vector for {word!r} holds non-finite values" in captured.err
+
+    @pytest.mark.parametrize("header", HUGE_HEADERS)
+    def test_huge_vector_header_rejected(self, workdir, tmp_path, capsys, header):
+        vectors = _huge_header_vectors(tmp_path, header)
+        code = main(["inspect-data", "--data", str(workdir["data"]), "--vectors", str(vectors)])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert "V_pre" not in captured.out
+        assert captured.err.startswith(f"sentconv: {vectors}: ")
+        assert "2000000000000" in captured.err
 
     def test_non_contiguous_labels_rejected(self, tmp_path, capsys):
         data = tmp_path / "gap.tsv"

@@ -73,6 +73,20 @@ class TestParseBinary:
         with pytest.raises(ValueError, match="truncated record"):
             parse_word2vec_binary(io.BytesIO(b"1 3\nca"), vocab)
 
+    def test_header_bounded_by_the_bytes_that_follow(self):
+        vocab = build_vocabulary([["cat"]])
+        # a record is at least the word's space plus 4 bytes per value
+        matrix, matched = parse_word2vec_binary(io.BytesIO(b"1 3\n " + bytes(12)), vocab)
+        assert matrix.shape == (2, 3) and matched == set()
+        with pytest.raises(ValueError, match="truncated records: .* need at least 13 bytes, 12"):
+            parse_word2vec_binary(io.BytesIO(b"1 3\n" + bytes(12)), vocab)
+        # neither header may size the V x dim matrix
+        tail = b"\ncat " + bytes(8)
+        with pytest.raises(ValueError, match="truncated records"):
+            parse_word2vec_binary(io.BytesIO(b"1 2000000000000" + tail), vocab)
+        with pytest.raises(ValueError, match="dimension 2000000000000 needs at least"):
+            parse_word2vec_binary(io.BytesIO(b"0 2000000000000" + tail), vocab)
+
     def test_dim_mismatch(self):
         vocab = build_vocabulary([["cat"]])
         with pytest.raises(ValueError, match="expected 5"):
@@ -180,6 +194,33 @@ class TestLoadVectors:
         # a record for a word outside the vocabulary is skipped, whatever it holds
         text.write_bytes(b"cat 1.0 2.0 3.0\nemu nan inf -inf\n")
         assert load_vectors(text, vocab)[1] == {"cat"}
+
+    def test_parse_errors_name_the_file(self, tmp_path):
+        vocab = build_vocabulary([["cat"]])
+        path = tmp_path / "v.bin"
+        path.write_bytes(binary_fixture(CAT_DOG)[:-8])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: truncated record")):
+            load_vectors(path, vocab)
+
+    def test_fuzzed_tiny_vector_file(self, tmp_path):
+        vocab = build_vocabulary([["cat", "dog"]])
+        path = tmp_path / "tiny.bin"
+        blob = binary_fixture(CAT_DOG)
+        path.write_bytes(blob)
+        assert load_vectors(path, vocab)[1] == {"cat", "dog"}
+
+        def loads_or_rejects(data):
+            path.write_bytes(data)
+            try:
+                matrix, _ = load_vectors(path, vocab)
+            except ValueError:
+                return
+            assert matrix.shape[0] == len(vocab) and matrix.shape[1] <= len(data)
+
+        for end in range(len(blob)):
+            loads_or_rejects(blob[:end])
+        for i in range(len(blob)):
+            loads_or_rejects(blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1:])
 
 
 class TestVarianceMatchedInit:

@@ -73,6 +73,43 @@ def oracle_embedding_gradient(params, trace, label):
     return grad
 
 
+def dense_reference_backward(params, trace, label, grads):
+    """The all-filter backward that the live-filter engine replaced, kept as an
+    oracle: the dense (F, h, k) weight-gradient product, and per width one
+    (n-h+1) x F @ F x hk GEMM over the argmax-sparse map, folded onto positions."""
+    dlogits, loss = loss_and_probs(trace.logits, label)
+    dlogits[label] -= 1.0
+    grads["output.weights"] += np.outer(dlogits, trace.z * trace.mask)
+    grads["output.biases"] += dlogits
+    dz = (params.output.weights.T @ dlogits) * trace.mask
+    tuned = [grads[f"channel{i}"] for i, ch in enumerate(params.channels) if ch.trainable]
+    d_embedded = np.zeros_like(trace.embedded)
+    offset = 0
+    for bank, pre, arg in zip(params.filters, trace.preacts, trace.argmax):
+        n_maps, h = bank.weights.shape[0], bank.width
+        dz_g = dz[offset:offset + n_maps]
+        offset += n_maps
+        dpre = dz_g * net._activate_grad(pre[arg, np.arange(n_maps)], params.activation)
+        positions = arg[:, None] + np.arange(h)[None, :]
+        grads[f"conv{h}.weights"] += dpre[:, None, None] * trace.embedded[positions]
+        grads[f"conv{h}.biases"] += dpre
+        dpre_map = np.zeros_like(pre)
+        dpre_map[arg, np.arange(n_maps)] = dpre
+        d_windows = (dpre_map @ bank.weights.reshape(n_maps, -1)).reshape(len(pre), h, -1)
+        for j in range(h):
+            d_embedded[j:j + len(pre)] += d_windows[:, j]
+    keep = trace.token_ids != PAD_ID
+    for dense in tuned:
+        np.add.at(dense, trace.token_ids[keep], d_embedded[keep])
+    return loss
+
+
+def old_window_stack(embedded, h):
+    """The (n - h + 1, h, k) transposing sliding-window copy `forward` used to make."""
+    view = np.lib.stride_tricks.sliding_window_view(embedded, h, axis=0)
+    return np.ascontiguousarray(view.transpose(0, 2, 1))
+
+
 def single_filter_params(channels, weights, bias, activation="relu"):
     """One filter (an h x k window plus a bias) feeding a zero two-class output."""
     weights = np.asarray(weights, dtype=np.float64)
@@ -358,6 +395,14 @@ class TestBackward:
         with pytest.raises(ValueError, match="train-mode"):
             grads_of(params, trace, 0)
 
+    def test_non_contiguous_channel_buffer_rejected(self):
+        params, ids, mask = self._setup()
+        _, trace = forward(params, ids, mask=mask)
+        grads = {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
+        grads["channel1"] = np.asfortranarray(grads["channel1"])
+        with pytest.raises(ValueError, match="C-contiguous"):
+            backward(params, trace, 0, grads)
+
     def test_mismatched_params_rejected(self):
         params, ids, mask = self._setup()
         _, trace = forward(params, ids, mask=mask)
@@ -365,6 +410,79 @@ class TestBackward:
         other = toy_params(rng, random_channels(rng, 2, 10, 6), widths=(2,), maps=3)
         with pytest.raises(ValueError, match="match"):
             grads_of(other, trace, 0)
+
+
+class TestLiveFilterBackward:
+    # The engine visits only filters with a nonzero preactivation gradient.
+    # Conv, bias and output gradients must be byte-equal to the dense oracle;
+    # the channel gradient's GEMM sums over fewer filters, so it may differ in
+    # its last bits, within this absolute tolerance.
+    CHANNEL_ATOL = 1e-15
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("flags", [(False, True), (True, True)])
+    @pytest.mark.parametrize("keep_prob", [0.5, 1.0])
+    def test_matches_the_dense_oracle(self, activation, flags, keep_prob):
+        rng = np.random.default_rng(21)
+        channels = [EmbeddingChannel(ch.matrix, trainable)
+                    for ch, trainable in zip(random_channels(rng, len(flags), 9, 16), flags)]
+        params = toy_params(rng, channels, widths=(1, 3, 5), maps=24, activation=activation)
+        live = {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
+        dense = {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
+        for _ in range(12):
+            # a 9-word vocabulary forces repeated tokens; pads sit inside and at the ends
+            ids = rng.integers(0, 9, size=int(rng.integers(5, 30)))
+            ids[0] = ids[-1] = PAD_ID
+            mask = (rng.random(params.num_filters) < keep_prob).astype(np.float64)
+            label = int(rng.integers(0, params.num_classes))
+            _, trace = forward(params, ids, mask=mask)
+            assert backward(params, trace, label, live) == \
+                dense_reference_backward(params, trace, label, dense)
+        for name, _ in net.trainable_tensors(params):
+            if name.startswith("channel"):
+                assert np.max(np.abs(live[name] - dense[name])) <= self.CHANNEL_ATOL
+                assert np.all(live[name][PAD_ID] == 0.0)
+            else:
+                assert live[name].tobytes() == dense[name].tobytes(), name
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_all_masked_example_leaves_conv_and_channel_buffers(self, activation):
+        rng = np.random.default_rng(22)
+        params = toy_params(rng, random_channels(rng, 2, 9, 6, trainable_last=True),
+                            activation=activation)
+        # buffers already holding earlier examples' gradients
+        grads = {name: rng.normal(size=t.shape) for name, t in net.trainable_tensors(params)}
+        before = {name: g.copy() for name, g in grads.items()}
+        _, trace = forward(params, rng.integers(0, 9, size=8), mask=np.zeros(params.num_filters))
+        backward(params, trace, 1, grads)
+        for name in grads:
+            if name.startswith(("conv", "channel")):
+                assert grads[name].tobytes() == before[name].tobytes(), name
+        assert not np.array_equal(grads["output.biases"], before["output.biases"])
+
+
+class TestWindows:
+    @pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
+    def test_preactivations_match_the_sliding_window_stack(self, h):
+        rng = np.random.default_rng(23 + h)
+        channels = random_channels(rng, 2, 30, 13)  # the lookup is a two-channel sum
+        params = toy_params(rng, channels, widths=(h,), maps=7)
+        bank = params.filters[0]
+        for n in range(h, 41):  # n == h is the single-window sentence
+            ids = rng.integers(0, 30, size=n)
+            _, trace = forward(params, ids)
+            embedded = net.summed_embedding(channels, ids)
+            stack = old_window_stack(embedded, h).reshape(n - h + 1, -1)
+            assert net._windows(embedded, h).tobytes() == stack.tobytes()
+            expected = stack @ bank.weights.reshape(7, -1).T + bank.biases
+            assert trace.preacts[0].tobytes() == expected.tobytes()
+
+    def test_non_contiguous_input_made_contiguous(self):
+        embedded = np.random.default_rng(24).normal(size=(9, 5))
+        expected = old_window_stack(embedded, 3).reshape(7, -1)
+        for view in (np.asfortranarray(embedded), np.vstack([embedded, embedded])[::2]):
+            view[:] = embedded
+            assert np.array_equal(net._windows(view, 3), expected)
 
 
 class TestStructuralInvariants:

@@ -373,6 +373,20 @@ class TestFit:
         result = fit(params, train_ds.examples, dev_ds.examples, config)
         assert len(result.history) == 1
 
+    def test_max_epochs_one_returns_a_copy_of_epoch_one(self):
+        # Epoch 1 always improves on the stopper's -inf, so it sets the result.
+        params, dataset, config = tiny_setup(keep_prob=0.5)
+        config.max_epochs = 1
+        train_ds, dev_ds = corpus.select_dev_split(dataset, 0.10, seed=3)
+        initial = tensor_hashes(params)
+        result = fit(params, train_ds.examples, dev_ds.examples, config)
+        assert result.best_epoch == 1
+        assert result.params is not params
+        assert tensor_hashes(params) != initial
+        assert tensor_hashes(result.params) == tensor_hashes(params)
+        for (_, best), (_, live) in zip(net.all_tensors(result.params), net.all_tensors(params)):
+            assert not np.shares_memory(best, live)
+
     def test_early_stop_bounds_epochs(self):
         params, dataset, config = tiny_setup()
         config.max_epochs, config.patience = 20, 2
