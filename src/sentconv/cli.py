@@ -120,9 +120,10 @@ def cmd_predict(args) -> int:
     else:
         with open(args.input, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    for line in lines:
-        ids = corpus.encode_and_pad(corpus.clean_and_tokenize(line), ckpt.vocab, h_max)
-        probs = net.predict_probs(ckpt.params, ids)
+    sentences = [corpus.encode_and_pad(corpus.clean_and_tokenize(line), ckpt.vocab, h_max)
+                 for line in lines]
+    for logits in net.predict_logits(ckpt.params, sentences):
+        probs, _ = net.loss_and_probs(logits, 0)
         dist = " ".join(f"{p:.10f}" for p in probs)
         sys.stdout.write(f"{int(np.argmax(probs))}\t{dist}\n")
     return EXIT_OK
@@ -140,13 +141,14 @@ def cmd_neighbors(args) -> int:
 
 def cmd_inspect_data(args) -> int:
     dataset, vocab, token_lists = _load_and_encode(args.data, 1)
+    # A rejected vector file must exit before the report's first line.
+    matched = embed.load_vectors(args.vectors, vocab)[1] if args.vectors else None
     avg_len = float(np.mean([len(toks) for toks in token_lists]))
     sys.stdout.write(f"c\t{dataset.num_classes}\n")
     sys.stdout.write(f"l\t{round(avg_len)}\n")
     sys.stdout.write(f"N\t{len(dataset)}\n")
     sys.stdout.write(f"V\t{len(vocab) - 1}\n")
-    if args.vectors:
-        _, matched = embed.load_vectors(args.vectors, vocab)
+    if matched is not None:
         sys.stdout.write(f"V_pre\t{len(matched)}\n")
     sys.stdout.write("test\tcv\n")
     return EXIT_OK

@@ -1,14 +1,19 @@
 """Forward/backward correctness against independent oracles."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from sentconv import embed, net
-from sentconv.corpus import PAD_ID
+from sentconv.corpus import PAD_ID, Example
 from sentconv.embed import EmbeddingChannel
 from sentconv.net import backward, forward, loss_and_probs
+
+HERE = os.path.dirname(os.path.abspath(__file__))
 
 
 def oracle_feature_map(token_ids, channels, weights, bias, activation="relu"):
@@ -464,6 +469,8 @@ class TestLiveFilterBackward:
 class TestWindows:
     @pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
     def test_preactivations_match_the_sliding_window_stack(self, h):
+        # `_conv` adds each window offset's dot products separately, so it
+        # agrees with one GEMM over the window stack up to summation order.
         rng = np.random.default_rng(23 + h)
         channels = random_channels(rng, 2, 30, 13)  # the lookup is a two-channel sum
         params = toy_params(rng, channels, widths=(h,), maps=7)
@@ -473,16 +480,102 @@ class TestWindows:
             _, trace = forward(params, ids)
             embedded = net.summed_embedding(channels, ids)
             stack = old_window_stack(embedded, h).reshape(n - h + 1, -1)
-            assert net._windows(embedded, h).tobytes() == stack.tobytes()
             expected = stack @ bank.weights.reshape(7, -1).T + bank.biases
-            assert trace.preacts[0].tobytes() == expected.tobytes()
+            np.testing.assert_allclose(trace.preacts[0], expected, rtol=0, atol=1e-12)
+            expected_arg = np.argmax(net._activate(expected, params.activation), axis=0)
+            assert np.array_equal(trace.argmax[0], expected_arg)
 
-    def test_non_contiguous_input_made_contiguous(self):
-        embedded = np.random.default_rng(24).normal(size=(9, 5))
-        expected = old_window_stack(embedded, 3).reshape(7, -1)
-        for view in (np.asfortranarray(embedded), np.vstack([embedded, embedded])[::2]):
-            view[:] = embedded
-            assert np.array_equal(net._windows(view, 3), expected)
+
+def repeated_sentence_rows():
+    """`predict_logits` rows of one sentence placed at five offsets of a
+    single chunk, among random sentences, on the MR shape (k=300, 3 x 100 maps)."""
+    rng = np.random.default_rng(44)
+    channels = random_channels(rng, 1, 50, 300)
+    params = toy_params(rng, channels, widths=(3, 4, 5), maps=100, init_scale=0.05)
+    same = rng.integers(1, 50, size=23)
+    sentences = [rng.integers(0, 50, size=rng.integers(5, 40)) for _ in range(20)]
+    spots = [0, 3, 7, 12, 22]
+    for spot in spots:
+        sentences.insert(spot, same)
+    assert sum(map(len, sentences)) <= net._CHUNK_ROWS  # one chunk
+    return net.predict_logits(params, sentences)[spots]
+
+
+class TestPredictLogits:
+    """The batched scorer against per-sentence `forward`, the oracle."""
+
+    @staticmethod
+    def _sentences(rng, vocab_size, max_width):
+        sentences = [np.full(max_width, 3), np.zeros(max_width, dtype=np.int64),
+                     np.zeros(max_width + 6, dtype=np.int64)]  # exact width, all pad
+        sentences += [rng.integers(0, vocab_size, size=rng.integers(max_width, 60))
+                      for _ in range(90)]  # ragged, several chunks
+        sentences.insert(40, rng.integers(0, vocab_size, size=net._CHUNK_ROWS + 300))
+        return sentences
+
+    @pytest.mark.parametrize("n_channels", [1, 2])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_rows_match_forward(self, activation, n_channels):
+        rng = np.random.default_rng(40 + n_channels)
+        channels = random_channels(rng, n_channels, 25, 6)
+        params = toy_params(rng, channels, widths=(1, 3, 4), maps=5, activation=activation)
+        for bank in params.filters:
+            bank.biases[:] = rng.normal(size=bank.biases.shape)
+        sentences = self._sentences(rng, 25, params.max_width)
+        assert sum(map(len, sentences)) > 3 * net._CHUNK_ROWS
+        logits = net.predict_logits(params, sentences)
+        assert logits.shape == (len(sentences), params.num_classes)
+        for row, ids in zip(logits, sentences):
+            expected, _ = forward(params, ids)
+            np.testing.assert_allclose(row, expected, rtol=0, atol=1e-12)
+
+    def test_windows_never_cross_into_the_next_sentence(self):
+        # Width-2 sum filter over a scalar channel: a window straddling the
+        # quiet sentence's end and the loud one's start would score 5.1, above
+        # the quiet sentence's own best window of 0.2.
+        channels = scalar_channel([0.1, 5.0])
+        bank = net.FilterBank(2, np.ones((1, 2, 1)), np.zeros(1))
+        output = net.OutputLayer(np.array([[1.0], [-1.0]]), np.zeros(2))
+        params = net.ModelParams(channels, [bank], output)
+        quiet, loud = [1, 1, 1], [2, 2]
+        alone = net.predict_logits(params, [quiet])
+        both = net.predict_logits(params, [quiet, loud])
+        assert both[0].tobytes() == alone[0].tobytes()
+        np.testing.assert_allclose(both[0], [0.2, -0.2], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(both[1], [10.0, -10.0], rtol=0, atol=1e-15)
+
+    def test_repeated_sentence_gives_byte_equal_rows(self):
+        # Several BLAS threads split the GEMM's rows between them, and a row
+        # at a split edge may take another micro-kernel and differ in the last
+        # place; with one thread, as the benchmark runs, the rows are equal
+        # bytes.  The child process pins one thread before numpy loads.
+        rows = repeated_sentence_rows()
+        for row in rows[1:]:
+            np.testing.assert_allclose(row, rows[0], rtol=0, atol=1e-12)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                       [os.path.dirname(os.path.dirname(net.__file__)), HERE]))
+        script = ("import test_net; rows = test_net.repeated_sentence_rows(); "
+                  "print(len({row.tobytes() for row in rows}))")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "1\n"), proc.stderr
+
+    def test_empty_list_and_short_sentence(self):
+        rng = np.random.default_rng(45)
+        params = toy_params(rng, random_channels(rng, 1, 9, 5), widths=(3, 4))
+        assert net.predict_logits(params, []).shape == (0, params.num_classes)
+        with pytest.raises(ValueError, match="shorter than the widest filter"):
+            net.predict_logits(params, [[1, 2, 3, 4], [1, 2, 3]])
+
+    def test_accuracy_is_the_per_example_hit_rate(self):
+        rng = np.random.default_rng(46)
+        params = toy_params(rng, random_channels(rng, 2, 20, 5), widths=(2, 3))
+        examples = [Example(rng.integers(0, 20, size=rng.integers(3, 30)),
+                            int(rng.integers(0, 3))) for _ in range(300)]
+        hits = sum(net.predict_class(params, ex.token_ids) == ex.label for ex in examples)
+        assert 0 < hits < len(examples)
+        assert net.accuracy(params, examples) == hits / len(examples)
 
 
 class TestStructuralInvariants:
