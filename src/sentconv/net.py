@@ -116,23 +116,60 @@ def summed_embedding(channels, token_ids: np.ndarray) -> np.ndarray:
     return total
 
 
-def _conv(params: ModelParams, embedded: np.ndarray) -> list[np.ndarray]:
+def _conv(params: ModelParams, token_ids: np.ndarray) -> list[np.ndarray]:
     """Per filter width h, the (n - h + 1, F) preactivations of every window
-    of the (n, k) rows `embedded`; needs n >= h.  One GEMM against the free
-    (F·h, k) view of the weights scores every row with every (filter, window
-    offset) pair, and window p sums offset j's column block from row p + j."""
-    n = embedded.shape[0]
+    of the n tokens `token_ids`; needs n >= h.  Offset j of a window scores
+    its token's row against every filter's offset-j slice, which depends only
+    on the token, so each distinct token is scored once: one GEMM of the U
+    distinct tokens' summed rows against the free (F·h, k) view of the
+    weights gives a (U, F, h) table, stored offset-major, and window p sums,
+    offsets in order, offset j's scores of the token at p + j."""
+    distinct, inverse = np.unique(token_ids, return_inverse=True)
+    rows = summed_embedding(params.channels, distinct)
+    n = token_ids.shape[0]
     preacts = []
     for bank in params.filters:
         n_maps, h, k = bank.weights.shape
-        scores = (embedded @ bank.weights.reshape(n_maps * h, k).T).reshape(n, n_maps, h)
+        table = (rows @ bank.weights.reshape(n_maps * h, k).T).reshape(-1, n_maps, h)
+        table = np.ascontiguousarray(table.transpose(2, 0, 1))
         n_windows = n - h + 1
-        pre = scores[:n_windows, :, 0].copy()
+        pre = table[0].take(inverse[:n_windows], axis=0)
         for j in range(1, h):
-            pre += scores[j:j + n_windows, :, j]
+            pre += table[j].take(inverse[j:j + n_windows], axis=0)
         pre += bank.biases
         preacts.append(pre)
     return preacts
+
+
+def _sentences(params: ModelParams, sentences) -> tuple[list[np.ndarray], np.ndarray]:
+    """The sentences as int64 arrays and their lengths; each must hold a
+    window of the widest filter."""
+    sentences = [np.asarray(ids, dtype=np.int64) for ids in sentences]
+    lengths = np.array([len(ids) for ids in sentences], dtype=np.int64)
+    if np.any(lengths < params.max_width):
+        raise ValueError("sentence shorter than the widest filter; pad it first")
+    return sentences, lengths
+
+
+def _ragged_pool(params: ModelParams, preacts: list[np.ndarray], lengths: np.ndarray):
+    """Max-over-time of sentences whose rows were concatenated without
+    padding and convolved as one sequence by `_conv`.
+
+    Windows that run past their sentence's last row are set to -inf after
+    the activation, so the max from each sentence's first row pools its own
+    windows only.  Returns the (B, m) pooled features and, per width, the
+    masked (n_windows, F) activations.
+    """
+    starts = np.cumsum(lengths) - lengths
+    row_end = np.repeat(starts + lengths, lengths)  # per row: one past its sentence's end
+    acts, pooled = [], []
+    for bank, pre in zip(params.filters, preacts):
+        act = _activate(pre, params.activation)
+        n_windows = act.shape[0]
+        act[np.arange(n_windows) + bank.width > row_end[:n_windows]] = -np.inf
+        acts.append(act)
+        pooled.append(np.maximum.reduceat(act, starts, axis=0))
+    return np.concatenate(pooled, axis=1), acts
 
 
 def forward(params: ModelParams, token_ids, mask: np.ndarray | None = None):
@@ -148,7 +185,7 @@ def forward(params: ModelParams, token_ids, mask: np.ndarray | None = None):
         raise ValueError("sentence shorter than the widest filter; pad it first")
     embedded = summed_embedding(params.channels, token_ids)
 
-    preacts = _conv(params, embedded)
+    preacts = _conv(params, token_ids)
     argmaxes, pooled = [], []
     for pre in preacts:
         act = _activate(pre, params.activation)
@@ -251,19 +288,48 @@ def predict_class(params: ModelParams, token_ids) -> int:
     return int(np.argmax(logits))
 
 
+def forward_batch(params: ModelParams, sentences, masks):
+    """Training forward of a minibatch; returns (logits, traces).
+
+    `masks` is the (B, m) stack of 0/1 dropout masks.  Logits row i and
+    trace i equal `forward(params, sentences[i], masks[i])`'s up to summation
+    order, and `backward` takes each trace.  The sentences are concatenated
+    without padding and convolved once; each trace views its sentence's rows
+    of the batch's lookups and preactivations.
+    """
+    sentences, lengths = _sentences(params, sentences)
+    token_ids = np.concatenate(sentences)
+    preacts = _conv(params, token_ids)
+    z, acts = _ragged_pool(params, preacts, lengths)
+    embedded = summed_embedding(params.channels, token_ids)
+    masks = np.asarray(masks, dtype=np.float64)
+
+    logits = np.empty((len(sentences), params.num_classes))
+    traces = []
+    start = 0
+    for i, ids in enumerate(sentences):
+        n = ids.shape[0]
+        pres, args = [], []
+        for bank, pre, act in zip(params.filters, preacts, acts):
+            end = start + n - bank.width + 1
+            pres.append(pre[start:end])
+            args.append(np.argmax(act[start:end], axis=0))
+        logits[i] = params.output.weights @ (z[i] * masks[i]) + params.output.biases
+        traces.append(ForwardTrace(ids, embedded[start:start + n], pres, args, z[i],
+                                   masks[i], logits[i]))
+        start += n
+    return logits, traces
+
+
 def predict_logits(params: ModelParams, sentences) -> np.ndarray:
     """Inference logits of many sentences at once: (B, classes), row i for
     sentence i, each equal to `forward`'s up to summation order.
 
-    The sentences' lookups are concatenated without padding, about
-    _CHUNK_ROWS rows at a time, and convolved as one sequence.  Windows that
-    run past their sentence's last row are set to -inf after the activation,
-    so max-over-time at each sentence's first row pools its own windows only.
+    The sentences are concatenated without padding, about _CHUNK_ROWS rows
+    at a time, and each chunk is convolved as one sequence and pooled per
+    sentence by `_ragged_pool`.
     """
-    sentences = [np.asarray(ids, dtype=np.int64) for ids in sentences]
-    lengths = np.array([len(ids) for ids in sentences], dtype=np.int64)
-    if np.any(lengths < params.max_width):
-        raise ValueError("sentence shorter than the widest filter; pad it first")
+    sentences, lengths = _sentences(params, sentences)
     firsts, rows = [], 0  # each chunk's first sentence
     for i, n in enumerate(lengths):
         if not firsts or rows + n > _CHUNK_ROWS:
@@ -273,17 +339,8 @@ def predict_logits(params: ModelParams, sentences) -> np.ndarray:
 
     z = np.empty((len(sentences), params.num_filters))
     for lo, hi in zip(firsts, firsts[1:] + [len(sentences)]):
-        embedded = summed_embedding(params.channels, np.concatenate(sentences[lo:hi]))
-        sizes = lengths[lo:hi]
-        starts = np.cumsum(sizes) - sizes
-        row_end = np.repeat(starts + sizes, sizes)  # per row: one past its sentence's end
-        pooled = []
-        for bank, pre in zip(params.filters, _conv(params, embedded)):
-            act = _activate(pre, params.activation)
-            n_windows = act.shape[0]
-            act[np.arange(n_windows) + bank.width > row_end[:n_windows]] = -np.inf
-            pooled.append(np.maximum.reduceat(act, starts, axis=0))
-        z[lo:hi] = np.concatenate(pooled, axis=1)
+        preacts = _conv(params, np.concatenate(sentences[lo:hi]))
+        z[lo:hi], _ = _ragged_pool(params, preacts, lengths[lo:hi])
     return z @ (params.keep_prob * params.output.weights).T + params.output.biases
 
 

@@ -196,9 +196,10 @@ def train_epoch(params: net.ModelParams, examples, config: TrainConfig,
                 shuffle_seed: int, epoch: int) -> float:
     """One pass over the training set; returns the mean train-mode loss.
 
-    Per mini-batch: per-example forward/backward with fresh dropout masks,
-    gradients averaged over the batch, an Adadelta step on every trainable
-    tensor, the output-row norm projection, and pad rows pinned to zero.
+    Per mini-batch: one batched forward with fresh dropout masks, backward
+    per example, gradients averaged over the batch, an Adadelta step on every
+    trainable tensor, the output-row norm projection, and pad rows pinned to
+    zero.
     One gradient buffer per tensor serves the whole epoch; on an embedding
     channel only the batch's token rows are scaled, stepped and zeroed.
     """
@@ -206,11 +207,12 @@ def train_epoch(params: net.ModelParams, examples, config: TrainConfig,
     total_loss = 0.0
     batches = make_minibatches(len(examples), config.batch_size, shuffle_seed, epoch)
     for number, batch in enumerate(batches, 1):
-        for idx in batch:
-            ex = examples[idx]
-            mask = (mask_rng.random(params.num_filters) < params.keep_prob).astype(np.float64)
-            _, trace = net.forward(params, ex.token_ids, mask)
-            total_loss += net.backward(params, trace, ex.label, grads)
+        # One (B, m) draw equals B sequential draws of m, bit for bit.
+        masks = mask_rng.random((len(batch), params.num_filters)) < params.keep_prob
+        _, traces = net.forward_batch(params, [examples[idx].token_ids for idx in batch],
+                                      masks.astype(np.float64))
+        for idx, trace in zip(batch, traces):
+            total_loss += net.backward(params, trace, examples[idx].label, grads)
 
         # Embedding gradients are nonzero only on the batch's tokens.
         touched = np.unique(np.concatenate([examples[idx].token_ids for idx in batch]))

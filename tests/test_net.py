@@ -545,13 +545,12 @@ class TestPredictLogits:
         np.testing.assert_allclose(both[1], [10.0, -10.0], rtol=0, atol=1e-15)
 
     def test_repeated_sentence_gives_byte_equal_rows(self):
-        # Several BLAS threads split the GEMM's rows between them, and a row
-        # at a split edge may take another micro-kernel and differ in the last
-        # place; with one thread, as the benchmark runs, the rows are equal
-        # bytes.  The child process pins one thread before numpy loads.
+        # Every copy of a token in one chunk reads the same row of the
+        # distinct-token score table, so the copies' rows are equal bytes
+        # with the default BLAS threads here, and in a child process that
+        # pins one thread before numpy loads, as the benchmark runs.
         rows = repeated_sentence_rows()
-        for row in rows[1:]:
-            np.testing.assert_allclose(row, rows[0], rtol=0, atol=1e-12)
+        assert len({row.tobytes() for row in rows}) == 1
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                    MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
                        [os.path.dirname(os.path.dirname(net.__file__)), HERE]))
@@ -576,6 +575,107 @@ class TestPredictLogits:
         hits = sum(net.predict_class(params, ex.token_ids) == ex.label for ex in examples)
         assert 0 < hits < len(examples)
         assert net.accuracy(params, examples) == hits / len(examples)
+
+
+class TestForwardBatch:
+    """The batched training forward against per-sentence `forward`, the oracle."""
+
+    @staticmethod
+    def _batch(rng, vocab_size, max_width):
+        repeated = rng.integers(0, vocab_size, size=12)
+        sentences = [np.full(max_width, 3), np.zeros(max_width, dtype=np.int64),
+                     np.zeros(max_width + 4, dtype=np.int64), repeated]  # exact width, all pad
+        sentences += [rng.integers(0, vocab_size, size=rng.integers(max_width, 40))
+                      for _ in range(20)]
+        sentences.insert(15, repeated)
+        return sentences
+
+    @staticmethod
+    def _setup(seed, n_channels=2, activation="relu"):
+        # two channels: a static one plus a trainable one
+        rng = np.random.default_rng(seed)
+        channels = random_channels(rng, n_channels, 25, 6)
+        params = toy_params(rng, channels, widths=(1, 3, 4), maps=5, activation=activation)
+        for bank in params.filters:
+            bank.biases[:] = rng.normal(size=bank.biases.shape)
+        sentences = TestForwardBatch._batch(rng, 25, params.max_width)
+        masks = (rng.random((len(sentences), params.num_filters)) < 0.5).astype(np.float64)
+        labels = rng.integers(0, params.num_classes, size=len(sentences))
+        return params, sentences, masks, labels
+
+    @pytest.mark.parametrize("n_channels", [1, 2])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_traces_match_forward(self, activation, n_channels):
+        params, sentences, masks, _ = self._setup(50 + n_channels, n_channels, activation)
+        logits, traces = net.forward_batch(params, sentences, masks)
+        assert logits.shape == (len(sentences), params.num_classes)
+        assert len(traces) == len(sentences)
+        for ids, mask, row, trace in zip(sentences, masks, logits, traces):
+            expected_logits, expected = forward(params, ids, mask)
+            assert np.array_equal(trace.token_ids, ids)
+            assert trace.embedded.tobytes() == expected.embedded.tobytes()
+            assert trace.mask.tobytes() == mask.tobytes()
+            for pre, arg, want_pre, want_arg in zip(trace.preacts, trace.argmax,
+                                                    expected.preacts, expected.argmax):
+                assert pre.shape == want_pre.shape
+                np.testing.assert_allclose(pre, want_pre, rtol=0, atol=1e-12)
+                assert np.array_equal(arg, want_arg)
+            np.testing.assert_allclose(trace.z, expected.z, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(trace.logits, expected_logits, rtol=0, atol=1e-12)
+            assert row.tobytes() == trace.logits.tobytes()
+
+    def test_windows_never_cross_into_the_next_sentence(self):
+        # Width-2 sum filter over a scalar channel: a window straddling the
+        # quiet sentence's end and the loud one's start would score 5.1, above
+        # the quiet sentence's own best window of 0.2.
+        channels = scalar_channel([0.1, 5.0])
+        bank = net.FilterBank(2, np.ones((1, 2, 1)), np.zeros(1))
+        output = net.OutputLayer(np.array([[1.0], [-1.0]]), np.zeros(2))
+        params = net.ModelParams(channels, [bank], output)
+        quiet, loud = [1, 1, 1], [2, 2]
+        _, alone = forward(params, quiet, np.ones(1))
+        _, (first, second) = net.forward_batch(params, [quiet, loud], np.ones((2, 1)))
+        assert first.z.tobytes() == alone.z.tobytes()
+        np.testing.assert_allclose(first.z, [0.2], rtol=0, atol=1e-15)
+        assert first.argmax[0].tolist() == [0]
+        np.testing.assert_allclose(second.z, [10.0], rtol=0, atol=1e-15)
+
+    def test_short_sentence_raises_forwards_error(self):
+        rng = np.random.default_rng(53)
+        params = toy_params(rng, random_channels(rng, 1, 9, 5), widths=(3, 4))
+        masks = np.ones((2, params.num_filters))
+        with pytest.raises(ValueError, match="shorter than the widest filter"):
+            net.forward_batch(params, [[1, 2, 3, 4], [1, 2, 3]], masks)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_backward_adds_the_per_sentence_gradients(self, activation):
+        params, sentences, masks, labels = self._setup(54, 2, activation)
+        batched = {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
+        single = {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
+        _, traces = net.forward_batch(params, sentences, masks)
+        for trace, ids, mask, label in zip(traces, sentences, masks, labels):
+            _, expected = forward(params, ids, mask)
+            assert backward(params, trace, label, batched) == \
+                pytest.approx(backward(params, expected, label, single), rel=0, abs=1e-12)
+        for name, _ in net.trainable_tensors(params):
+            np.testing.assert_allclose(batched[name], single[name], rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+    def test_traces_keep_only_the_batch_lookups_and_preactivations(self):
+        # Backward reads each sentence's lookups and preactivations; the
+        # score tables and masked activations die with the call.
+        params, sentences, masks, _ = self._setup(55)
+        logits, traces = net.forward_batch(params, sentences, masks)
+        owners = {}
+        for trace in traces:
+            for array in (trace.embedded, trace.z, trace.mask, trace.logits, *trace.preacts):
+                owner = array if array.base is None else array.base
+                owners[id(owner)] = owner.nbytes
+        n, k = sum(map(len, sentences)), params.channels[0].dim
+        expected = 8 * (n * k + sum((n - bank.width + 1) * bank.weights.shape[0]
+                                    for bank in params.filters))
+        expected += masks.nbytes + 8 * len(sentences) * params.num_filters + logits.nbytes
+        assert sum(owners.values()) == expected
 
 
 class TestStructuralInvariants:

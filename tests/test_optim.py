@@ -299,26 +299,36 @@ class TestTrainEpochAgainstReference:
             assert np.array_equal(rows, tokens[tokens != corpus.PAD_ID])
             assert len(touched) > 0 and np.all(np.isin(touched, rows))
 
-    def test_forward_called_through_the_module_once_per_example(self, monkeypatch):
-        # The benchmark counts FLOPs from `net.forward`'s first two positional arguments.
+    def test_one_batch_forward_per_minibatch_with_sequential_masks(self, monkeypatch):
+        # One `net.forward_batch` call per minibatch, through the module, with
+        # that minibatch's sentences in `make_minibatches` order, and a mask
+        # stack byte-equal to one `random(m)` draw per example in turn, so the
+        # DROPOUT stream is the one the per-example loop consumed.
         params, dataset, config = tiny_setup(variant="non-static", keep_prob=0.5)
         calls = []
-        original = net.forward
+        original = net.forward_batch
 
-        def recording_forward(*args, **kwargs):
-            calls.append(args[:2])
-            return original(*args, **kwargs)
+        def recording_forward_batch(*args):
+            calls.append(args)
+            return original(*args)
 
-        monkeypatch.setattr(net, "forward", recording_forward)
+        monkeypatch.setattr(net, "forward_batch", recording_forward_batch)
         states = optim.init_states(params, config.rho, config.eps)
         train_epoch(params, dataset.examples, config, states,
                     np.random.default_rng(0), config.seed, 1)
-        order = np.concatenate(make_minibatches(len(dataset.examples), config.batch_size,
-                                                config.seed, 1))
-        assert len(calls) == len(order)
-        for (called_params, token_ids), idx in zip(calls, order):
+        batches = make_minibatches(len(dataset.examples), config.batch_size, config.seed, 1)
+        assert len(calls) == len(batches)
+        sequential = np.random.default_rng(0)
+        for (called_params, sentences, masks), batch in zip(calls, batches):
             assert called_params is params
-            assert token_ids is dataset.examples[idx].token_ids
+            assert len(sentences) == len(batch)
+            for token_ids, idx in zip(sentences, batch):
+                assert token_ids is dataset.examples[idx].token_ids
+            expected = np.stack([
+                (sequential.random(params.num_filters) < params.keep_prob).astype(np.float64)
+                for _ in batch])
+            assert masks.dtype == expected.dtype and masks.shape == expected.shape
+            assert masks.tobytes() == expected.tobytes()
 
     def test_non_finite_gradient_names_tensor_epoch_and_batch(self, monkeypatch):
         params, dataset, config = tiny_setup(variant="non-static")
