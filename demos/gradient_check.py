@@ -49,7 +49,7 @@ def finite_difference(tensor, step=1e-5):
 
 _, trace = net.forward(params, token_ids, mask=mask)
 grads = {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
-net.backward(params, trace, label, grads)
+net.backward(params, trace, [label], grads)  # a one-sentence trace: one label
 
 print(f"{'tensor':18s} {'entries':>8s} {'max |analytic - numeric|':>26s}")
 for name, tensor in net.trainable_tensors(params):

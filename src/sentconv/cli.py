@@ -122,10 +122,11 @@ def cmd_predict(args) -> int:
             lines = fh.read().splitlines()
     sentences = [corpus.encode_and_pad(corpus.clean_and_tokenize(line), ckpt.vocab, h_max)
                  for line in lines]
-    for logits in net.predict_logits(ckpt.params, sentences):
-        probs, _ = net.loss_and_probs(logits, 0)
-        dist = " ".join(f"{p:.10f}" for p in probs)
-        sys.stdout.write(f"{int(np.argmax(probs))}\t{dist}\n")
+    probs, _ = net.loss_and_probs(net.predict_logits(ckpt.params, sentences),
+                                  np.zeros(len(sentences), dtype=np.int64))
+    for row in probs:
+        dist = " ".join(f"{p:.10f}" for p in row)
+        sys.stdout.write(f"{int(np.argmax(row))}\t{dist}\n")
     return EXIT_OK
 
 

@@ -78,15 +78,20 @@ class ModelParams:
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass needs to replay one forward exactly."""
+    """Everything the backward pass needs to replay a batch's forward exactly.
 
-    token_ids: np.ndarray
-    embedded: np.ndarray        # (n, k) row lookups summed over channels
-    preacts: list[np.ndarray]   # per width group: (n_windows, F)
-    argmax: list[np.ndarray]    # per width group: (F,) first index of the max feature
-    z: np.ndarray               # (m,) pooled features
-    mask: np.ndarray | None     # (m,) 0/1 dropout mask; None marks an inference trace
-    logits: np.ndarray
+    The batch's B sentences are concatenated without padding; row p of a
+    width's preactivations is the window that starts at position p.
+    """
+
+    distinct: np.ndarray        # (U,) the batch's distinct token ids, sorted
+    inverse: np.ndarray         # (n,) each position's index into `distinct`
+    rows: np.ndarray            # (U, k) the distinct tokens' rows summed over channels
+    preacts: list[np.ndarray]   # per width group: (n - h + 1, F) over the concatenation
+    argmax: list[np.ndarray]    # per width group: (B, F) row of each sentence's first max window
+    z: np.ndarray               # (B, m) pooled features
+    masks: np.ndarray | None    # (B, m) 0/1 dropout masks; None marks an inference trace
+    logits: np.ndarray          # (B, classes)
 
 
 def init_params(channels: list[EmbeddingChannel], num_classes: int, widths,
@@ -116,14 +121,18 @@ def summed_embedding(channels, token_ids: np.ndarray) -> np.ndarray:
     return total
 
 
-def _conv(params: ModelParams, token_ids: np.ndarray) -> list[np.ndarray]:
+def _conv(params: ModelParams, token_ids: np.ndarray):
     """Per filter width h, the (n - h + 1, F) preactivations of every window
-    of the n tokens `token_ids`; needs n >= h.  Offset j of a window scores
-    its token's row against every filter's offset-j slice, which depends only
-    on the token, so each distinct token is scored once: one GEMM of the U
-    distinct tokens' summed rows against the free (F·h, k) view of the
-    weights gives a (U, F, h) table, stored offset-major, and window p sums,
-    offsets in order, offset j's scores of the token at p + j."""
+    of the n tokens `token_ids`; needs n >= h.  Returns (distinct, inverse,
+    rows, preacts): the sorted distinct tokens, each position's index into
+    them, their rows summed over channels, and the preactivations.
+
+    Offset j of a window scores its token's row against every filter's
+    offset-j slice, which depends only on the token, so each distinct token
+    is scored once: one GEMM of the U distinct tokens' summed rows against
+    the free (F·h, k) view of the weights gives a (U, F, h) table, stored
+    offset-major, and window p sums, offsets in order, offset j's scores of
+    the token at p + j.  `backward` runs the transpose of this GEMM."""
     distinct, inverse = np.unique(token_ids, return_inverse=True)
     rows = summed_embedding(params.channels, distinct)
     n = token_ids.shape[0]
@@ -138,7 +147,7 @@ def _conv(params: ModelParams, token_ids: np.ndarray) -> list[np.ndarray]:
             pre += table[j].take(inverse[j:j + n_windows], axis=0)
         pre += bank.biases
         preacts.append(pre)
-    return preacts
+    return distinct, inverse, rows, preacts
 
 
 def _sentences(params: ModelParams, sentences) -> tuple[list[np.ndarray], np.ndarray]:
@@ -172,109 +181,126 @@ def _ragged_pool(params: ModelParams, preacts: list[np.ndarray], lengths: np.nda
     return np.concatenate(pooled, axis=1), acts
 
 
+def _first_argmax(acts: list[np.ndarray], z: np.ndarray, lengths: np.ndarray):
+    """Per width, the (B, F) row of each sentence's first window that pools to
+    its max, from `_ragged_pool`'s masked activations and (B, m) features.
+
+    This is `np.argmax`'s rule per sentence: the first maximum, or the first
+    NaN when a column holds one (the pooled max is then NaN too).
+    """
+    starts = np.cumsum(lengths) - lengths
+    sentence = np.repeat(np.arange(len(lengths)), lengths)
+    argmax, offset = [], 0
+    for act in acts:
+        n_windows, n_maps = act.shape
+        best = z[sentence[:n_windows], offset:offset + n_maps]
+        offset += n_maps
+        hit = (act == best) | np.isnan(act)
+        argmax.append(np.minimum.reduceat(np.where(hit, np.arange(n_windows)[:, None], n_windows),
+                                          starts, axis=0))
+    return argmax
+
+
 def forward(params: ModelParams, token_ids, mask: np.ndarray | None = None):
-    """One forward pass; returns (logits, trace).
+    """One sentence's forward pass; returns (logits, trace), a trace with B = 1.
 
     A 0/1 dropout `mask` over the pooled vector makes it a training pass
     whose trace `backward` accepts.  Without one it is inference: no mask,
     and the output weights are scaled by keep_prob on the fly, leaving the
-    stored weights untouched.
+    stored weights untouched.  Each feature map pools through `np.argmax`, so
+    this is the oracle of `forward_batch`'s pooling.
     """
     token_ids = np.asarray(token_ids, dtype=np.int64)
     if token_ids.shape[0] < params.max_width:
         raise ValueError("sentence shorter than the widest filter; pad it first")
-    embedded = summed_embedding(params.channels, token_ids)
-
-    preacts = _conv(params, token_ids)
+    distinct, inverse, rows, preacts = _conv(params, token_ids)
     argmaxes, pooled = [], []
     for pre in preacts:
         act = _activate(pre, params.activation)
         arg = np.argmax(act, axis=0)
-        argmaxes.append(arg)
+        argmaxes.append(arg[None])
         pooled.append(act[arg, np.arange(act.shape[1])])
     z = np.concatenate(pooled)
 
     if mask is None:
+        masks = None
         logits = (params.keep_prob * params.output.weights) @ z + params.output.biases
     else:
-        mask = np.asarray(mask, dtype=np.float64)
-        logits = params.output.weights @ (z * mask) + params.output.biases
+        masks = np.asarray(mask, dtype=np.float64)[None]
+        logits = params.output.weights @ (z * masks[0]) + params.output.biases
 
-    trace = ForwardTrace(token_ids, embedded, preacts, argmaxes, z, mask, logits)
+    trace = ForwardTrace(distinct, inverse, rows, preacts, argmaxes, z[None], masks, logits[None])
     return logits, trace
 
 
-def loss_and_probs(logits: np.ndarray, label: int):
-    """Stable softmax probabilities and the negative log-likelihood of `label`."""
-    shifted = logits - logits.max()
-    log_probs = shifted - np.log(np.exp(shifted).sum())
-    return np.exp(log_probs), float(-log_probs[label])
+def loss_and_probs(logits: np.ndarray, labels):
+    """Row-wise stable softmax: the probabilities of (B, classes) logits and
+    the (B,) negative log-likelihoods of `labels`.  One (classes,) row with a
+    scalar label gives one row and a 0-d loss."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    labels = np.asarray(labels, dtype=np.int64)
+    losses = -np.take_along_axis(log_probs, labels[..., None], axis=-1)[..., 0]
+    return np.exp(log_probs), losses
 
 
-def backward(params: ModelParams, trace: ForwardTrace, label: int,
-             grads: dict[str, np.ndarray]) -> float:
-    """Add one example's cross-entropy gradients into `grads`; return its loss.
+def backward(params: ModelParams, trace: ForwardTrace, labels,
+             grads: dict[str, np.ndarray]) -> np.ndarray:
+    """Add a batch's cross-entropy gradients, summed over its examples, into
+    `grads`; return the (B,) per-example losses.
 
-    `grads` holds one C-contiguous array per `trainable_tensors` name.
-    Dropout-masked pooled units contribute zero everywhere upstream; each
-    filter's gradient flows only through its argmax window and only where
-    the activation derivative is nonzero; embedding gradients go only into
-    trainable channels and never into the pad row.
+    `grads` holds one array per `trainable_tensors` name.  Dropout-masked
+    pooled units contribute zero everywhere upstream; each filter's gradient
+    flows only through its argmax window and only where the activation
+    derivative is nonzero; embedding gradients go only into trainable
+    channels and never into the pad row.
 
-    Only live filters (nonzero preactivation gradient) are visited, one window
-    offset at a time, so every temporary is (live filters) x k.  A dead filter
-    would add ±0 into buffers that never hold -0, so the conv, bias and output
-    gradients are those of an all-filter pass bit for bit; the embedding GEMM
-    sums over fewer filters.
+    Per width this is the transpose of `_conv`'s distinct-token GEMM.  One
+    bincount puts example b's preactivation gradient dpre[b, f] at cell
+    (token at its argmax window + j, f, j) of a (U, F·h) matrix S for every
+    offset j.  The weight gradient is then S.T @ rows, and the distinct
+    tokens' row gradient is S @ W over the (F·h, k) weight view; it is added
+    once into each trainable channel at the batch's distinct non-pad rows.
     """
-    if trace.mask is None:
+    if trace.masks is None:
         raise ValueError("backward needs a train-mode trace")
     if len(trace.preacts) != len(params.filters) or \
-            trace.z.shape[0] != params.output.weights.shape[1] or \
-            trace.logits.shape[0] != params.num_classes:
+            trace.z.shape[1] != params.output.weights.shape[1] or \
+            trace.logits.shape[1] != params.num_classes:
         raise ValueError("trace does not match params")
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != trace.logits.shape[:1]:
+        raise ValueError("need one label per example of the trace")
 
-    dlogits, loss = loss_and_probs(trace.logits, label)
-    dlogits[label] -= 1.0
-    grads["output.weights"] += np.outer(dlogits, trace.z * trace.mask)
-    grads["output.biases"] += dlogits
-    dz = (params.output.weights.T @ dlogits) * trace.mask
+    dlogits, losses = loss_and_probs(trace.logits, labels)
+    dlogits[np.arange(labels.shape[0]), labels] -= 1.0
+    grads["output.weights"] += dlogits.T @ (trace.z * trace.masks)
+    grads["output.biases"] += dlogits.sum(axis=0)
+    dz = (dlogits @ params.output.weights) * trace.masks
 
     tuned = [grads[f"channel{i}"] for i, ch in enumerate(params.channels) if ch.trainable]
-    d_embedded = np.zeros_like(trace.embedded) if tuned else None
+    d_rows = np.zeros_like(trace.rows) if tuned else None
+    n_distinct = trace.distinct.shape[0]
     offset = 0
     for bank, pre, arg in zip(params.filters, trace.preacts, trace.argmax):
-        n_maps, h = bank.weights.shape[0], bank.width
-        dz_g = dz[offset:offset + n_maps]
+        n_maps, h, k = bank.weights.shape
+        dpre = dz[:, offset:offset + n_maps] * \
+            _activate_grad(pre[arg, np.arange(n_maps)], params.activation)
         offset += n_maps
-        dpre = dz_g * _activate_grad(pre[arg, np.arange(n_maps)], params.activation)
-        grads[f"conv{h}.biases"] += dpre
-        live = np.flatnonzero(dpre)
-        if live.size == 0:
-            continue
-        d_live, at = dpre[live], arg[live]
-        conv = grads[f"conv{h}.weights"]
+        grads[f"conv{h}.biases"] += dpre.sum(axis=0)
+        cells = trace.inverse[arg[:, :, None] + np.arange(h)] * (n_maps * h) + \
+            np.arange(n_maps * h).reshape(n_maps, h)
+        scores = np.bincount(cells.ravel(), np.repeat(dpre.ravel(), h),
+                             n_distinct * n_maps * h).reshape(n_distinct, n_maps * h)
+        grads[f"conv{h}.weights"] += (scores.T @ trace.rows).reshape(n_maps, h, k)
         if tuned:
-            # Transposed convolution: live filter l's gradient sits at its
-            # argmax window, and window offset j lands on position p + j.
-            d_map = np.zeros((len(pre), live.size))
-            d_map[at, np.arange(live.size)] = d_live
-        for j in range(h):
-            conv[live, j] += d_live[:, None] * trace.embedded[at + j]
-            if tuned:
-                d_embedded[j:j + len(pre)] += d_map @ bank.weights[live, j]
+            d_rows += scores @ bank.weights.reshape(n_maps * h, k)
     if tuned:
-        # One flat index per (row, column) of the sentence's non-pad tokens:
-        # np.add.at adds in the same order as with row indices, on its much
-        # faster 1-D path.  A C-contiguous buffer's flat reshape is a view.
-        keep = trace.token_ids != PAD_ID
-        k = d_embedded.shape[1]
-        cells = (trace.token_ids[keep, None] * k + np.arange(k)).ravel()
+        # The distinct tokens are unique, so a plain fancy-index add is exact.
+        keep = trace.distinct != PAD_ID
         for dense in tuned:
-            if not dense.flags.c_contiguous:
-                raise ValueError("gradient buffers must be C-contiguous")
-            np.add.at(dense.reshape(-1), cells, d_embedded[keep].ravel())
-    return loss
+            dense[trace.distinct[keep]] += d_rows[keep]
+    return losses
 
 
 def predict_probs(params: ModelParams, token_ids) -> np.ndarray:
@@ -289,36 +315,20 @@ def predict_class(params: ModelParams, token_ids) -> int:
 
 
 def forward_batch(params: ModelParams, sentences, masks):
-    """Training forward of a minibatch; returns (logits, traces).
+    """Training forward of a minibatch; returns (logits, trace).
 
-    `masks` is the (B, m) stack of 0/1 dropout masks.  Logits row i and
-    trace i equal `forward(params, sentences[i], masks[i])`'s up to summation
-    order, and `backward` takes each trace.  The sentences are concatenated
-    without padding and convolved once; each trace views its sentence's rows
-    of the batch's lookups and preactivations.
+    `masks` is the (B, m) stack of 0/1 dropout masks.  Logits row i equals
+    `forward(params, sentences[i], masks[i])`'s up to summation order, and
+    `backward` takes the trace whole.  The sentences are concatenated without
+    padding and convolved once.
     """
     sentences, lengths = _sentences(params, sentences)
-    token_ids = np.concatenate(sentences)
-    preacts = _conv(params, token_ids)
+    distinct, inverse, rows, preacts = _conv(params, np.concatenate(sentences))
     z, acts = _ragged_pool(params, preacts, lengths)
-    embedded = summed_embedding(params.channels, token_ids)
+    argmax = _first_argmax(acts, z, lengths)
     masks = np.asarray(masks, dtype=np.float64)
-
-    logits = np.empty((len(sentences), params.num_classes))
-    traces = []
-    start = 0
-    for i, ids in enumerate(sentences):
-        n = ids.shape[0]
-        pres, args = [], []
-        for bank, pre, act in zip(params.filters, preacts, acts):
-            end = start + n - bank.width + 1
-            pres.append(pre[start:end])
-            args.append(np.argmax(act[start:end], axis=0))
-        logits[i] = params.output.weights @ (z[i] * masks[i]) + params.output.biases
-        traces.append(ForwardTrace(ids, embedded[start:start + n], pres, args, z[i],
-                                   masks[i], logits[i]))
-        start += n
-    return logits, traces
+    logits = (z * masks) @ params.output.weights.T + params.output.biases
+    return logits, ForwardTrace(distinct, inverse, rows, preacts, argmax, z, masks, logits)
 
 
 def predict_logits(params: ModelParams, sentences) -> np.ndarray:
@@ -339,7 +349,7 @@ def predict_logits(params: ModelParams, sentences) -> np.ndarray:
 
     z = np.empty((len(sentences), params.num_filters))
     for lo, hi in zip(firsts, firsts[1:] + [len(sentences)]):
-        preacts = _conv(params, np.concatenate(sentences[lo:hi]))
+        _, _, _, preacts = _conv(params, np.concatenate(sentences[lo:hi]))
         z[lo:hi], _ = _ragged_pool(params, preacts, lengths[lo:hi])
     return z @ (params.keep_prob * params.output.weights).T + params.output.biases
 
@@ -372,7 +382,10 @@ def trainable_tensors(params: ModelParams) -> list[tuple[str, np.ndarray]]:
 
 
 def clone_params(params: ModelParams) -> ModelParams:
-    channels = [EmbeddingChannel(ch.matrix.copy(), ch.trainable) for ch in params.channels]
+    """A copy that training `params` further leaves as it is.  Frozen channels
+    are shared, not copied: nothing writes them."""
+    channels = [EmbeddingChannel(ch.matrix.copy() if ch.trainable else ch.matrix, ch.trainable)
+                for ch in params.channels]
     banks = [FilterBank(b.width, b.weights.copy(), b.biases.copy()) for b in params.filters]
     output = OutputLayer(params.output.weights.copy(), params.output.biases.copy())
     return ModelParams(channels, banks, output, keep_prob=params.keep_prob,

@@ -196,8 +196,8 @@ def train_epoch(params: net.ModelParams, examples, config: TrainConfig,
                 shuffle_seed: int, epoch: int) -> float:
     """One pass over the training set; returns the mean train-mode loss.
 
-    Per mini-batch: one batched forward with fresh dropout masks, backward
-    per example, gradients averaged over the batch, an Adadelta step on every
+    Per mini-batch: one batched forward with fresh dropout masks, one batched
+    backward, gradients averaged over the batch, an Adadelta step on every
     trainable tensor, the output-row norm projection, and pad rows pinned to
     zero.
     One gradient buffer per tensor serves the whole epoch; on an embedding
@@ -209,14 +209,14 @@ def train_epoch(params: net.ModelParams, examples, config: TrainConfig,
     for number, batch in enumerate(batches, 1):
         # One (B, m) draw equals B sequential draws of m, bit for bit.
         masks = mask_rng.random((len(batch), params.num_filters)) < params.keep_prob
-        _, traces = net.forward_batch(params, [examples[idx].token_ids for idx in batch],
-                                      masks.astype(np.float64))
-        for idx, trace in zip(batch, traces):
-            total_loss += net.backward(params, trace, examples[idx].label, grads)
+        _, trace = net.forward_batch(params, [examples[idx].token_ids for idx in batch],
+                                     masks.astype(np.float64))
+        losses = net.backward(params, trace, [examples[idx].label for idx in batch], grads)
+        for loss in losses.tolist():  # in example order, as the per-example sum was
+            total_loss += loss
 
         # Embedding gradients are nonzero only on the batch's tokens.
-        touched = np.unique(np.concatenate([examples[idx].token_ids for idx in batch]))
-        touched = touched[touched != PAD_ID]
+        touched = trace.distinct[trace.distinct != PAD_ID]
         scale = 1.0 / len(batch)
         for name, tensor in net.trainable_tensors(params):
             rows = touched if name.startswith("channel") else slice(None)

@@ -84,7 +84,7 @@ def test_criterion_1_gradient_oracle():
         return net.loss_and_probs(logits, label)[1]
 
     grads = {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
-    net.backward(params, trace, label, grads)
+    net.backward(params, trace, [label], grads)
     assert "channel0" not in grads  # static channel: no gradient by contract
 
     checked = 0
@@ -145,7 +145,7 @@ def test_criterion_2_convolution_oracle():
         got = net._activate(trace.preacts[0][:, 0], activation)
         want = _oracle_feature_map(ids, channels, weights, bias, activation)
         worst = max(worst, float(np.max(np.abs(got - want))),
-                    abs(float(trace.z[0]) - float(np.max(want))))
+                    abs(float(trace.z[0, 0]) - float(np.max(want))))
     elapsed = time.monotonic() - start
     assert worst <= 1e-12
     assert elapsed < 30.0

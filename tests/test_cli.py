@@ -165,12 +165,12 @@ class TestTrainCommand:
         calls = []
         original = net.backward
 
-        def poisoned_backward(params, trace, label, grads):
-            loss = original(params, trace, label, grads)
+        def poisoned_backward(params, trace, labels, grads):
+            losses = original(params, trace, labels, grads)
             calls.append(None)
-            if len(calls) == 25:  # batch_size 20: inside the second batch
+            if len(calls) == 2:  # the second batch's one backward call
                 grads["output.biases"][0] = np.nan
-            return loss
+            return losses
 
         monkeypatch.setattr(net, "backward", poisoned_backward)
         code = main(["train", "--config", str(workdir["config"]), "--data", str(workdir["data"]),

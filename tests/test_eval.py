@@ -98,6 +98,30 @@ class TestCrossValidation:
         assert csv_lines[1] == "0,0.500000"
         assert csv_lines[-1] == "mean,0.625000"
 
+    @pytest.mark.parametrize("variant", ["static", "multichannel"])
+    def test_folds_share_only_the_frozen_channel(self, variant, monkeypatch):
+        # Each fold trains a clone of the initial params and returns the
+        # best epoch's clone; both share the frozen table and copy the rest.
+        dataset, config, base, _ = cv_setup(variant)
+        fits = []
+        original = evaluate.fit_with_dev_split
+
+        def recording_fit(params, *args):
+            result = original(params, *args)
+            fits.append((params, result.params))
+            return result
+
+        monkeypatch.setattr(evaluate, "fit_with_dev_split", recording_fit)
+        run_cross_validation(dataset, config, base)
+        assert len(fits) == 10
+        frozen = fits[0][0].channels[0].matrix  # channel0 is the frozen one
+        for live, best in fits:
+            for (name, got), (_, original) in zip(net.all_tensors(best), net.all_tensors(live)):
+                if name == "channel0":
+                    assert got is original is frozen
+                else:
+                    assert not np.shares_memory(got, original), name
+
     def test_deterministic_report(self):
         dataset, config, base, _ = cv_setup()
         r1 = run_cross_validation(dataset, config, base)

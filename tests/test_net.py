@@ -46,23 +46,34 @@ def toy_params(rng, channels, num_classes=3, widths=(2, 3), maps=4, keep_prob=0.
                            activation=activation, init_scale=init_scale)
 
 
+def zero_grads(params):
+    return {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
+
+
 def grads_of(params, trace, label):
     """One example's gradients, keyed by `net.trainable_tensors` name."""
-    grads = {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
-    backward(params, trace, label, grads)
+    grads = zero_grads(params)
+    backward(params, trace, [label], grads)
     return grads
+
+
+def sentence_of(trace):
+    """A one-sentence trace's token ids and (n, k) summed lookups."""
+    return trace.distinct[trace.inverse], trace.rows[trace.inverse]
 
 
 def oracle_embedding_gradient(params, trace, label):
     """Per-window scatter: every (filter f, window offset j) pair adds
     dpre[f] * W[f, j] to the row of the token at position argmax[f] + j."""
-    probs, _ = loss_and_probs(trace.logits, label)
+    probs, _ = loss_and_probs(trace.logits[0], label)
     dlogits = probs.copy()
     dlogits[label] -= 1.0
-    dz = (params.output.weights.T @ dlogits) * trace.mask
+    dz = (params.output.weights.T @ dlogits) * trace.masks[0]
+    token_ids, _ = sentence_of(trace)
     grad = np.zeros_like(params.channels[0].matrix)
     unit = 0
     for bank, pre, arg in zip(params.filters, trace.preacts, trace.argmax):
+        arg = arg[0]
         for f in range(bank.weights.shape[0]):
             p = pre[arg[f], f]
             if params.activation == "relu":
@@ -72,41 +83,43 @@ def oracle_embedding_gradient(params, trace, label):
             dpre = dz[unit] * slope
             unit += 1
             for j in range(bank.width):
-                token = trace.token_ids[arg[f] + j]
+                token = token_ids[arg[f] + j]
                 if token != PAD_ID:
                     grad[token] += dpre * bank.weights[f, j]
     return grad
 
 
 def dense_reference_backward(params, trace, label, grads):
-    """The all-filter backward that the live-filter engine replaced, kept as an
-    oracle: the dense (F, h, k) weight-gradient product, and per width one
+    """One sentence's all-filter backward, from a one-sentence trace, kept as
+    an oracle: the dense (F, h, k) weight-gradient product, and per width one
     (n-h+1) x F @ F x hk GEMM over the argmax-sparse map, folded onto positions."""
-    dlogits, loss = loss_and_probs(trace.logits, label)
+    token_ids, embedded = sentence_of(trace)
+    z, mask = trace.z[0], trace.masks[0]
+    dlogits, loss = loss_and_probs(trace.logits[0], label)
     dlogits[label] -= 1.0
-    grads["output.weights"] += np.outer(dlogits, trace.z * trace.mask)
+    grads["output.weights"] += np.outer(dlogits, z * mask)
     grads["output.biases"] += dlogits
-    dz = (params.output.weights.T @ dlogits) * trace.mask
+    dz = (params.output.weights.T @ dlogits) * mask
     tuned = [grads[f"channel{i}"] for i, ch in enumerate(params.channels) if ch.trainable]
-    d_embedded = np.zeros_like(trace.embedded)
+    d_embedded = np.zeros_like(embedded)
     offset = 0
     for bank, pre, arg in zip(params.filters, trace.preacts, trace.argmax):
-        n_maps, h = bank.weights.shape[0], bank.width
+        n_maps, h, arg = bank.weights.shape[0], bank.width, arg[0]
         dz_g = dz[offset:offset + n_maps]
         offset += n_maps
         dpre = dz_g * net._activate_grad(pre[arg, np.arange(n_maps)], params.activation)
         positions = arg[:, None] + np.arange(h)[None, :]
-        grads[f"conv{h}.weights"] += dpre[:, None, None] * trace.embedded[positions]
+        grads[f"conv{h}.weights"] += dpre[:, None, None] * embedded[positions]
         grads[f"conv{h}.biases"] += dpre
         dpre_map = np.zeros_like(pre)
         dpre_map[arg, np.arange(n_maps)] = dpre
         d_windows = (dpre_map @ bank.weights.reshape(n_maps, -1)).reshape(len(pre), h, -1)
         for j in range(h):
             d_embedded[j:j + len(pre)] += d_windows[:, j]
-    keep = trace.token_ids != PAD_ID
+    keep = token_ids != PAD_ID
     for dense in tuned:
-        np.add.at(dense, trace.token_ids[keep], d_embedded[keep])
-    return loss
+        np.add.at(dense, token_ids[keep], d_embedded[keep])
+    return float(loss)
 
 
 def old_window_stack(embedded, h):
@@ -127,7 +140,7 @@ def feature_maps(params, token_ids):
     """Per width group, the (n_windows, F) activations of an inference forward,
     through the library's activation, and the pooled features z."""
     _, trace = forward(params, token_ids)
-    return [net._activate(pre, params.activation) for pre in trace.preacts], trace.z
+    return [net._activate(pre, params.activation) for pre in trace.preacts], trace.z[0]
 
 
 def scalar_channel(values):
@@ -199,7 +212,7 @@ class TestMaxOverTime:
     def pool(self, values, activation="relu"):
         params = single_filter_params(scalar_channel(values), [[1.0]], 0.0, activation)
         _, trace = forward(params, np.arange(1, len(values) + 1))
-        return float(trace.z[0]), int(trace.argmax[0][0])
+        return float(trace.z[0, 0]), int(trace.argmax[0][0, 0])
 
     def test_basic(self):
         assert self.pool([1.0, 3.0, 2.0]) == (3.0, 1)
@@ -218,20 +231,30 @@ class TestMaxOverTime:
 
 class TestLossAndProbs:
     def test_equal_logits_two_classes(self):
-        probs, loss = loss_and_probs(np.zeros(2), 0)
-        assert np.allclose(probs, [0.5, 0.5])
-        assert np.isclose(loss, math.log(2.0))
+        probs, losses = loss_and_probs(np.zeros((3, 2)), [0, 1, 0])
+        assert probs.shape == (3, 2) and losses.shape == (3,)
+        assert np.allclose(probs, 0.5)
+        assert np.allclose(losses, math.log(2.0))
 
     def test_huge_logit_no_overflow(self):
-        probs, loss = loss_and_probs(np.array([1000.0, 0.0]), 0)
-        assert np.isfinite(probs).all() and np.isfinite(loss)
-        assert probs[0] > 0.999999
+        probs, losses = loss_and_probs(np.array([[1000.0, 0.0], [0.0, -1000.0]]), [0, 1])
+        assert np.isfinite(probs).all() and np.isfinite(losses).all()
+        assert probs[0, 0] > 0.999999 and probs[1, 0] > 0.999999
+        assert losses[0] < 1e-6 and abs(losses[1] - 1000.0) < 1e-6
 
     def test_normalization(self):
+        # Each row is the one-row softmax of that row, byte for byte.
         rng = np.random.default_rng(5)
         for _ in range(50):
-            probs, _ = loss_and_probs(rng.normal(0, 5, size=rng.integers(2, 9)), 0)
-            assert abs(probs.sum() - 1.0) <= 1e-12
+            c = int(rng.integers(2, 9))
+            logits = rng.normal(0, 5, size=(int(rng.integers(1, 6)), c))
+            labels = rng.integers(0, c, size=logits.shape[0])
+            probs, losses = loss_and_probs(logits, labels)
+            assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-12)
+            for row, label, got_probs, got_loss in zip(logits, labels, probs, losses):
+                want_probs, want_loss = loss_and_probs(row, label)
+                assert got_probs.tobytes() == want_probs.tobytes()
+                assert got_loss == want_loss
 
 
 class TestForward:
@@ -329,8 +352,8 @@ class TestBackward:
             return loss_and_probs(logits, label)[1]
 
         _, trace = forward(params, ids, mask=mask)
-        grads = {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
-        assert backward(params, trace, label, grads) == loss_fn()
+        grads = zero_grads(params)
+        assert backward(params, trace, [label], grads).tolist() == [loss_fn()]
         for name, tensor in net.trainable_tensors(params):
             assert_grads_close(grads[name], finite_difference(loss_fn, tensor))
 
@@ -366,7 +389,7 @@ class TestBackward:
         _, first = forward(params, ids, mask=mask)
         _, second = forward(params, ids[::-1], mask=mask[::-1])
         both = grads_of(params, first, 0)
-        backward(params, second, 2, both)
+        backward(params, second, [2], both)
         one, two = grads_of(params, first, 0), grads_of(params, second, 2)
         for name, _ in net.trainable_tensors(params):
             assert np.allclose(both[name], one[name] + two[name], rtol=0.0, atol=1e-12)
@@ -400,13 +423,21 @@ class TestBackward:
         with pytest.raises(ValueError, match="train-mode"):
             grads_of(params, trace, 0)
 
-    def test_non_contiguous_channel_buffer_rejected(self):
+    def test_any_layout_channel_buffer_gets_the_same_gradient(self):
+        # The channel gradient is added at the distinct rows by fancy
+        # indexing, so the buffer's memory layout does not matter.
         params, ids, mask = self._setup()
         _, trace = forward(params, ids, mask=mask)
-        grads = {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
+        grads = zero_grads(params)
         grads["channel1"] = np.asfortranarray(grads["channel1"])
-        with pytest.raises(ValueError, match="C-contiguous"):
-            backward(params, trace, 0, grads)
+        backward(params, trace, [0], grads)
+        assert grads["channel1"].tobytes() == grads_of(params, trace, 0)["channel1"].tobytes()
+
+    def test_labels_must_match_the_trace(self):
+        params, ids, mask = self._setup()
+        _, trace = forward(params, ids, mask=mask)
+        with pytest.raises(ValueError, match="one label per example"):
+            backward(params, trace, [0, 1], zero_grads(params))
 
     def test_mismatched_params_rejected(self):
         params, ids, mask = self._setup()
@@ -418,11 +449,13 @@ class TestBackward:
 
 
 class TestLiveFilterBackward:
-    # The engine visits only filters with a nonzero preactivation gradient.
-    # Conv, bias and output gradients must be byte-equal to the dense oracle;
-    # the channel gradient's GEMM sums over fewer filters, so it may differ in
-    # its last bits, within this absolute tolerance.
-    CHANNEL_ATOL = 1e-15
+    # One-sentence traces, one `backward` call each.  In the engine's score
+    # matrix S every (filter, offset) column holds one nonzero cell, so the
+    # conv, bias and output gradients must be byte-equal to the dense oracle;
+    # the channel gradient's GEMM sums the (filter, offset) pairs in another
+    # order, so it may differ in its last bits: within this tolerance relative
+    # to the tensor's largest entry (a few ulps of it).
+    CHANNEL_RTOL = 1e-15
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("flags", [(False, True), (True, True)])
@@ -432,8 +465,7 @@ class TestLiveFilterBackward:
         channels = [EmbeddingChannel(ch.matrix, trainable)
                     for ch, trainable in zip(random_channels(rng, len(flags), 9, 16), flags)]
         params = toy_params(rng, channels, widths=(1, 3, 5), maps=24, activation=activation)
-        live = {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
-        dense = {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
+        live, dense = zero_grads(params), zero_grads(params)
         for _ in range(12):
             # a 9-word vocabulary forces repeated tokens; pads sit inside and at the ends
             ids = rng.integers(0, 9, size=int(rng.integers(5, 30)))
@@ -441,11 +473,12 @@ class TestLiveFilterBackward:
             mask = (rng.random(params.num_filters) < keep_prob).astype(np.float64)
             label = int(rng.integers(0, params.num_classes))
             _, trace = forward(params, ids, mask=mask)
-            assert backward(params, trace, label, live) == \
-                dense_reference_backward(params, trace, label, dense)
+            assert backward(params, trace, [label], live).tolist() == \
+                [dense_reference_backward(params, trace, label, dense)]
         for name, _ in net.trainable_tensors(params):
             if name.startswith("channel"):
-                assert np.max(np.abs(live[name] - dense[name])) <= self.CHANNEL_ATOL
+                assert np.max(np.abs(live[name] - dense[name])) <= \
+                    self.CHANNEL_RTOL * np.max(np.abs(dense[name]))
                 assert np.all(live[name][PAD_ID] == 0.0)
             else:
                 assert live[name].tobytes() == dense[name].tobytes(), name
@@ -459,7 +492,7 @@ class TestLiveFilterBackward:
         grads = {name: rng.normal(size=t.shape) for name, t in net.trainable_tensors(params)}
         before = {name: g.copy() for name, g in grads.items()}
         _, trace = forward(params, rng.integers(0, 9, size=8), mask=np.zeros(params.num_filters))
-        backward(params, trace, 1, grads)
+        backward(params, trace, [1], grads)
         for name in grads:
             if name.startswith(("conv", "channel")):
                 assert grads[name].tobytes() == before[name].tobytes(), name
@@ -483,7 +516,7 @@ class TestWindows:
             expected = stack @ bank.weights.reshape(7, -1).T + bank.biases
             np.testing.assert_allclose(trace.preacts[0], expected, rtol=0, atol=1e-12)
             expected_arg = np.argmax(net._activate(expected, params.activation), axis=0)
-            assert np.array_equal(trace.argmax[0], expected_arg)
+            assert np.array_equal(trace.argmax[0][0], expected_arg)
 
 
 def repeated_sentence_rows():
@@ -603,26 +636,51 @@ class TestForwardBatch:
         labels = rng.integers(0, params.num_classes, size=len(sentences))
         return params, sentences, masks, labels
 
+    @staticmethod
+    def assert_argmax_matches_forward(params, sentences, masks, trace):
+        """Sentence i's argmax rows, less its first row, are `forward`'s."""
+        start = 0
+        for i, (ids, mask) in enumerate(zip(sentences, masks)):
+            _, expected = forward(params, ids, mask)
+            for arg, want in zip(trace.argmax, expected.argmax):
+                assert np.array_equal(arg[i] - start, want[0])
+            start += len(ids)
+
     @pytest.mark.parametrize("n_channels", [1, 2])
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_traces_match_forward(self, activation, n_channels):
         params, sentences, masks, _ = self._setup(50 + n_channels, n_channels, activation)
-        logits, traces = net.forward_batch(params, sentences, masks)
+        logits, trace = net.forward_batch(params, sentences, masks)
         assert logits.shape == (len(sentences), params.num_classes)
-        assert len(traces) == len(sentences)
-        for ids, mask, row, trace in zip(sentences, masks, logits, traces):
+        assert trace.logits is logits and trace.masks.tobytes() == masks.tobytes()
+        assert np.array_equal(trace.distinct, np.unique(np.concatenate(sentences)))
+        assert np.array_equal(trace.distinct[trace.inverse], np.concatenate(sentences))
+        assert trace.rows.tobytes() == \
+            net.summed_embedding(params.channels, trace.distinct).tobytes()
+        self.assert_argmax_matches_forward(params, sentences, masks, trace)
+        start = 0
+        for i, (ids, mask) in enumerate(zip(sentences, masks)):
             expected_logits, expected = forward(params, ids, mask)
-            assert np.array_equal(trace.token_ids, ids)
-            assert trace.embedded.tobytes() == expected.embedded.tobytes()
-            assert trace.mask.tobytes() == mask.tobytes()
-            for pre, arg, want_pre, want_arg in zip(trace.preacts, trace.argmax,
-                                                    expected.preacts, expected.argmax):
-                assert pre.shape == want_pre.shape
-                np.testing.assert_allclose(pre, want_pre, rtol=0, atol=1e-12)
-                assert np.array_equal(arg, want_arg)
-            np.testing.assert_allclose(trace.z, expected.z, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(trace.logits, expected_logits, rtol=0, atol=1e-12)
-            assert row.tobytes() == trace.logits.tobytes()
+            for pre, want in zip(trace.preacts, expected.preacts):
+                np.testing.assert_allclose(pre[start:start + len(want)], want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(trace.z[i], expected.z[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(logits[i], expected_logits, rtol=0, atol=1e-12)
+            start += len(ids)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_non_finite_row_pools_to_np_argmax_rows(self, value):
+        # An infinite frozen row makes the windows over its token NaN (its
+        # weights have both signs, so inf - inf).  NaN beats every value in
+        # `np.argmax`, so each such column must pick its first NaN window,
+        # a row inside the sentence, not fall off the end.
+        params, sentences, masks, _ = self._setup(56)
+        params.channels[0].matrix[5] = value
+        with np.errstate(invalid="ignore"):
+            _, trace = net.forward_batch(params, sentences, masks)
+            assert np.isnan(trace.z).any() and not np.isnan(trace.z).all()
+            self.assert_argmax_matches_forward(params, sentences, masks, trace)
+        for arg, pre in zip(trace.argmax, trace.preacts):
+            assert np.all(arg < len(pre))
 
     def test_windows_never_cross_into_the_next_sentence(self):
         # Width-2 sum filter over a scalar channel: a window straddling the
@@ -634,11 +692,10 @@ class TestForwardBatch:
         params = net.ModelParams(channels, [bank], output)
         quiet, loud = [1, 1, 1], [2, 2]
         _, alone = forward(params, quiet, np.ones(1))
-        _, (first, second) = net.forward_batch(params, [quiet, loud], np.ones((2, 1)))
-        assert first.z.tobytes() == alone.z.tobytes()
-        np.testing.assert_allclose(first.z, [0.2], rtol=0, atol=1e-15)
-        assert first.argmax[0].tolist() == [0]
-        np.testing.assert_allclose(second.z, [10.0], rtol=0, atol=1e-15)
+        _, both = net.forward_batch(params, [quiet, loud], np.ones((2, 1)))
+        assert both.z[0].tobytes() == alone.z[0].tobytes()
+        np.testing.assert_allclose(both.z, [[0.2], [10.0]], rtol=0, atol=1e-15)
+        assert both.argmax[0].tolist() == [[0], [3]]
 
     def test_short_sentence_raises_forwards_error(self):
         rng = np.random.default_rng(53)
@@ -650,32 +707,94 @@ class TestForwardBatch:
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_backward_adds_the_per_sentence_gradients(self, activation):
         params, sentences, masks, labels = self._setup(54, 2, activation)
-        batched = {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
-        single = {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
-        _, traces = net.forward_batch(params, sentences, masks)
-        for trace, ids, mask, label in zip(traces, sentences, masks, labels):
+        batched, single = zero_grads(params), zero_grads(params)
+        _, trace = net.forward_batch(params, sentences, masks)
+        losses = backward(params, trace, labels, batched)
+        for ids, mask, label, loss in zip(sentences, masks, labels, losses):
             _, expected = forward(params, ids, mask)
-            assert backward(params, trace, label, batched) == \
-                pytest.approx(backward(params, expected, label, single), rel=0, abs=1e-12)
+            assert loss == pytest.approx(backward(params, expected, [label], single)[0],
+                                         rel=0, abs=1e-12)
         for name, _ in net.trainable_tensors(params):
             np.testing.assert_allclose(batched[name], single[name], rtol=0, atol=1e-12,
                                        err_msg=name)
 
     def test_traces_keep_only_the_batch_lookups_and_preactivations(self):
-        # Backward reads each sentence's lookups and preactivations; the
-        # score tables and masked activations die with the call.
+        # Backward reads the distinct tokens' rows and the preactivations;
+        # the score tables, per-position lookups and masked activations die
+        # with the call.
         params, sentences, masks, _ = self._setup(55)
-        logits, traces = net.forward_batch(params, sentences, masks)
+        logits, trace = net.forward_batch(params, sentences, masks)
         owners = {}
-        for trace in traces:
-            for array in (trace.embedded, trace.z, trace.mask, trace.logits, *trace.preacts):
-                owner = array if array.base is None else array.base
-                owners[id(owner)] = owner.nbytes
-        n, k = sum(map(len, sentences)), params.channels[0].dim
-        expected = 8 * (n * k + sum((n - bank.width + 1) * bank.weights.shape[0]
-                                    for bank in params.filters))
-        expected += masks.nbytes + 8 * len(sentences) * params.num_filters + logits.nbytes
+        for array in (trace.distinct, trace.inverse, trace.rows, *trace.preacts,
+                      *trace.argmax, trace.z, trace.masks, trace.logits):
+            owner = array if array.base is None else array.base
+            owners[id(owner)] = owner.nbytes
+        n, n_distinct = sum(map(len, sentences)), len(trace.distinct)
+        k, batch = params.channels[0].dim, len(sentences)
+        expected = 8 * (n_distinct * (1 + k) + n)
+        expected += 8 * sum((n - bank.width + 1 + batch) * bank.weights.shape[0]
+                            for bank in params.filters)
+        expected += masks.nbytes + 8 * batch * params.num_filters + logits.nbytes
         assert sum(owners.values()) == expected
+
+
+class TestBatchBackward:
+    """One `backward` call over a batch trace against the per-example dense
+    oracle, `dense_reference_backward` on one-sentence traces, summed."""
+
+    @staticmethod
+    def assert_matches_summed_oracle(params, sentences, masks, labels):
+        batched, dense = zero_grads(params), zero_grads(params)
+        _, trace = net.forward_batch(params, sentences, masks)
+        losses = backward(params, trace, labels, batched)
+        expected = []
+        for ids, mask, label in zip(sentences, masks, labels):
+            _, one = forward(params, ids, mask)
+            expected.append(dense_reference_backward(params, one, int(label), dense))
+        np.testing.assert_allclose(losses, expected, rtol=0, atol=1e-12)
+        for name, _ in net.trainable_tensors(params):
+            np.testing.assert_allclose(batched[name], dense[name], rtol=0, atol=1e-12,
+                                       err_msg=name)
+            if name.startswith("channel"):
+                assert np.all(batched[name][PAD_ID] == 0.0)
+        return batched
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("flags", [(False, True), (True, True)])
+    @pytest.mark.parametrize("keep_prob", [0.5, 1.0])
+    def test_matches_the_summed_dense_oracle(self, activation, flags, keep_prob):
+        rng = np.random.default_rng(60)
+        channels = [EmbeddingChannel(ch.matrix, trainable)
+                    for ch, trainable in zip(random_channels(rng, len(flags), 9, 16), flags)]
+        params = toy_params(rng, channels, widths=(1, 3, 5), maps=24, activation=activation)
+        h = params.max_width
+        # A 9-word vocabulary forces repeated tokens; pads sit inside and at
+        # the ends, and two sentences are exactly the widest filter long.
+        sentences = [rng.integers(0, 9, size=int(rng.integers(h + 2, 30))) for _ in range(30)]
+        for ids in sentences:
+            ids[0] = ids[-1] = PAD_ID
+        sentences += [rng.integers(1, 9, size=h), np.zeros(h, dtype=np.int64)]
+        masks = (rng.random((len(sentences), params.num_filters)) < keep_prob).astype(np.float64)
+        labels = rng.integers(0, params.num_classes, size=len(sentences))
+        grads = self.assert_matches_summed_oracle(params, sentences, masks, labels)
+        assert all(np.any(grad != 0.0) for grad in grads.values())
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_all_masked_batch_leaves_conv_and_channel_buffers(self, activation):
+        rng = np.random.default_rng(61)
+        params = toy_params(rng, random_channels(rng, 2, 9, 6), activation=activation)
+        # buffers already holding earlier batches' gradients
+        grads = {name: rng.normal(size=t.shape) for name, t in net.trainable_tensors(params)}
+        before = {name: g.copy() for name, g in grads.items()}
+        sentences = [rng.integers(0, 9, size=int(rng.integers(3, 12))) for _ in range(6)]
+        masks = np.zeros((len(sentences), params.num_filters))
+        _, trace = net.forward_batch(params, sentences, masks)
+        backward(params, trace, [0, 1, 2, 1, 0, 2], grads)
+        for name in grads:
+            if name.startswith(("conv", "channel")):
+                assert grads[name].tobytes() == before[name].tobytes(), name
+        assert not np.array_equal(grads["output.biases"], before["output.biases"])
+        self.assert_matches_summed_oracle(params, sentences, masks, [0, 1, 2, 1, 0, 2])
 
 
 class TestStructuralInvariants:
@@ -687,14 +806,14 @@ class TestStructuralInvariants:
         params = toy_params(rng, channels, widths=(2,), maps=1, keep_prob=1.0)
         ids = np.arange(1, 9)  # distinct tokens: positions map to unique rows
         _, trace = forward(params, ids, mask=np.ones(params.num_filters))
-        winner = int(trace.argmax[0][0])
+        winner = int(trace.argmax[0][0, 0])
         grads = grads_of(params, trace, 0)
 
         loser_positions = [p for p in range(len(ids)) if p < winner or p > winner + 1]
         target_row = ids[loser_positions[0]]
         params.channels[0].matrix[target_row] += 0.01
         _, trace2 = forward(params, ids, mask=np.ones(params.num_filters))
-        assert int(trace2.argmax[0][0]) == winner
+        assert int(trace2.argmax[0][0, 0]) == winner
         grads2 = grads_of(params, trace2, 0)
         assert np.array_equal(grads["conv2.weights"], grads2["conv2.weights"])
         assert np.array_equal(grads["conv2.biases"], grads2["conv2.biases"])
@@ -742,5 +861,5 @@ class TestStructuralInvariants:
                                               bank.biases[f], activation)
                     pooled.append(max(fmap))
                     argmax.append(int(np.argmax(fmap)))
-            assert np.max(np.abs(trace.z - np.array(pooled))) <= 1e-12
-            assert np.concatenate(trace.argmax).tolist() == argmax
+            assert np.max(np.abs(trace.z[0] - np.array(pooled))) <= 1e-12
+            assert np.concatenate(trace.argmax, axis=1)[0].tolist() == argmax

@@ -160,6 +160,16 @@ class TestMakeMinibatches:
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
+def assert_shares_only_frozen_channels(copy, live):
+    frozen = {f"channel{i}" for i, ch in enumerate(live.channels) if not ch.trainable}
+    assert frozen
+    for (name, got), (_, original) in zip(net.all_tensors(copy), net.all_tensors(live)):
+        if name in frozen:
+            assert got is original
+        else:
+            assert not np.shares_memory(got, original), name
+
+
 def tiny_setup(variant="rand", n=120, keep_prob=1.0, seed=7, separable=False,
                **overrides):
     """A small synthetic problem with matching params and config."""
@@ -235,6 +245,27 @@ class TestTrainEpoch:
         assert changed == expected
 
 
+    @pytest.mark.parametrize("variant,tensor", [("static", "conv2.weights"),
+                                                ("multichannel", "channel1")])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_frozen_row_fails_as_divergence(self, variant, tensor, value):
+        # The row's weights have both signs, so its windows' preactivations
+        # are NaN; pooling must still pick in-range rows and training must
+        # stop on the non-finite gradient, at the first batch holding the token.
+        params, dataset, config = tiny_setup(variant=variant, keep_prob=0.5)
+        token = 31
+        params.channels[0].matrix[token] = value
+        batches = make_minibatches(len(dataset.examples), config.batch_size, config.seed, 3)
+        number = next(i for i, batch in enumerate(batches, 1)
+                      if any(token in dataset.examples[idx].token_ids for idx in batch))
+        states = optim.init_states(params, config.rho, config.eps)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ValueError, match=rf"^diverged: non-finite gradient in {tensor} "
+                                  rf"at epoch 3, batch {number}$"):
+            train_epoch(params, dataset.examples, config, states,
+                        np.random.default_rng(0), config.seed, 3)
+
+
 def dense_reference_epoch(params, examples, config, states, mask_rng, shuffle_seed, epoch):
     """`train_epoch` as a plain loop: fresh zeroed gradients every batch and
     whole-tensor Adadelta steps."""
@@ -244,7 +275,7 @@ def dense_reference_epoch(params, examples, config, states, mask_rng, shuffle_se
             ex = examples[idx]
             mask = (mask_rng.random(params.num_filters) < params.keep_prob).astype(np.float64)
             _, trace = net.forward(params, ex.token_ids, mask=mask)
-            net.backward(params, trace, ex.label, grads)
+            net.backward(params, trace, [ex.label], grads)
         for name, tensor in net.trainable_tensors(params):
             adadelta_step(tensor, grads[name] * (1.0 / len(batch)), states[name])
         l2_renorm(params.output, config.norm_limit)
@@ -254,6 +285,12 @@ def dense_reference_epoch(params, examples, config, states, mask_rng, shuffle_se
 
 
 class TestTrainEpochAgainstReference:
+    # The batched backward sums a batch's examples in another order than the
+    # per-example loop, so after two epochs every tensor and both Adadelta
+    # accumulators agree within this tolerance relative to the reference
+    # tensor's largest entry.
+    RTOL = 1e-14
+
     @pytest.mark.parametrize("variant,keep_prob", [
         pytest.param("non-static", 0.5, id="non-static"),
         pytest.param("multichannel", 0.5, id="multichannel"),
@@ -268,10 +305,16 @@ class TestTrainEpochAgainstReference:
             mask_rng = np.random.default_rng([config.seed, DROPOUT, 0])
             for epoch in (1, 2):  # six batches of 20 per epoch
                 epoch_fn(params, dataset.examples, config, states, mask_rng, config.seed, epoch)
-            results.append((tensor_hashes(params),
-                            {name: (s.acc_grad_sq.tobytes(), s.acc_update_sq.tobytes())
-                             for name, s in states.items()}))
-        assert results[0] == results[1]
+            tensors = dict(net.all_tensors(params))
+            for name, state in states.items():
+                tensors[f"{name}.acc_grad_sq"] = state.acc_grad_sq
+                tensors[f"{name}.acc_update_sq"] = state.acc_update_sq
+            results.append(tensors)
+        got, want = results
+        assert got.keys() == want.keys()
+        for name in want:
+            assert np.max(np.abs(got[name] - want[name])) <= \
+                self.RTOL * np.max(np.abs(want[name])), name
 
     def test_adadelta_called_through_the_module_once_per_tensor(self, monkeypatch):
         params, dataset, config = tiny_setup(variant="non-static", keep_prob=0.5)
@@ -303,23 +346,43 @@ class TestTrainEpochAgainstReference:
         # One `net.forward_batch` call per minibatch, through the module, with
         # that minibatch's sentences in `make_minibatches` order, and a mask
         # stack byte-equal to one `random(m)` draw per example in turn, so the
-        # DROPOUT stream is the one the per-example loop consumed.
+        # DROPOUT stream is the one the per-example loop consumed.  Then one
+        # `net.backward` call, through the module, on that call's trace with
+        # the minibatch's labels; the epoch loss is its losses' sum, added in
+        # example order.
         params, dataset, config = tiny_setup(variant="non-static", keep_prob=0.5)
-        calls = []
-        original = net.forward_batch
+        events, calls, backward_calls = [], [], []
+        original_forward, original_backward = net.forward_batch, net.backward
 
         def recording_forward_batch(*args):
-            calls.append(args)
-            return original(*args)
+            events.append("forward_batch")
+            logits, trace = original_forward(*args)
+            calls.append((*args, trace))
+            return logits, trace
+
+        def recording_backward(*args):
+            events.append("backward")
+            losses = original_backward(*args)
+            backward_calls.append((*args, losses))
+            return losses
 
         monkeypatch.setattr(net, "forward_batch", recording_forward_batch)
+        monkeypatch.setattr(net, "backward", recording_backward)
         states = optim.init_states(params, config.rho, config.eps)
-        train_epoch(params, dataset.examples, config, states,
-                    np.random.default_rng(0), config.seed, 1)
+        mean_loss = train_epoch(params, dataset.examples, config, states,
+                                np.random.default_rng(0), config.seed, 1)
         batches = make_minibatches(len(dataset.examples), config.batch_size, config.seed, 1)
-        assert len(calls) == len(batches)
+        assert events == ["forward_batch", "backward"] * len(batches)
+        total = 0.0
+        for *_, losses in backward_calls:
+            for loss in losses.tolist():
+                total += loss
+        assert mean_loss == total / len(dataset.examples)
         sequential = np.random.default_rng(0)
-        for (called_params, sentences, masks), batch in zip(calls, batches):
+        for (called_params, sentences, masks, trace), backward_call, batch in zip(
+                calls, backward_calls, batches):
+            assert backward_call[0] is params and backward_call[1] is trace
+            assert list(backward_call[2]) == [dataset.examples[idx].label for idx in batch]
             assert called_params is params
             assert len(sentences) == len(batch)
             for token_ids, idx in zip(sentences, batch):
@@ -335,12 +398,12 @@ class TestTrainEpochAgainstReference:
         calls = []
         original = net.backward
 
-        def poisoned_backward(params, trace, label, grads):
-            loss = original(params, trace, label, grads)
+        def poisoned_backward(params, trace, labels, grads):
+            losses = original(params, trace, labels, grads)
             calls.append(None)
-            if len(calls) == config.batch_size + 3:  # inside the second batch
+            if len(calls) == 2:  # the second batch's one backward call
                 grads["conv3.weights"][0, 0, 0] = np.inf
-            return loss
+            return losses
 
         monkeypatch.setattr(net, "backward", poisoned_backward)
         states = optim.init_states(params, config.rho, config.eps)
@@ -396,6 +459,15 @@ class TestFit:
         assert tensor_hashes(result.params) == tensor_hashes(params)
         for (_, best), (_, live) in zip(net.all_tensors(result.params), net.all_tensors(params)):
             assert not np.shares_memory(best, live)
+
+    @pytest.mark.parametrize("variant", ["static", "multichannel"])
+    def test_best_params_share_only_the_frozen_channel(self, variant):
+        # Training never writes a frozen channel, so the returned copy shares
+        # it with the live params; every trainable tensor is a copy.
+        params, dataset, config = tiny_setup(variant=variant, keep_prob=0.5)
+        train_ds, dev_ds = corpus.select_dev_split(dataset, 0.10, seed=3)
+        result = fit(params, train_ds.examples, dev_ds.examples, config)
+        assert_shares_only_frozen_channels(result.params, params)
 
     def test_early_stop_bounds_epochs(self):
         params, dataset, config = tiny_setup()
