@@ -178,6 +178,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"sentconv: {exc}\n")
         return EXIT_VALIDATION
+    except MemoryError as exc:  # sizes a config asks for; a bare MemoryError has no message
+        sys.stderr.write(f"sentconv: out of memory: {str(exc) or 'an allocation failed'}\n")
+        return EXIT_VALIDATION
 
 
 def entry() -> None:

@@ -4,10 +4,11 @@ A sentence is a sequence of embedding rows (summed over channels, since
 filters are shared across channels).  Each filter of width h produces one
 feature per window, the feature map is max-pooled over positions, the
 pooled vector is dropout-masked during training, and a linear layer plus
-softmax yields class probabilities.  The backward pass is written by hand:
-gradient flows only through each feature map's argmax window, only where
-the activation was live, only through unmasked pooled units, and only into
-trainable channels.
+softmax yields class probabilities.  `forward_batch` is the one forward
+engine; `forward` is its one-sentence case.  The backward pass is written
+by hand: gradient flows only through each feature map's argmax window, only
+where the activation was live, only through unmasked pooled units, and only
+into trainable channels.
 """
 
 from __future__ import annotations
@@ -78,10 +79,11 @@ class ModelParams:
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass needs to replay a batch's forward exactly.
+    """Everything `backward` needs to replay a `forward_batch` call exactly.
 
-    The batch's B sentences are concatenated without padding; row p of a
-    width's preactivations is the window that starts at position p.
+    The batch's B sentences (one from `forward`) are concatenated without
+    padding; row p of a width's preactivations is the window that starts at
+    position p.
     """
 
     distinct: np.ndarray        # (U,) the batch's distinct token ids, sorted
@@ -185,7 +187,7 @@ def _first_argmax(acts: list[np.ndarray], z: np.ndarray, lengths: np.ndarray):
     """Per width, the (B, F) row of each sentence's first window that pools to
     its max, from `_ragged_pool`'s masked activations and (B, m) features.
 
-    This is `np.argmax`'s rule per sentence: the first maximum, or the first
+    This is numpy's argmax rule per sentence: the first maximum, or the first
     NaN when a column holds one (the pooled max is then NaN too).
     """
     starts = np.cumsum(lengths) - lengths
@@ -201,36 +203,36 @@ def _first_argmax(acts: list[np.ndarray], z: np.ndarray, lengths: np.ndarray):
     return argmax
 
 
-def forward(params: ModelParams, token_ids, mask: np.ndarray | None = None):
-    """One sentence's forward pass; returns (logits, trace), a trace with B = 1.
+def _logits(params: ModelParams, z: np.ndarray, masks: np.ndarray | None) -> np.ndarray:
+    """The output layer over (B, m) pooled features: dropout `masks` in
+    training; for inference (None) the weights are scaled by keep_prob."""
+    if masks is None:
+        return z @ (params.keep_prob * params.output.weights).T + params.output.biases
+    return (z * masks) @ params.output.weights.T + params.output.biases
 
-    A 0/1 dropout `mask` over the pooled vector makes it a training pass
-    whose trace `backward` accepts.  Without one it is inference: no mask,
-    and the output weights are scaled by keep_prob on the fly, leaving the
-    stored weights untouched.  Each feature map pools through `np.argmax`, so
-    this is the oracle of `forward_batch`'s pooling.
+
+def forward_batch(params: ModelParams, sentences, masks):
+    """Forward pass of a minibatch; returns the (B, classes) logits and the
+    batch's trace.
+
+    `masks` is the (B, m) stack of 0/1 dropout masks, which makes it a
+    training pass whose trace `backward` takes whole, or None for inference.
+    The sentences are concatenated without padding and convolved once.
     """
-    token_ids = np.asarray(token_ids, dtype=np.int64)
-    if token_ids.shape[0] < params.max_width:
-        raise ValueError("sentence shorter than the widest filter; pad it first")
-    distinct, inverse, rows, preacts = _conv(params, token_ids)
-    argmaxes, pooled = [], []
-    for pre in preacts:
-        act = _activate(pre, params.activation)
-        arg = np.argmax(act, axis=0)
-        argmaxes.append(arg[None])
-        pooled.append(act[arg, np.arange(act.shape[1])])
-    z = np.concatenate(pooled)
+    sentences, lengths = _sentences(params, sentences)
+    distinct, inverse, rows, preacts = _conv(params, np.concatenate(sentences))
+    z, acts = _ragged_pool(params, preacts, lengths)
+    argmax = _first_argmax(acts, z, lengths)
+    masks = None if masks is None else np.asarray(masks, dtype=np.float64)
+    logits = _logits(params, z, masks)
+    return logits, ForwardTrace(distinct, inverse, rows, preacts, argmax, z, masks, logits)
 
-    if mask is None:
-        masks = None
-        logits = (params.keep_prob * params.output.weights) @ z + params.output.biases
-    else:
-        masks = np.asarray(mask, dtype=np.float64)[None]
-        logits = params.output.weights @ (z * masks[0]) + params.output.biases
 
-    trace = ForwardTrace(distinct, inverse, rows, preacts, argmaxes, z[None], masks, logits[None])
-    return logits, trace
+def forward(params: ModelParams, token_ids, mask: np.ndarray | None = None):
+    """One sentence's forward pass: `forward_batch` with B = 1, returning the
+    (classes,) logits and the trace.  Without a dropout `mask` it is inference."""
+    logits, trace = forward_batch(params, [token_ids], None if mask is None else [mask])
+    return logits[0], trace
 
 
 def loss_and_probs(logits: np.ndarray, labels):
@@ -314,30 +316,13 @@ def predict_class(params: ModelParams, token_ids) -> int:
     return int(np.argmax(logits))
 
 
-def forward_batch(params: ModelParams, sentences, masks):
-    """Training forward of a minibatch; returns (logits, trace).
-
-    `masks` is the (B, m) stack of 0/1 dropout masks.  Logits row i equals
-    `forward(params, sentences[i], masks[i])`'s up to summation order, and
-    `backward` takes the trace whole.  The sentences are concatenated without
-    padding and convolved once.
-    """
-    sentences, lengths = _sentences(params, sentences)
-    distinct, inverse, rows, preacts = _conv(params, np.concatenate(sentences))
-    z, acts = _ragged_pool(params, preacts, lengths)
-    argmax = _first_argmax(acts, z, lengths)
-    masks = np.asarray(masks, dtype=np.float64)
-    logits = (z * masks) @ params.output.weights.T + params.output.biases
-    return logits, ForwardTrace(distinct, inverse, rows, preacts, argmax, z, masks, logits)
-
-
 def predict_logits(params: ModelParams, sentences) -> np.ndarray:
     """Inference logits of many sentences at once: (B, classes), row i for
-    sentence i, each equal to `forward`'s up to summation order.
+    sentence i, as `forward_batch(..., None)` gives them up to summation order.
 
     The sentences are concatenated without padding, about _CHUNK_ROWS rows
     at a time, and each chunk is convolved as one sequence and pooled per
-    sentence by `_ragged_pool`.
+    sentence by `_ragged_pool`, with no trace and no argmax.
     """
     sentences, lengths = _sentences(params, sentences)
     firsts, rows = [], 0  # each chunk's first sentence
@@ -351,7 +336,7 @@ def predict_logits(params: ModelParams, sentences) -> np.ndarray:
     for lo, hi in zip(firsts, firsts[1:] + [len(sentences)]):
         _, _, _, preacts = _conv(params, np.concatenate(sentences[lo:hi]))
         z[lo:hi], _ = _ragged_pool(params, preacts, lengths[lo:hi])
-    return z @ (params.keep_prob * params.output.weights).T + params.output.biases
+    return _logits(params, z, None)
 
 
 def accuracy(params: ModelParams, examples) -> float:
@@ -361,7 +346,7 @@ def accuracy(params: ModelParams, examples) -> float:
         raise ValueError("no examples to score")
     logits = predict_logits(params, [ex.token_ids for ex in examples])
     labels = np.array([ex.label for ex in examples])
-    return int(np.count_nonzero(np.argmax(logits, axis=1) == labels)) / len(examples)
+    return int(np.count_nonzero(logits.argmax(axis=1) == labels)) / len(examples)
 
 
 def all_tensors(params: ModelParams) -> list[tuple[str, np.ndarray]]:

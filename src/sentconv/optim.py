@@ -198,10 +198,10 @@ def train_epoch(params: net.ModelParams, examples, config: TrainConfig,
 
     Per mini-batch: one batched forward with fresh dropout masks, one batched
     backward, gradients averaged over the batch, an Adadelta step on every
-    trainable tensor, the output-row norm projection, and pad rows pinned to
-    zero.
+    trainable tensor, and the output-row norm projection.
     One gradient buffer per tensor serves the whole epoch; on an embedding
-    channel only the batch's token rows are scaled, stepped and zeroed.
+    channel only the batch's non-pad token rows are scaled, stepped and
+    zeroed, so the pad row stays zero.
     """
     grads = {name: np.zeros_like(tensor) for name, tensor in net.trainable_tensors(params)}
     total_loss = 0.0
@@ -228,9 +228,6 @@ def train_epoch(params: net.ModelParams, examples, config: TrainConfig,
                 raise ValueError(f"{exc} in {name} at epoch {epoch}, batch {number}") from None
             grad[rows] = 0.0
         l2_renorm(params.output, config.norm_limit)
-        for ch in params.channels:
-            if ch.trainable:
-                ch.matrix[PAD_ID] = 0.0
     return total_loss / len(examples)
 
 

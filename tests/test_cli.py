@@ -161,6 +161,22 @@ class TestTrainCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"sentconv: {line.split()[0]} must be ")
 
+    # Both configs ask for more than the 128 TiB a process can address, so the
+    # allocation fails at once under any overcommit policy.
+    @pytest.mark.parametrize("lines", [
+        "widths = 3\nmaps_per_width = 100000000000\ndim = 300\n",  # 655 TiB of conv weights
+        "widths = 3,4,100000000000000\n",  # 727 TiB of pad ids per sentence
+    ], ids=["maps_per_width", "widths"])
+    def test_unallocatable_sizes_exit_validation(self, workdir, tmp_path, capsys, lines):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("variant = rand\n" + lines, encoding="utf-8")
+        code = main(["train", "--config", str(cfg), "--data", str(workdir["data"])])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert captured.out == ""
+        assert captured.err.startswith("sentconv: out of memory: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
     def test_divergence_names_tensor_epoch_and_batch(self, workdir, capsys, monkeypatch):
         calls = []
         original = net.backward

@@ -62,6 +62,34 @@ def sentence_of(trace):
     return trace.distinct[trace.inverse], trace.rows[trace.inverse]
 
 
+def reference_forward(params, token_ids, mask=None):
+    """The per-sentence forward that pools each feature map through
+    `np.argmax`, kept as the oracle of the engine's batched pooling: it shares
+    only `net._conv` with it.  Returns (logits, trace), a trace with B = 1."""
+    token_ids = np.asarray(token_ids, dtype=np.int64)
+    if token_ids.shape[0] < params.max_width:
+        raise ValueError("sentence shorter than the widest filter; pad it first")
+    distinct, inverse, rows, preacts = net._conv(params, token_ids)
+    argmaxes, pooled = [], []
+    for pre in preacts:
+        act = net._activate(pre, params.activation)
+        arg = np.argmax(act, axis=0)
+        argmaxes.append(arg[None])
+        pooled.append(act[arg, np.arange(act.shape[1])])
+    z = np.concatenate(pooled)
+
+    if mask is None:
+        masks = None
+        logits = (params.keep_prob * params.output.weights) @ z + params.output.biases
+    else:
+        masks = np.asarray(mask, dtype=np.float64)[None]
+        logits = params.output.weights @ (z * masks[0]) + params.output.biases
+
+    trace = net.ForwardTrace(distinct, inverse, rows, preacts, argmaxes, z[None], masks,
+                             logits[None])
+    return logits, trace
+
+
 def oracle_embedding_gradient(params, trace, label):
     """Per-window scatter: every (filter f, window offset j) pair adds
     dpre[f] * W[f, j] to the row of the token at position argmax[f] + j."""
@@ -300,6 +328,33 @@ class TestForward:
         sem = samples.std(axis=0, ddof=1) / math.sqrt(n_samples)
         assert np.all(np.abs(mean - infer_logits) <= 4.0 * sem)
 
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("n_channels", [1, 2])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_matches_the_reference(self, activation, n_channels, masked):
+        # `forward` is `forward_batch` on one sentence; the reference pools
+        # through `np.argmax` and runs its own output layer.
+        rng = np.random.default_rng(10)
+        params = toy_params(rng, random_channels(rng, n_channels, 9, 5), widths=(1, 3, 4),
+                            activation=activation)
+        for bank in params.filters:
+            bank.biases[:] = rng.normal(size=bank.biases.shape)
+        for _ in range(20):
+            # a 9-word vocabulary forces repeated tokens, ties and pad rows
+            ids = rng.integers(0, 9, size=int(rng.integers(params.max_width, 20)))
+            mask = (rng.random(params.num_filters) < 0.5).astype(np.float64) if masked else None
+            logits, trace = forward(params, ids, mask)
+            want_logits, want = reference_forward(params, ids, mask)
+            assert (trace.masks is None) == (not masked) == (want.masks is None)
+            for got_pre, want_pre in zip(trace.preacts, want.preacts, strict=True):
+                np.testing.assert_allclose(got_pre, want_pre, rtol=0, atol=1e-12)
+            for got_arg, want_arg in zip(trace.argmax, want.argmax, strict=True):
+                assert np.array_equal(got_arg, want_arg)
+            np.testing.assert_allclose(trace.z, want.z, rtol=0, atol=1e-12)
+            assert logits.shape == want_logits.shape
+            np.testing.assert_allclose(logits, want_logits, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(trace.logits, want.logits, rtol=0, atol=1e-12)
+
     def test_short_sentence_rejected(self):
         rng = np.random.default_rng(11)
         channels = random_channels(rng, 1, 9, 5)
@@ -342,18 +397,36 @@ class TestBackward:
         mask = np.array([1, 0, 1, 1, 1, 1, 0, 1], dtype=np.float64)
         return params, ids, mask
 
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_finite_difference_spot_check(self, activation):
+    @pytest.mark.parametrize("activation,batch", [
+        pytest.param("relu", False, id="relu"), pytest.param("tanh", False, id="tanh"),
+        pytest.param("relu", True, id="relu-batch"), pytest.param("tanh", True, id="tanh-batch"),
+    ])
+    def test_finite_difference_spot_check(self, activation, batch):
         params, ids, mask = self._setup(activation)
-        label = 1
+        if batch:
+            # Four ragged sentences of non-pad tokens (the pad row's gradient
+            # is zero by design), tokens repeated within and across them; the
+            # loss is the batch's per-example losses summed.
+            sentences = [ids, np.array([4, 4, 7, 2, 4]), ids[:3],
+                         np.array([2, 9, 2, 9, 3, 3, 7, 9])]
+            masks = np.stack([mask, mask[::-1], np.ones_like(mask), 1.0 - mask])
+            labels = [1, 0, 2, 1]
 
-        def loss_fn():
-            logits, _ = forward(params, ids, mask=mask)
-            return loss_and_probs(logits, label)[1]
+            def loss_fn():
+                logits, _ = net.forward_batch(params, sentences, masks)
+                return loss_and_probs(logits, labels)[1].sum()
 
-        _, trace = forward(params, ids, mask=mask)
+            _, trace = net.forward_batch(params, sentences, masks)
+        else:
+            labels = [1]
+
+            def loss_fn():
+                logits, _ = forward(params, ids, mask=mask)
+                return loss_and_probs(logits, labels[0])[1]
+
+            _, trace = forward(params, ids, mask=mask)
         grads = zero_grads(params)
-        assert backward(params, trace, [label], grads).tolist() == [loss_fn()]
+        assert backward(params, trace, labels, grads).sum() == loss_fn()
         for name, tensor in net.trainable_tensors(params):
             assert_grads_close(grads[name], finite_difference(loss_fn, tensor))
 
@@ -535,7 +608,7 @@ def repeated_sentence_rows():
 
 
 class TestPredictLogits:
-    """The batched scorer against per-sentence `forward`, the oracle."""
+    """The batched scorer against `reference_forward`, the `np.argmax` oracle."""
 
     @staticmethod
     def _sentences(rng, vocab_size, max_width):
@@ -559,7 +632,7 @@ class TestPredictLogits:
         logits = net.predict_logits(params, sentences)
         assert logits.shape == (len(sentences), params.num_classes)
         for row, ids in zip(logits, sentences):
-            expected, _ = forward(params, ids)
+            expected, _ = reference_forward(params, ids)
             np.testing.assert_allclose(row, expected, rtol=0, atol=1e-12)
 
     def test_windows_never_cross_into_the_next_sentence(self):
@@ -611,7 +684,8 @@ class TestPredictLogits:
 
 
 class TestForwardBatch:
-    """The batched training forward against per-sentence `forward`, the oracle."""
+    """The batched training forward against `reference_forward`, the `np.argmax`
+    oracle, and against per-sentence `forward`, its one-sentence case."""
 
     @staticmethod
     def _batch(rng, vocab_size, max_width):
@@ -637,11 +711,11 @@ class TestForwardBatch:
         return params, sentences, masks, labels
 
     @staticmethod
-    def assert_argmax_matches_forward(params, sentences, masks, trace):
-        """Sentence i's argmax rows, less its first row, are `forward`'s."""
+    def assert_argmax_matches_reference(params, sentences, masks, trace):
+        """Sentence i's argmax rows, less its first row, are `reference_forward`'s."""
         start = 0
         for i, (ids, mask) in enumerate(zip(sentences, masks)):
-            _, expected = forward(params, ids, mask)
+            _, expected = reference_forward(params, ids, mask)
             for arg, want in zip(trace.argmax, expected.argmax):
                 assert np.array_equal(arg[i] - start, want[0])
             start += len(ids)
@@ -657,10 +731,10 @@ class TestForwardBatch:
         assert np.array_equal(trace.distinct[trace.inverse], np.concatenate(sentences))
         assert trace.rows.tobytes() == \
             net.summed_embedding(params.channels, trace.distinct).tobytes()
-        self.assert_argmax_matches_forward(params, sentences, masks, trace)
+        self.assert_argmax_matches_reference(params, sentences, masks, trace)
         start = 0
         for i, (ids, mask) in enumerate(zip(sentences, masks)):
-            expected_logits, expected = forward(params, ids, mask)
+            expected_logits, expected = reference_forward(params, ids, mask)
             for pre, want in zip(trace.preacts, expected.preacts):
                 np.testing.assert_allclose(pre[start:start + len(want)], want, rtol=0, atol=1e-12)
             np.testing.assert_allclose(trace.z[i], expected.z[0], rtol=0, atol=1e-12)
@@ -678,7 +752,7 @@ class TestForwardBatch:
         with np.errstate(invalid="ignore"):
             _, trace = net.forward_batch(params, sentences, masks)
             assert np.isnan(trace.z).any() and not np.isnan(trace.z).all()
-            self.assert_argmax_matches_forward(params, sentences, masks, trace)
+            self.assert_argmax_matches_reference(params, sentences, masks, trace)
         for arg, pre in zip(trace.argmax, trace.preacts):
             assert np.all(arg < len(pre))
 

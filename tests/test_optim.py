@@ -221,8 +221,13 @@ class TestTrainEpoch:
         norms = np.linalg.norm(params.output.weights, axis=1)
         assert np.all(norms <= 0.05 + 1e-9)
 
-    def test_pad_rows_stay_zero(self):
-        params, dataset, config = tiny_setup(variant="multichannel")
+    @pytest.mark.parametrize("variant", ["rand", "non-static", "multichannel"])
+    def test_pad_rows_stay_zero(self, variant):
+        # Nothing pins the pad row: Adadelta steps only the batch's non-pad
+        # rows, and `backward` never writes the pad row.  The width-16 filter
+        # pads every sentence (7 to 15 words).
+        params, dataset, config = tiny_setup(variant=variant, keep_prob=0.5, widths=(3, 16))
+        assert all(np.any(ex.token_ids == corpus.PAD_ID) for ex in dataset.examples)
         self.run_epochs(params, dataset, config, 2)
         for ch in params.channels:
             assert np.all(ch.matrix[corpus.PAD_ID] == 0.0)
