@@ -10,6 +10,7 @@ Run: python3 demos/gradient_check.py
 import numpy as np
 
 from sentconv import embed, net
+from sentconv.corpus import PAD_ID
 
 rng = np.random.default_rng(4)
 vocab_size, dim = 12, 6
@@ -50,6 +51,9 @@ def finite_difference(tensor, step=1e-5):
 _, trace = net.forward(params, token_ids, mask=mask)
 grads = {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
 net.backward(params, trace, [label], grads)  # a one-sentence trace: one label
+# The table's gradient comes back compact, one row per distinct non-pad token
+# of the sentence; scatter it into the table's shape to compare entry by entry.
+grads["channel1"][trace.distinct[trace.distinct != PAD_ID]] = grads.pop("embedding")
 
 print(f"{'tensor':18s} {'entries':>8s} {'max |analytic - numeric|':>26s}")
 for name, tensor in net.trainable_tensors(params):

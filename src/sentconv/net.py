@@ -251,18 +251,21 @@ def backward(params: ModelParams, trace: ForwardTrace, labels,
     """Add a batch's cross-entropy gradients, summed over its examples, into
     `grads`; return the (B,) per-example losses.
 
-    `grads` holds one array per `trainable_tensors` name.  Dropout-masked
-    pooled units contribute zero everywhere upstream; each filter's gradient
-    flows only through its argmax window and only where the activation
-    derivative is nonzero; embedding gradients go only into trainable
-    channels and never into the pad row.
+    `grads` holds one array per `trainable_tensors` name other than the
+    channels, and the filter and output gradients are added into them.
+    When a channel is trainable, `grads["embedding"]` is set (not added
+    to) to the (U', k) gradient of the batch's distinct non-pad rows,
+    `trace.distinct[trace.distinct != PAD_ID]`, which every trainable
+    channel shares: the pad row and the rows the batch does not hold get
+    none.  Dropout-masked pooled units contribute zero everywhere upstream,
+    and each filter's gradient flows only through its argmax window and
+    only where the activation derivative is nonzero.
 
     Per width this is the transpose of `_conv`'s distinct-token GEMM.  One
     bincount puts example b's preactivation gradient dpre[b, f] at cell
     (token at its argmax window + j, f, j) of a (U, F·h) matrix S for every
     offset j.  The weight gradient is then S.T @ rows, and the distinct
-    tokens' row gradient is S @ W over the (F·h, k) weight view; it is added
-    once into each trainable channel at the batch's distinct non-pad rows.
+    tokens' row gradient is S @ W over the (F·h, k) weight view.
     """
     if trace.masks is None:
         raise ValueError("backward needs a train-mode trace")
@@ -280,7 +283,7 @@ def backward(params: ModelParams, trace: ForwardTrace, labels,
     grads["output.biases"] += dlogits.sum(axis=0)
     dz = (dlogits @ params.output.weights) * trace.masks
 
-    tuned = [grads[f"channel{i}"] for i, ch in enumerate(params.channels) if ch.trainable]
+    tuned = any(ch.trainable for ch in params.channels)
     d_rows = np.zeros_like(trace.rows) if tuned else None
     n_distinct = trace.distinct.shape[0]
     offset = 0
@@ -298,10 +301,7 @@ def backward(params: ModelParams, trace: ForwardTrace, labels,
         if tuned:
             d_rows += scores @ bank.weights.reshape(n_maps * h, k)
     if tuned:
-        # The distinct tokens are unique, so a plain fancy-index add is exact.
-        keep = trace.distinct != PAD_ID
-        for dense in tuned:
-            dense[trace.distinct[keep]] += d_rows[keep]
+        grads["embedding"] = d_rows[trace.distinct != PAD_ID]
     return losses
 
 
@@ -322,7 +322,11 @@ def predict_logits(params: ModelParams, sentences) -> np.ndarray:
 
     The sentences are concatenated without padding, about _CHUNK_ROWS rows
     at a time, and each chunk is convolved as one sequence and pooled per
-    sentence by `_ragged_pool`, with no trace and no argmax.
+    sentence by `_ragged_pool`, with no trace and no argmax.  A row does not
+    depend on where its sentence sits in the chunk, but its last bits can
+    depend on the chunk's other sentences, whose distinct tokens set the
+    size of the score GEMM and so the BLAS kernels it runs: a row agrees
+    with scoring its sentence alone within 1e-12, not byte for byte.
     """
     sentences, lengths = _sentences(params, sentences)
     firsts, rows = [], 0  # each chunk's first sentence

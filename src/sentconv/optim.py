@@ -125,16 +125,28 @@ def load_config(path) -> TrainConfig:
 
 @dataclass
 class AdadeltaState:
-    """Running E[g^2] and E[dx^2] accumulators for one parameter tensor."""
+    """Running E[g^2] and E[dx^2] accumulators for one parameter tensor.
+
+    Both decay lazily per row: `steps` counts the steps taken, and row r of
+    each accumulator holds its value as of step `last[r]`, the last step
+    that updated the row.  The decay the row missed since then is applied
+    when a step next touches it.  `scratch` holds the two work buffers of
+    whole-tensor steps, made at the first one.
+    """
 
     acc_grad_sq: np.ndarray
     acc_update_sq: np.ndarray
     rho: float
     eps: float
+    steps: int
+    last: np.ndarray
+    scratch: np.ndarray | None = None
 
 
 def init_state(param: np.ndarray, rho: float, eps: float) -> AdadeltaState:
-    return AdadeltaState(np.zeros_like(param), np.zeros_like(param), rho, eps)
+    # np.zeros maps zero pages on demand: a row no step touches costs no memory.
+    return AdadeltaState(np.zeros(param.shape), np.zeros(param.shape), rho, eps, 0,
+                         np.zeros(param.shape[0], dtype=np.int64))
 
 
 def init_states(params: net.ModelParams, rho: float, eps: float) -> dict[str, AdadeltaState]:
@@ -143,25 +155,56 @@ def init_states(params: net.ModelParams, rho: float, eps: float) -> dict[str, Ad
 
 
 def adadelta_step(param: np.ndarray, grad: np.ndarray, state: AdadeltaState,
-                  rows=slice(None)) -> np.ndarray:
+                  rows=None) -> np.ndarray:
     """One in-place update: step size is RMS(past steps) / RMS(past grads).
 
-    Both accumulators decay over the whole tensor, but the gradient is read
-    and the step taken only on `rows` (default: every row).  Rows left out
-    must have zero gradient; for them the whole-tensor step is -0.0, so the
-    result is bit-identical to updating every row.
+    With `rows` None, `grad` has the tensor's shape and every row is
+    stepped.  Otherwise `rows` holds distinct row indices and `grad` their
+    gradient, one row each; only those rows of the parameter and of both
+    accumulators are read or written.  A row last updated at step s first
+    receives the decay of the steps s+1 .. t-1 it missed, `rho ** (t-1-s)`
+    on both accumulators, and then step t's update: E[g^2] decays and takes
+    g^2, the step reads E[dx^2] before its own decay, and E[dx^2] decays
+    and takes the step^2.  In real arithmetic this is the update of the
+    whole tensor with zero gradient on the other rows; in floating point
+    one multiply by `rho ** gap` rounds differently from `gap` multiplies
+    by rho, and a row stepped at every step (gap factor 1.0) is unchanged
+    bit for bit.
     """
-    grad = np.asarray(grad, dtype=np.float64)[rows]
+    grad = np.asarray(grad, dtype=np.float64)
     if not np.all(np.isfinite(grad)):
         raise ValueError("diverged: non-finite gradient")
     rho, eps = state.rho, state.eps
-    acc_grad_sq, acc_update_sq = state.acc_grad_sq, state.acc_update_sq
+    state.steps += 1
+    if rows is None:
+        if state.scratch is None:
+            state.scratch = np.empty((2,) + param.shape)
+        acc_grad_sq, acc_update_sq = state.acc_grad_sq, state.acc_update_sq
+        step, term = state.scratch
+    else:
+        decay = rho ** (state.steps - 1 - state.last[rows])
+        decay = decay.reshape(decay.shape + (1,) * (param.ndim - 1))
+        acc_grad_sq = state.acc_grad_sq[rows] * decay
+        acc_update_sq = state.acc_update_sq[rows] * decay
+        step, term = np.empty_like(grad), np.empty_like(grad)
+    # acc_g = acc_g*rho + (1-rho)*g*g, step = -sqrt(acc_u+eps) / sqrt(acc_g+eps) * g
+    # and acc_u = acc_u*rho + (1-rho)*step*step: the plain expressions'
+    # operations in their order, so the same bits, written into `step` and `term`.
     acc_grad_sq *= rho
-    acc_grad_sq[rows] += (1.0 - rho) * grad * grad
-    step = -np.sqrt(acc_update_sq[rows] + eps) / np.sqrt(acc_grad_sq[rows] + eps) * grad
+    acc_grad_sq += np.multiply(np.multiply(grad, 1.0 - rho, out=term), grad, out=term)
+    np.negative(np.sqrt(np.add(acc_update_sq, eps, out=step), out=step), out=step)
+    step /= np.sqrt(np.add(acc_grad_sq, eps, out=term), out=term)
+    step *= grad
     acc_update_sq *= rho
-    acc_update_sq[rows] += (1.0 - rho) * step * step
-    param[rows] += step
+    acc_update_sq += np.multiply(np.multiply(step, 1.0 - rho, out=term), step, out=term)
+    if rows is None:
+        param += step
+        state.last[:] = state.steps
+    else:
+        state.acc_grad_sq[rows] = acc_grad_sq
+        state.acc_update_sq[rows] = acc_update_sq
+        param[rows] += step
+        state.last[rows] = state.steps
     return param
 
 
@@ -198,12 +241,15 @@ def train_epoch(params: net.ModelParams, examples, config: TrainConfig,
 
     Per mini-batch: one batched forward with fresh dropout masks, one batched
     backward, gradients averaged over the batch, an Adadelta step on every
-    trainable tensor, and the output-row norm projection.
-    One gradient buffer per tensor serves the whole epoch; on an embedding
-    channel only the batch's non-pad token rows are scaled, stepped and
-    zeroed, so the pad row stays zero.
+    trainable tensor, and the output-row norm projection.  Filter and output
+    gradients go into one buffer per tensor that serves the whole epoch and
+    is zeroed after each step.  A trainable channel is stepped only at the
+    batch's distinct non-pad rows, with the compact row gradient `backward`
+    returns, so a batch costs the table in proportion to its tokens, not to
+    the vocabulary, and the pad row stays zero.
     """
-    grads = {name: np.zeros_like(tensor) for name, tensor in net.trainable_tensors(params)}
+    grads = {name: np.zeros_like(tensor) for name, tensor in net.trainable_tensors(params)
+             if not name.startswith("channel")}
     total_loss = 0.0
     batches = make_minibatches(len(examples), config.batch_size, shuffle_seed, epoch)
     for number, batch in enumerate(batches, 1):
@@ -215,18 +261,19 @@ def train_epoch(params: net.ModelParams, examples, config: TrainConfig,
         for loss in losses.tolist():  # in example order, as the per-example sum was
             total_loss += loss
 
-        # Embedding gradients are nonzero only on the batch's tokens.
         touched = trace.distinct[trace.distinct != PAD_ID]
         scale = 1.0 / len(batch)
+        for grad in grads.values():
+            grad *= scale
         for name, tensor in net.trainable_tensors(params):
-            rows = touched if name.startswith("channel") else slice(None)
-            grad = grads[name]
-            grad[rows] *= scale
+            table = name.startswith("channel")
             try:
-                adadelta_step(tensor, grad, states[name], rows)
+                adadelta_step(tensor, grads["embedding" if table else name], states[name],
+                              touched if table else None)
             except ValueError as exc:
                 raise ValueError(f"{exc} in {name} at epoch {epoch}, batch {number}") from None
-            grad[rows] = 0.0
+            if not table:
+                grads[name][...] = 0.0
         l2_renorm(params.output, config.norm_limit)
     return total_loss / len(examples)
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import synthdata
+from rowgrad import scatter_row_gradient
 from sentconv import checkpoint, cli, corpus, embed, evaluate, net, optim
 
 MR_PATH = os.environ.get("SENTCONV_MR_TSV")
@@ -85,6 +86,7 @@ def test_criterion_1_gradient_oracle():
 
     grads = {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
     net.backward(params, trace, [label], grads)
+    scatter_row_gradient(params, trace, grads)
     assert "channel0" not in grads  # static channel: no gradient by contract
 
     checked = 0

@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from rowgrad import scatter_row_gradient
 
 from sentconv import embed, net
 from sentconv.corpus import PAD_ID, Example
@@ -51,10 +52,11 @@ def zero_grads(params):
 
 
 def grads_of(params, trace, label):
-    """One example's gradients, keyed by `net.trainable_tensors` name."""
+    """One example's gradients, keyed by `net.trainable_tensors` name, the
+    row gradient scattered to dense channel tables."""
     grads = zero_grads(params)
     backward(params, trace, [label], grads)
-    return grads
+    return scatter_row_gradient(params, trace, grads)
 
 
 def sentence_of(trace):
@@ -427,6 +429,7 @@ class TestBackward:
             _, trace = forward(params, ids, mask=mask)
         grads = zero_grads(params)
         assert backward(params, trace, labels, grads).sum() == loss_fn()
+        scatter_row_gradient(params, trace, grads)
         for name, tensor in net.trainable_tensors(params):
             assert_grads_close(grads[name], finite_difference(loss_fn, tensor))
 
@@ -463,6 +466,7 @@ class TestBackward:
         _, second = forward(params, ids[::-1], mask=mask[::-1])
         both = grads_of(params, first, 0)
         backward(params, second, [2], both)
+        scatter_row_gradient(params, second, both)
         one, two = grads_of(params, first, 0), grads_of(params, second, 2)
         for name, _ in net.trainable_tensors(params):
             assert np.allclose(both[name], one[name] + two[name], rtol=0.0, atol=1e-12)
@@ -496,15 +500,20 @@ class TestBackward:
         with pytest.raises(ValueError, match="train-mode"):
             grads_of(params, trace, 0)
 
-    def test_any_layout_channel_buffer_gets_the_same_gradient(self):
-        # The channel gradient is added at the distinct rows by fancy
-        # indexing, so the buffer's memory layout does not matter.
+    def test_row_gradient_is_set_not_added(self):
+        # Each call sets `grads["embedding"]` to its own trace's (U', k) row
+        # gradient, over the distinct non-pad rows; nothing carries over.
         params, ids, mask = self._setup()
-        _, trace = forward(params, ids, mask=mask)
+        _, first = forward(params, ids, mask=mask)
+        _, second = forward(params, np.array([0, 3, 3, 0, 5, 8, 0]), mask=mask[::-1])
         grads = zero_grads(params)
-        grads["channel1"] = np.asfortranarray(grads["channel1"])
-        backward(params, trace, [0], grads)
-        assert grads["channel1"].tobytes() == grads_of(params, trace, 0)["channel1"].tobytes()
+        backward(params, first, [0], grads)
+        backward(params, second, [2], grads)
+        alone = zero_grads(params)
+        backward(params, second, [2], alone)
+        assert grads["embedding"].shape == (3, params.channels[0].dim)
+        assert grads["embedding"].tobytes() == alone["embedding"].tobytes()
+        assert np.all(grads["channel1"] == 0.0)  # the dense buffer is never written
 
     def test_labels_must_match_the_trace(self):
         params, ids, mask = self._setup()
@@ -548,6 +557,7 @@ class TestLiveFilterBackward:
             _, trace = forward(params, ids, mask=mask)
             assert backward(params, trace, [label], live).tolist() == \
                 [dense_reference_backward(params, trace, label, dense)]
+            scatter_row_gradient(params, trace, live)
         for name, _ in net.trainable_tensors(params):
             if name.startswith("channel"):
                 assert np.max(np.abs(live[name] - dense[name])) <= \
@@ -566,6 +576,7 @@ class TestLiveFilterBackward:
         before = {name: g.copy() for name, g in grads.items()}
         _, trace = forward(params, rng.integers(0, 9, size=8), mask=np.zeros(params.num_filters))
         backward(params, trace, [1], grads)
+        assert not np.any(grads.pop("embedding"))
         for name in grads:
             if name.startswith(("conv", "channel")):
                 assert grads[name].tobytes() == before[name].tobytes(), name
@@ -649,6 +660,25 @@ class TestPredictLogits:
         assert both[0].tobytes() == alone[0].tobytes()
         np.testing.assert_allclose(both[0], [0.2, -0.2], rtol=0, atol=1e-15)
         np.testing.assert_allclose(both[1], [10.0, -10.0], rtol=0, atol=1e-15)
+
+    def test_rows_lie_near_scoring_each_line_alone(self):
+        # A row's last bits can depend on the other sentences of its chunk:
+        # the chunk's distinct tokens set the score GEMM's size, and with it
+        # the BLAS kernels.  So each row is pinned within 1e-12 of scoring its
+        # sentence alone, not to its bytes.  MR shape: k = 300, widths 3, 4, 5
+        # with 100 maps each, sentences of 5-40 words padded by 4 on each side.
+        rng = np.random.default_rng(47)
+        channels = random_channels(rng, 1, 2000, 300)
+        params = toy_params(rng, channels, num_classes=2, widths=(3, 4, 5), maps=100,
+                            init_scale=0.05)
+        sentences = [np.concatenate([np.zeros(4, dtype=np.int64),
+                                     rng.integers(1, 2000, size=rng.integers(5, 41)),
+                                     np.zeros(4, dtype=np.int64)]) for _ in range(120)]
+        assert sum(map(len, sentences)) > 3 * net._CHUNK_ROWS
+        logits = net.predict_logits(params, sentences)
+        for row, ids in zip(logits, sentences):
+            np.testing.assert_allclose(row, net.predict_logits(params, [ids])[0],
+                                       rtol=0, atol=1e-12)
 
     def test_repeated_sentence_gives_byte_equal_rows(self):
         # Every copy of a token in one chunk reads the same row of the
@@ -784,10 +814,12 @@ class TestForwardBatch:
         batched, single = zero_grads(params), zero_grads(params)
         _, trace = net.forward_batch(params, sentences, masks)
         losses = backward(params, trace, labels, batched)
+        scatter_row_gradient(params, trace, batched)
         for ids, mask, label, loss in zip(sentences, masks, labels, losses):
             _, expected = forward(params, ids, mask)
             assert loss == pytest.approx(backward(params, expected, [label], single)[0],
                                          rel=0, abs=1e-12)
+            scatter_row_gradient(params, expected, single)
         for name, _ in net.trainable_tensors(params):
             np.testing.assert_allclose(batched[name], single[name], rtol=0, atol=1e-12,
                                        err_msg=name)
@@ -821,6 +853,7 @@ class TestBatchBackward:
         batched, dense = zero_grads(params), zero_grads(params)
         _, trace = net.forward_batch(params, sentences, masks)
         losses = backward(params, trace, labels, batched)
+        scatter_row_gradient(params, trace, batched)
         expected = []
         for ids, mask, label in zip(sentences, masks, labels):
             _, one = forward(params, ids, mask)
@@ -864,6 +897,7 @@ class TestBatchBackward:
         masks = np.zeros((len(sentences), params.num_filters))
         _, trace = net.forward_batch(params, sentences, masks)
         backward(params, trace, [0, 1, 2, 1, 0, 2], grads)
+        assert not np.any(grads.pop("embedding"))
         for name in grads:
             if name.startswith(("conv", "channel")):
                 assert grads[name].tobytes() == before[name].tobytes(), name

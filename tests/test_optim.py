@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import synthdata
+from rowgrad import scatter_row_gradient
 from sentconv import corpus, embed, evaluate, net, optim
 from sentconv._seeds import DROPOUT
 from sentconv.optim import (
@@ -26,6 +27,25 @@ from sentconv.optim import (
 def tensor_hashes(params):
     return {name: hashlib.sha256(np.ascontiguousarray(t).tobytes()).hexdigest()
             for name, t in net.all_tensors(params)}
+
+
+def whole_tensor_adadelta(param, grad, acc_grad_sq, acc_update_sq, rho, eps):
+    """The oracle: one Adadelta step on every row, both accumulators decayed
+    over the whole tensor, untouched rows stepping with zero gradient."""
+    acc_grad_sq *= rho
+    acc_grad_sq += (1.0 - rho) * grad * grad
+    step = -np.sqrt(acc_update_sq + eps) / np.sqrt(acc_grad_sq + eps) * grad
+    acc_update_sq *= rho
+    acc_update_sq += (1.0 - rho) * step * step
+    param += step
+
+
+def caught_up(state):
+    """Both accumulators with the decay each row still owes applied:
+    `rho ** (steps - last)`, what the whole-tensor update would hold now."""
+    gap = state.steps - state.last
+    decay = (state.rho ** gap).reshape(gap.shape + (1,) * (state.acc_grad_sq.ndim - 1))
+    return state.acc_grad_sq * decay, state.acc_update_sq * decay
 
 
 class TestAdadeltaStep:
@@ -61,30 +81,58 @@ class TestAdadeltaStep:
         with pytest.raises(ValueError, match="diverged"):
             adadelta_step(param, np.array([np.nan, 0.0]), state)
 
-    def test_rows_form_equals_whole_tensor_bit_for_bit(self):
+    def test_whole_tensor_step_equals_the_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        param = rng.normal(size=(4, 3, 5))
+        want, acc_g, acc_u = param.copy(), np.zeros(param.shape), np.zeros(param.shape)
+        state = init_state(param, 0.95, 1e-6)
+        for _ in range(5):
+            grad = rng.normal(size=param.shape)
+            adadelta_step(param, grad, state, None)
+            whole_tensor_adadelta(want, grad, acc_g, acc_u, 0.95, 1e-6)
+            assert param.tobytes() == want.tobytes()
+            assert state.acc_grad_sq.tobytes() == acc_g.tobytes()
+            assert state.acc_update_sq.tobytes() == acc_u.tobytes()
+        assert state.steps == 5 and np.all(state.last == 5)
+
+    # A row that waited `gap` steps is decayed by one multiply by rho ** gap
+    # where the oracle multiplied by rho `gap` times; each rounds on its own,
+    # so gapped rows agree within this tolerance relative to the tensor's
+    # largest entry, and rows stepped at every step agree byte for byte.
+    LAZY_RTOL = 1e-14
+
+    @pytest.mark.parametrize("rho", [0.95, 0.5, 0.0])
+    def test_lazy_rows_match_the_whole_tensor_oracle(self, rho):
         rng = np.random.default_rng(4)
-        rho = 0.95
-        dense = rng.normal(size=(12, 5))
-        dense[3] = -0.0  # a signed zero row must keep its sign bit too
-        sparse = dense.copy()
-        dense_state, sparse_state = init_state(dense, rho, 1e-6), init_state(sparse, rho, 1e-6)
-        for _ in range(6):
-            rows = np.sort(rng.choice(12, size=5, replace=False))
-            grad = np.zeros((12, 5))
-            grad[rows] = rng.normal(size=(5, 5))
-            grad[rows[0]] = 0.0  # a touched row may still have a zero gradient
+        lazy = rng.normal(size=(12, 5))
+        lazy[3] = -0.0  # never touched: keeps its sign bit
+        want, acc_g, acc_u = lazy.copy(), np.zeros(lazy.shape), np.zeros(lazy.shape)
+        state = init_state(lazy, rho, 1e-6)
+        every, never = 2, [3, 11]
+        for _ in range(40):
+            # uneven gaps: each step touches row 2 and a random few of the rest
+            others = np.setdiff1d(np.arange(12), [every] + never)
+            rows = np.union1d([every], rng.choice(others, size=int(rng.integers(0, 5)),
+                                                  replace=False))
+            row_grad = rng.normal(size=(len(rows), 5))
+            row_grad[rng.integers(len(rows))] = 0.0  # a touched row may get a zero gradient
+            grad = np.zeros(lazy.shape)
+            grad[rows] = row_grad
             untouched = np.setdiff1d(np.arange(12), rows)
-            before = (sparse[untouched].tobytes(), sparse_state.acc_grad_sq[untouched],
-                      sparse_state.acc_update_sq[untouched])
-            adadelta_step(dense, grad, dense_state)
-            adadelta_step(sparse, grad, sparse_state, rows)
-            assert sparse.tobytes() == dense.tobytes()
-            assert np.array_equal(sparse_state.acc_grad_sq, dense_state.acc_grad_sq)
-            assert np.array_equal(sparse_state.acc_update_sq, dense_state.acc_update_sq)
-            assert sparse[untouched].tobytes() == before[0]
-            assert np.array_equal(sparse_state.acc_grad_sq[untouched], rho * before[1])
-            assert np.array_equal(sparse_state.acc_update_sq[untouched], rho * before[2])
-        assert np.any(sparse_state.acc_update_sq != 0.0)
+            before = [a[untouched].tobytes()
+                      for a in (lazy, state.acc_grad_sq, state.acc_update_sq)]
+            adadelta_step(lazy, row_grad, state, rows)
+            whole_tensor_adadelta(want, grad, acc_g, acc_u, rho, 1e-6)
+            assert [a[untouched].tobytes() for a in
+                    (lazy, state.acc_grad_sq, state.acc_update_sq)] == before
+            got = (lazy,) + caught_up(state)
+            for got_t, want_t in zip(got, (want, acc_g, acc_u)):
+                assert got_t[every].tobytes() == want_t[every].tobytes()
+                assert np.max(np.abs(got_t - want_t)) <= self.LAZY_RTOL * np.max(np.abs(want_t))
+                if rho == 0.0:
+                    assert got_t.tobytes() == want_t.tobytes()
+        assert lazy[never].tobytes() == want[never].tobytes()
+        assert np.all(state.acc_grad_sq[never] == 0.0)
 
     def test_scale_freeness_at_first_step(self):
         # The ratio-normalized update grows sublinearly in the gradient.
@@ -272,8 +320,8 @@ class TestTrainEpoch:
 
 
 def dense_reference_epoch(params, examples, config, states, mask_rng, shuffle_seed, epoch):
-    """`train_epoch` as a plain loop: fresh zeroed gradients every batch and
-    whole-tensor Adadelta steps."""
+    """`train_epoch` as a plain loop: fresh zeroed dense gradients every batch
+    and whole-tensor Adadelta steps, the embedding tables included."""
     for batch in make_minibatches(len(examples), config.batch_size, shuffle_seed, epoch):
         grads = {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
         for idx in batch:
@@ -281,8 +329,9 @@ def dense_reference_epoch(params, examples, config, states, mask_rng, shuffle_se
             mask = (mask_rng.random(params.num_filters) < params.keep_prob).astype(np.float64)
             _, trace = net.forward(params, ex.token_ids, mask=mask)
             net.backward(params, trace, [ex.label], grads)
+            scatter_row_gradient(params, trace, grads)
         for name, tensor in net.trainable_tensors(params):
-            adadelta_step(tensor, grads[name] * (1.0 / len(batch)), states[name])
+            adadelta_step(tensor, grads[name] * (1.0 / len(batch)), states[name], None)
         l2_renorm(params.output, config.norm_limit)
         for ch in params.channels:
             if ch.trainable:
@@ -291,9 +340,11 @@ def dense_reference_epoch(params, examples, config, states, mask_rng, shuffle_se
 
 class TestTrainEpochAgainstReference:
     # The batched backward sums a batch's examples in another order than the
-    # per-example loop, so after two epochs every tensor and both Adadelta
-    # accumulators agree within this tolerance relative to the reference
-    # tensor's largest entry.
+    # per-example loop, and the table's lazy decay multiplies by rho ** gap
+    # once where the reference multiplied `gap` times, so after two epochs
+    # every tensor and both Adadelta accumulators, with the decay each row
+    # still owes applied, agree within this tolerance relative to the
+    # reference tensor's largest entry.
     RTOL = 1e-14
 
     @pytest.mark.parametrize("variant,keep_prob", [
@@ -312,8 +363,8 @@ class TestTrainEpochAgainstReference:
                 epoch_fn(params, dataset.examples, config, states, mask_rng, config.seed, epoch)
             tensors = dict(net.all_tensors(params))
             for name, state in states.items():
-                tensors[f"{name}.acc_grad_sq"] = state.acc_grad_sq
-                tensors[f"{name}.acc_update_sq"] = state.acc_update_sq
+                tensors[f"{name}.acc_grad_sq"], tensors[f"{name}.acc_update_sq"] = \
+                    caught_up(state)
             results.append(tensors)
         got, want = results
         assert got.keys() == want.keys()
@@ -327,7 +378,11 @@ class TestTrainEpochAgainstReference:
 
         def recording_step(*args):
             param, grad, _, rows = args
-            touched = np.flatnonzero(np.any(grad != 0.0, axis=1)) if grad.ndim == 2 else None
+            if rows is None:
+                assert grad.shape == param.shape
+            else:
+                assert grad.shape == (len(rows), param.shape[1])
+            touched = None if rows is None else rows[np.any(grad != 0.0, axis=1)]
             calls.append((param, rows, touched))
             return adadelta_step(*args)
 
