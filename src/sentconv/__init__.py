@@ -25,7 +25,7 @@ from .evaluate import (
     nearest_neighbors,
     run_cross_validation,
 )
-from .net import ModelParams, backward, forward, loss_and_probs
+from .net import ModelParams, backward, loss_and_probs
 from .optim import TrainConfig, fit, parse_config
 
 __all__ = [
@@ -36,7 +36,7 @@ __all__ = [
     "EmbeddingChannel", "assemble_channels", "build_base_matrix",
     "CvReport", "NeighborReport", "accuracy", "nearest_neighbors",
     "run_cross_validation",
-    "ModelParams", "backward", "forward", "loss_and_probs",
+    "ModelParams", "backward", "loss_and_probs",
     "TrainConfig", "fit", "parse_config",
 ]
 

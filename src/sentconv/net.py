@@ -4,11 +4,11 @@ A sentence is a sequence of embedding rows (summed over channels, since
 filters are shared across channels).  Each filter of width h produces one
 feature per window, the feature map is max-pooled over positions, the
 pooled vector is dropout-masked during training, and a linear layer plus
-softmax yields class probabilities.  `forward_batch` is the one forward
-engine; `forward` is its one-sentence case.  The backward pass is written
-by hand: gradient flows only through each feature map's argmax window, only
-where the activation was live, only through unmasked pooled units, and only
-into trainable channels.
+softmax yields class probabilities.  Training runs `forward_batch`, whose
+trace `backward` replays; inference runs `predict_logits`, with no trace.
+The backward pass is written by hand: gradient flows only through each
+feature map's argmax window, only where the activation was live, only
+through unmasked pooled units, and only into trainable channels.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class ForwardTrace:
     preacts: list[np.ndarray]   # per width group: (n - h + 1, F) over the concatenation
     argmax: list[np.ndarray]    # per width group: (B, F) row of each sentence's first max window
     z: np.ndarray               # (B, m) pooled features
-    masks: np.ndarray | None    # (B, m) 0/1 dropout masks; None marks an inference trace
+    masks: np.ndarray           # (B, m) 0/1 dropout masks
     logits: np.ndarray          # (B, classes)
 
 
@@ -212,26 +212,22 @@ def _logits(params: ModelParams, z: np.ndarray, masks: np.ndarray | None) -> np.
 
 
 def forward_batch(params: ModelParams, sentences, masks):
-    """Forward pass of a minibatch; returns the (B, classes) logits and the
-    batch's trace.
-
-    `masks` is the (B, m) stack of 0/1 dropout masks, which makes it a
-    training pass whose trace `backward` takes whole, or None for inference.
-    The sentences are concatenated without padding and convolved once.
-    """
+    """Training forward pass of a minibatch: the (B, classes) logits and the
+    trace `backward` takes whole.  `masks` is the (B, m) stack of 0/1 dropout
+    masks.  The sentences are concatenated without padding and convolved once."""
     sentences, lengths = _sentences(params, sentences)
     distinct, inverse, rows, preacts = _conv(params, np.concatenate(sentences))
     z, acts = _ragged_pool(params, preacts, lengths)
     argmax = _first_argmax(acts, z, lengths)
-    masks = None if masks is None else np.asarray(masks, dtype=np.float64)
+    masks = np.asarray(masks, dtype=np.float64)
     logits = _logits(params, z, masks)
     return logits, ForwardTrace(distinct, inverse, rows, preacts, argmax, z, masks, logits)
 
 
-def forward(params: ModelParams, token_ids, mask: np.ndarray | None = None):
-    """One sentence's forward pass: `forward_batch` with B = 1, returning the
-    (classes,) logits and the trace.  Without a dropout `mask` it is inference."""
-    logits, trace = forward_batch(params, [token_ids], None if mask is None else [mask])
+def forward(params: ModelParams, token_ids, mask: np.ndarray):
+    """One sentence's training forward pass: `forward_batch` with B = 1,
+    returning the (classes,) logits and the trace."""
+    logits, trace = forward_batch(params, [token_ids], [mask])
     return logits[0], trace
 
 
@@ -267,8 +263,6 @@ def backward(params: ModelParams, trace: ForwardTrace, labels,
     offset j.  The weight gradient is then S.T @ rows, and the distinct
     tokens' row gradient is S @ W over the (F·h, k) weight view.
     """
-    if trace.masks is None:
-        raise ValueError("backward needs a train-mode trace")
     if len(trace.preacts) != len(params.filters) or \
             trace.z.shape[1] != params.output.weights.shape[1] or \
             trace.logits.shape[1] != params.num_classes:
@@ -306,19 +300,16 @@ def backward(params: ModelParams, trace: ForwardTrace, labels,
 
 
 def predict_probs(params: ModelParams, token_ids) -> np.ndarray:
-    logits, _ = forward(params, token_ids)
-    probs, _ = loss_and_probs(logits, 0)
-    return probs
+    return loss_and_probs(predict_logits(params, [token_ids])[0], 0)[0]
 
 
 def predict_class(params: ModelParams, token_ids) -> int:
-    logits, _ = forward(params, token_ids)
-    return int(np.argmax(logits))
+    return int(np.argmax(predict_logits(params, [token_ids])[0]))
 
 
 def predict_logits(params: ModelParams, sentences) -> np.ndarray:
     """Inference logits of many sentences at once: (B, classes), row i for
-    sentence i, as `forward_batch(..., None)` gives them up to summation order.
+    sentence i, with the output weights scaled by keep_prob.
 
     The sentences are concatenated without padding, about _CHUNK_ROWS rows
     at a time, and each chunk is convolved as one sequence and pooled per

@@ -96,7 +96,8 @@ def config_to_text(config: TrainConfig) -> str:
 
 
 def parse_config(text: str) -> TrainConfig:
-    """Parse flat `key = value` lines; `#` starts a comment, unknown keys reject."""
+    """Parse flat `key = value` lines; `#` starts a comment, unknown or
+    repeated keys reject."""
     defaults = TrainConfig()
     kinds = {f.name: type(getattr(defaults, f.name)) for f in fields(TrainConfig)}
     overrides = {}
@@ -109,6 +110,8 @@ def parse_config(text: str) -> TrainConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in kinds:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
+        if key in overrides:
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
         try:
             overrides[key] = _parse_value(value, kinds[key])
         except ValueError as exc:
@@ -130,8 +133,7 @@ class AdadeltaState:
     Both decay lazily per row: `steps` counts the steps taken, and row r of
     each accumulator holds its value as of step `last[r]`, the last step
     that updated the row.  The decay the row missed since then is applied
-    when a step next touches it.  `scratch` holds the two work buffers of
-    whole-tensor steps, made at the first one.
+    when a step next touches it.
     """
 
     acc_grad_sq: np.ndarray
@@ -140,7 +142,6 @@ class AdadeltaState:
     eps: float
     steps: int
     last: np.ndarray
-    scratch: np.ndarray | None = None
 
 
 def init_state(param: np.ndarray, rho: float, eps: float) -> AdadeltaState:
@@ -177,32 +178,23 @@ def adadelta_step(param: np.ndarray, grad: np.ndarray, state: AdadeltaState,
     rho, eps = state.rho, state.eps
     state.steps += 1
     if rows is None:
-        if state.scratch is None:
-            state.scratch = np.empty((2,) + param.shape)
-        acc_grad_sq, acc_update_sq = state.acc_grad_sq, state.acc_update_sq
-        step, term = state.scratch
+        acc_g, acc_u = state.acc_grad_sq, state.acc_update_sq
     else:
         decay = rho ** (state.steps - 1 - state.last[rows])
         decay = decay.reshape(decay.shape + (1,) * (param.ndim - 1))
-        acc_grad_sq = state.acc_grad_sq[rows] * decay
-        acc_update_sq = state.acc_update_sq[rows] * decay
-        step, term = np.empty_like(grad), np.empty_like(grad)
-    # acc_g = acc_g*rho + (1-rho)*g*g, step = -sqrt(acc_u+eps) / sqrt(acc_g+eps) * g
-    # and acc_u = acc_u*rho + (1-rho)*step*step: the plain expressions'
-    # operations in their order, so the same bits, written into `step` and `term`.
-    acc_grad_sq *= rho
-    acc_grad_sq += np.multiply(np.multiply(grad, 1.0 - rho, out=term), grad, out=term)
-    np.negative(np.sqrt(np.add(acc_update_sq, eps, out=step), out=step), out=step)
-    step /= np.sqrt(np.add(acc_grad_sq, eps, out=term), out=term)
-    step *= grad
-    acc_update_sq *= rho
-    acc_update_sq += np.multiply(np.multiply(step, 1.0 - rho, out=term), step, out=term)
+        acc_g = state.acc_grad_sq[rows] * decay
+        acc_u = state.acc_update_sq[rows] * decay
+    acc_g *= rho
+    acc_g += (1.0 - rho) * grad * grad
+    step = -np.sqrt(acc_u + eps) / np.sqrt(acc_g + eps) * grad
+    acc_u *= rho
+    acc_u += (1.0 - rho) * step * step
     if rows is None:
         param += step
         state.last[:] = state.steps
     else:
-        state.acc_grad_sq[rows] = acc_grad_sq
-        state.acc_update_sq[rows] = acc_update_sq
+        state.acc_grad_sq[rows] = acc_g
+        state.acc_update_sq[rows] = acc_u
         param[rows] += step
         state.last[rows] = state.steps
     return param

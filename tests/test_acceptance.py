@@ -143,7 +143,7 @@ def test_criterion_2_convolution_oracle():
         params = net.ModelParams(channels, [net.FilterBank(h, weights[None], np.array([bias]))],
                                  net.OutputLayer(np.zeros((2, 1)), np.zeros(2)),
                                  activation=activation)
-        _, trace = net.forward(params, ids)
+        _, trace = net.forward(params, ids, np.ones(1))  # masks change only the logits
         got = net._activate(trace.preacts[0][:, 0], activation)
         want = _oracle_feature_map(ids, channels, weights, bias, activation)
         worst = max(worst, float(np.max(np.abs(got - want))),
@@ -271,7 +271,7 @@ def test_criterion_5_invariant_suite():
     rng = np.random.default_rng(77)
     mc_params = net.clone_params(params)
     ids = dataset.examples[0].token_ids
-    infer_logits, _ = net.forward(mc_params, ids)
+    infer_logits = net.predict_logits(mc_params, [ids])[0]
     n_samples = 10_000
     samples = np.empty((n_samples, mc_params.num_classes))
     mask_rng = np.random.default_rng(1234)

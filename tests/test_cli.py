@@ -121,6 +121,15 @@ class TestTrainCommand:
         assert code == EXIT_VALIDATION
         assert "unknown key" in capsys.readouterr().err
 
+    def test_duplicate_config_key_rejected(self, tmp_path, workdir, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("seed = 1\nseed = 7\n", encoding="utf-8")
+        code = main(["train", "--config", str(cfg), "--data", str(workdir["data"])])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert captured.out == ""
+        assert captured.err == "sentconv: line 2: duplicate key 'seed'\n"
+
     def test_non_contiguous_labels_rejected(self, tmp_path, capsys):
         data = tmp_path / "gap.tsv"
         data.write_text("0\tfine film\n5\tdull film\n" * 10, encoding="utf-8")
@@ -152,14 +161,16 @@ class TestTrainCommand:
                                       "init_scale = 0", "rand_init_a = -1"])
     def test_bad_float_config_value_rejected(self, workdir, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(workdir["config"].read_text(encoding="utf-8") + line + "\n",
-                       encoding="utf-8")
+        key = line.split()[0]
+        kept = [other for other in workdir["config"].read_text(encoding="utf-8").splitlines()
+                if other.split()[0] != key]  # a repeated key is rejected before its value
+        cfg.write_text("\n".join(kept + [line]) + "\n", encoding="utf-8")
         code = main(["train", "--config", str(cfg), "--data", str(workdir["data"]),
                      "--variant", "rand"])
         captured = capsys.readouterr()
         assert code == EXIT_VALIDATION
         assert captured.out == ""
-        assert captured.err.startswith(f"sentconv: {line.split()[0]} must be ")
+        assert captured.err.startswith(f"sentconv: {key} must be ")
 
     # Both configs ask for more than the 128 TiB a process can address, so the
     # allocation fails at once under any overcommit policy.

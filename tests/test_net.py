@@ -167,9 +167,10 @@ def single_filter_params(channels, weights, bias, activation="relu"):
 
 
 def feature_maps(params, token_ids):
-    """Per width group, the (n_windows, F) activations of an inference forward,
-    through the library's activation, and the pooled features z."""
-    _, trace = forward(params, token_ids)
+    """Per width group, the (n_windows, F) activations of a forward pass,
+    through the library's activation, and the pooled features z.  The masks
+    change only the logits, so every pooled unit is kept."""
+    _, trace = forward(params, token_ids, np.ones(params.num_filters))
     return [net._activate(pre, params.activation) for pre in trace.preacts], trace.z[0]
 
 
@@ -233,7 +234,7 @@ class TestConvFeatureMap:
         channels = random_channels(rng, 1, 6, 4)
         params = single_filter_params(channels, rng.normal(size=(4, 4)), 0.0)
         with pytest.raises(ValueError, match="shorter"):
-            forward(params, [1, 2])
+            forward(params, [1, 2], np.ones(1))
 
 
 class TestMaxOverTime:
@@ -241,7 +242,7 @@ class TestMaxOverTime:
     # the activation of the channel values, so the pooled value and argmax are known.
     def pool(self, values, activation="relu"):
         params = single_filter_params(scalar_channel(values), [[1.0]], 0.0, activation)
-        _, trace = forward(params, np.arange(1, len(values) + 1))
+        _, trace = forward(params, np.arange(1, len(values) + 1), np.ones(1))
         return float(trace.z[0, 0]), int(trace.argmax[0][0, 0])
 
     def test_basic(self):
@@ -294,7 +295,7 @@ class TestForward:
         params = toy_params(rng, channels, keep_prob=1.0)
         ids = rng.integers(1, 9, size=7)
         train_logits, _ = forward(params, ids, mask=np.ones(params.num_filters))
-        infer_logits, _ = forward(params, ids)
+        infer_logits = net.predict_logits(params, [ids])[0]
         assert np.array_equal(train_logits, infer_logits)
 
     def test_all_pad_sentence_closed_form(self):
@@ -305,12 +306,12 @@ class TestForward:
             bank.biases[:] = rng.normal(size=bank.biases.shape)
         params.output.biases[:] = rng.normal(size=3)
         ids = np.zeros(6, dtype=np.int64)
-        logits, _ = forward(params, ids)
+        logits = net.predict_logits(params, [ids])[0]
         # zero embeddings: every window's feature is relu(bias)
         z = np.concatenate([np.maximum(bank.biases, 0.0) for bank in params.filters])
         expected = params.keep_prob * params.output.weights @ z + params.output.biases
         assert np.allclose(logits, expected, atol=1e-15)
-        again, _ = forward(params, ids)
+        again = net.predict_logits(params, [ids])[0]
         assert np.array_equal(logits, again)
 
     def test_train_mode_mean_matches_inference(self):
@@ -319,7 +320,7 @@ class TestForward:
         channels = random_channels(rng, 1, 9, 5)
         params = toy_params(rng, channels, keep_prob=0.5)
         ids = rng.integers(1, 9, size=8)
-        infer_logits, _ = forward(params, ids)
+        infer_logits = net.predict_logits(params, [ids])[0]
         n_samples = 3000
         samples = np.empty((n_samples, 3))
         mask_rng = np.random.default_rng(9)
@@ -335,7 +336,10 @@ class TestForward:
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_matches_the_reference(self, activation, n_channels, masked):
         # `forward` is `forward_batch` on one sentence; the reference pools
-        # through `np.argmax` and runs its own output layer.
+        # through `np.argmax` and runs its own output layer.  Unmasked, the
+        # trace is compared with every pooled unit kept, and the inference
+        # logits, whose output weights keep_prob scales, come from
+        # `predict_logits`.
         rng = np.random.default_rng(10)
         params = toy_params(rng, random_channels(rng, n_channels, 9, 5), widths=(1, 3, 4),
                             activation=activation)
@@ -344,10 +348,11 @@ class TestForward:
         for _ in range(20):
             # a 9-word vocabulary forces repeated tokens, ties and pad rows
             ids = rng.integers(0, 9, size=int(rng.integers(params.max_width, 20)))
-            mask = (rng.random(params.num_filters) < 0.5).astype(np.float64) if masked else None
+            mask = (rng.random(params.num_filters) < 0.5).astype(np.float64) if masked \
+                else np.ones(params.num_filters)
             logits, trace = forward(params, ids, mask)
             want_logits, want = reference_forward(params, ids, mask)
-            assert (trace.masks is None) == (not masked) == (want.masks is None)
+            assert trace.masks.tobytes() == want.masks.tobytes()
             for got_pre, want_pre in zip(trace.preacts, want.preacts, strict=True):
                 np.testing.assert_allclose(got_pre, want_pre, rtol=0, atol=1e-12)
             for got_arg, want_arg in zip(trace.argmax, want.argmax, strict=True):
@@ -356,13 +361,17 @@ class TestForward:
             assert logits.shape == want_logits.shape
             np.testing.assert_allclose(logits, want_logits, rtol=0, atol=1e-12)
             np.testing.assert_allclose(trace.logits, want.logits, rtol=0, atol=1e-12)
+            if not masked:
+                np.testing.assert_allclose(net.predict_logits(params, [ids])[0],
+                                           reference_forward(params, ids)[0],
+                                           rtol=0, atol=1e-12)
 
     def test_short_sentence_rejected(self):
         rng = np.random.default_rng(11)
         channels = random_channels(rng, 1, 9, 5)
         params = toy_params(rng, channels, widths=(3, 4))
         with pytest.raises(ValueError, match="pad"):
-            forward(params, [1, 2])
+            forward(params, [1, 2], np.ones(params.num_filters))
 
 
 def finite_difference(loss_fn, tensor, step=1e-5):
@@ -494,12 +503,6 @@ class TestBackward:
                     if ch.trainable:
                         assert np.max(np.abs(grads[f"channel{i}"] - expected)) <= 1e-12
 
-    def test_inference_trace_rejected(self):
-        params, ids, _ = self._setup()
-        _, trace = forward(params, ids)
-        with pytest.raises(ValueError, match="train-mode"):
-            grads_of(params, trace, 0)
-
     def test_row_gradient_is_set_not_added(self):
         # Each call sets `grads["embedding"]` to its own trace's (U', k) row
         # gradient, over the distinct non-pad rows; nothing carries over.
@@ -594,7 +597,7 @@ class TestWindows:
         bank = params.filters[0]
         for n in range(h, 41):  # n == h is the single-window sentence
             ids = rng.integers(0, 30, size=n)
-            _, trace = forward(params, ids)
+            _, trace = forward(params, ids, np.ones(params.num_filters))
             embedded = net.summed_embedding(channels, ids)
             stack = old_window_stack(embedded, h).reshape(n - h + 1, -1)
             expected = stack @ bank.weights.reshape(7, -1).T + bank.biases
@@ -934,8 +937,7 @@ class TestStructuralInvariants:
         double = net.ModelParams([static[0], zero], single.filters, single.output,
                                  keep_prob=1.0, activation=single.activation)
         ids = rng.integers(1, 10, size=6)
-        one, _ = forward(single, ids)
-        two, _ = forward(double, ids)
+        one, two = (net.predict_logits(p, [ids])[0] for p in (single, double))
         assert np.array_equal(one, two)
 
     def test_filter_permutation_leaves_logits_invariant(self):
@@ -943,14 +945,14 @@ class TestStructuralInvariants:
         channels = random_channels(rng, 1, 10, 5)
         params = toy_params(rng, channels, widths=(2, 3), maps=4, keep_prob=1.0)
         ids = rng.integers(1, 10, size=8)
-        base_logits, _ = forward(params, ids)
+        base_logits = net.predict_logits(params, [ids])[0]
 
         perm = np.array([2, 0, 3, 1])
         shuffled = net.clone_params(params)
         shuffled.filters[0].weights[:] = params.filters[0].weights[perm]
         shuffled.filters[0].biases[:] = params.filters[0].biases[perm]
         shuffled.output.weights[:, :4] = params.output.weights[:, :4][:, perm]
-        logits, _ = forward(shuffled, ids)
+        logits = net.predict_logits(shuffled, [ids])[0]
         assert np.max(np.abs(logits - base_logits)) <= 1e-12
 
     def test_forward_consistent_with_per_filter_path(self):
@@ -961,7 +963,7 @@ class TestStructuralInvariants:
             params = toy_params(rng, channels, widths=(2, 3), maps=3, keep_prob=1.0,
                                 activation=activation)
             ids = rng.integers(1, 10, size=7)
-            _, trace = forward(params, ids)
+            _, trace = forward(params, ids, np.ones(params.num_filters))
             pooled, argmax = [], []
             for bank in params.filters:
                 for f in range(bank.weights.shape[0]):

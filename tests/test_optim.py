@@ -579,6 +579,10 @@ class TestConfigText:
         with pytest.raises(ValueError, match="line 2.*momentum"):
             parse_config("seed = 1\nmomentum = 0.9\n")
 
+    def test_duplicate_key_rejected_with_line(self):
+        with pytest.raises(ValueError, match="^line 2: duplicate key 'seed'$"):
+            parse_config("seed = 1\nseed = 7\n")
+
     def test_bad_value_reports_line(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_config("batch_size = many\n")
