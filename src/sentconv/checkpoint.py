@@ -1,8 +1,11 @@
 """The checkpoint format: a trained model with its vocabulary, config and history.
 
-Layout: MAGIC, u32 version, then length-prefixed variant, config text,
-history text, the vocabulary, and finally every tensor as (name, u32 rank,
-u64 dims..., float64 little-endian data).  No trailing bytes.
+Layout (VERSION 2): MAGIC, u32 version, then length-prefixed config text,
+history text and vocabulary (the words joined by newlines, pad first), a u32
+class count, and finally every tensor's float64 little-endian data in
+`net.all_tensors` order.  No tensor carries a name or shape: the embedded
+config, the vocabulary size and the class count fix them all.  No trailing
+bytes.  Files of other versions, VERSION 1 included, are rejected.
 """
 
 from __future__ import annotations
@@ -18,12 +21,12 @@ from . import embed, net, optim
 from .corpus import PAD_TOKEN, Vocabulary
 
 MAGIC = b"SCNV"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(Exception):
     """A checkpoint file that cannot be trusted (bad magic, version, truncation,
-    undecodable text, tensors that disagree with the config or are not finite)."""
+    undecodable text, a bad vocabulary or config, tensors that are not finite)."""
 
 
 def _write_str(fh, text: str) -> None:
@@ -32,26 +35,22 @@ def _write_str(fh, text: str) -> None:
     fh.write(data)
 
 
-def _write_tensor(fh, name: str, tensor: np.ndarray) -> None:
-    _write_str(fh, name)
-    fh.write(struct.pack("<I", tensor.ndim))
-    for dim in tensor.shape:
-        fh.write(struct.pack("<Q", dim))
-    fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
-
-
 class _Reader:
     """Checkpoint fields in file order.  No read asks for more bytes than the
-    file has left, so a corrupt length or dimension never sizes an allocation."""
+    file has left, so a corrupt length, size or class count never sizes an
+    allocation."""
 
     def __init__(self, fh):
         self.fh = fh
         self.left = os.fstat(fh.fileno()).st_size
 
-    def exact(self, n: int) -> bytes:
+    def _take(self, n: int) -> None:
         if n > self.left:
             raise CheckpointError("truncated checkpoint")
         self.left -= n
+
+    def exact(self, n: int) -> bytes:
+        self._take(n)
         data = self.fh.read(n)
         if len(data) != n:
             raise CheckpointError("truncated checkpoint")
@@ -66,14 +65,12 @@ class _Reader:
         except UnicodeDecodeError:
             raise CheckpointError("string is not valid UTF-8") from None
 
-    def tensor(self) -> tuple[str, np.ndarray]:
-        name = self.text()
-        dims = [struct.unpack("<Q", self.exact(8))[0] for _ in range(self.u32())]
-        data = np.frombuffer(self.exact(8 * math.prod(dims)), dtype="<f8")
-        try:
-            return name, data.reshape(dims).copy()
-        except ValueError:
-            raise CheckpointError(f"tensor {name} has unsupported dims") from None
+    def array(self, *shape: int) -> np.ndarray:
+        self._take(8 * math.prod(shape))
+        out = np.empty(shape, dtype="<f8")
+        if self.fh.readinto(out) != out.nbytes:
+            raise CheckpointError("truncated checkpoint")
+        return out
 
 
 @dataclass
@@ -86,20 +83,20 @@ class Checkpoint:
 
 def save_checkpoint(path, params: net.ModelParams, vocab: Vocabulary,
                     config: optim.TrainConfig, history_csv: str = "") -> None:
+    words = vocab.id_to_word
+    blob = "\n".join(words)
+    if blob.split() != words:
+        bad = next(word for word in words if word.split() != [word])
+        raise ValueError(f"vocabulary word {bad!r} is empty or holds whitespace")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
-        _write_str(fh, config.variant)
         _write_str(fh, optim.config_to_text(config))
         _write_str(fh, history_csv)
-        words = vocab.id_to_word
-        fh.write(struct.pack("<I", len(words)))
-        for word in words:
-            _write_str(fh, word)
-        tensors = net.all_tensors(params)
-        fh.write(struct.pack("<I", len(tensors)))
-        for name, tensor in tensors:
-            _write_tensor(fh, name, tensor)
+        _write_str(fh, blob)
+        fh.write(struct.pack("<I", params.num_classes))
+        for _, tensor in net.all_tensors(params):
+            fh.write(np.ascontiguousarray(tensor, dtype="<f8"))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -110,61 +107,44 @@ def load_checkpoint(path) -> Checkpoint:
         version = reader.u32()
         if version != VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        variant = reader.text()
         config_text = reader.text()
         history_csv = reader.text()
         try:
             config = optim.parse_config(config_text)
         except ValueError as exc:
             raise CheckpointError(f"bad embedded config: {exc}") from None
-        if config.variant != variant:
-            raise CheckpointError("variant tag disagrees with embedded config")
-        words = [reader.text() for _ in range(reader.u32())]
-        if not words or words[0] != PAD_TOKEN:
+        blob = reader.text()
+        words = blob.split("\n")
+        if words[0] != PAD_TOKEN:
             raise CheckpointError("vocabulary does not start with the pad token")
+        if blob.split() != words:
+            raise CheckpointError("vocabulary holds an empty word or one with whitespace")
         try:
             vocab = Vocabulary(words[1:])
         except ValueError as exc:
             raise CheckpointError(str(exc)) from None
         if len(vocab) != len(words):
             raise CheckpointError("duplicate words in checkpoint vocabulary")
-        tensors = {}
-        for _ in range(reader.u32()):
-            name, tensor = reader.tensor()
-            if name in tensors:
-                raise CheckpointError(f"tensor {name} appears twice")
-            tensors[name] = tensor
+        classes = reader.u32()
+        if classes < 1:
+            raise CheckpointError("output layer has no classes")
+        flags = embed.VARIANT_CHANNELS[config.variant]
+        dim, maps = config.dim, config.maps_per_width
+        tables = [reader.array(len(vocab), dim) for _ in flags]
+        banks = [net.FilterBank(h, reader.array(maps, h, dim), reader.array(maps))
+                 for h in config.widths]
+        output = net.OutputLayer(reader.array(classes, maps * len(banks)), reader.array(classes))
         if reader.left:
             raise CheckpointError("trailing garbage after checkpoint payload")
 
-    flags = embed.VARIANT_CHANNELS[config.variant]
-    maps = config.maps_per_width
-    out_b = tensors.get("output.biases", np.empty(0))
-    classes = out_b.shape[0] if out_b.ndim == 1 else 0
-    shapes = {f"channel{i}": (len(vocab), config.dim) for i in range(len(flags))}
-    for h in config.widths:
-        shapes[f"conv{h}.weights"] = (maps, h, config.dim)
-        shapes[f"conv{h}.biases"] = (maps,)
-    shapes["output.weights"] = (classes, maps * len(config.widths))
-    shapes["output.biases"] = (classes,)
-    if sorted(tensors) != sorted(shapes):
-        raise CheckpointError("tensor set does not match the embedded config")
-    for name, shape in shapes.items():
-        if tensors[name].shape != shape:
-            raise CheckpointError(f"tensor {name} has shape {tensors[name].shape}, "
-                                  f"expected {shape} from the vocabulary and config")
-        if not np.isfinite(tensors[name]).all():
-            raise CheckpointError(f"tensor {name} holds non-finite values")
-    if classes < 1:
-        raise CheckpointError("output layer has no classes")
     try:
-        channels = [embed.EmbeddingChannel(tensors[f"channel{i}"], trainable=flag)
-                    for i, flag in enumerate(flags)]
+        channels = [embed.EmbeddingChannel(table, trainable=flag)
+                    for table, flag in zip(tables, flags)]
     except ValueError as exc:
         raise CheckpointError(str(exc)) from None
-    banks = [net.FilterBank(h, tensors[f"conv{h}.weights"], tensors[f"conv{h}.biases"])
-             for h in config.widths]
-    output = net.OutputLayer(tensors["output.weights"], tensors["output.biases"])
     params = net.ModelParams(channels, banks, output, keep_prob=config.keep_prob,
                              activation=config.activation)
+    for name, tensor in net.all_tensors(params):
+        if not np.isfinite(tensor).all():
+            raise CheckpointError(f"tensor {name} holds non-finite values")
     return Checkpoint(params, vocab, config, history_csv)

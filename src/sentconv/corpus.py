@@ -58,7 +58,8 @@ class Vocabulary:
         return len(self.id_to_word)
 
     def __contains__(self, word: str) -> bool:
-        return word in self.word_to_id
+        """Whether `word` is a text word here; the reserved pad token is not."""
+        return word != PAD_TOKEN and word in self.word_to_id
 
     def id(self, word: str) -> int:
         return self.word_to_id[word]

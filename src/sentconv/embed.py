@@ -60,7 +60,7 @@ def _store(matrix, vocab, word, vec, exact, fallback):
     """First exact match wins; a lowercase fallback never displaces an exact one."""
     if word in vocab:
         vid = vocab.id(word)
-        if vid != PAD_ID and vid not in exact:
+        if vid not in exact:
             matrix[vid] = vec
             exact.add(vid)
             fallback.discard(vid)
@@ -68,7 +68,7 @@ def _store(matrix, vocab, word, vec, exact, fallback):
     lower = word.lower()
     if lower in vocab:
         vid = vocab.id(lower)
-        if vid != PAD_ID and vid not in exact and vid not in fallback:
+        if vid not in exact and vid not in fallback:
             matrix[vid] = vec
             fallback.add(vid)
 

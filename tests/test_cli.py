@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, output formats, checkpoint round trips."""
 
 import io
+import math
 import struct
 import subprocess
 import sys
@@ -298,6 +299,13 @@ class TestNeighborsCommand:
         assert code == EXIT_QUERY
         assert "unknown word" in capsys.readouterr().err
 
+    def test_pad_token_is_an_unknown_word(self, workdir, capsys):
+        code = main(["neighbors", "--checkpoint", str(workdir["ckpt"]), corpus.PAD_TOKEN])
+        captured = capsys.readouterr()
+        assert code == EXIT_QUERY
+        assert captured.out == ""
+        assert f"unknown word {corpus.PAD_TOKEN!r}" in captured.err
+
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_count_below_one_is_validation_error(self, workdir, capsys, count):
         code = main(["neighbors", "--checkpoint", str(workdir["ckpt"]), "goodish",
@@ -393,11 +401,22 @@ class TestCheckpointRoundTrip:
 
     def test_unsupported_version_detected(self, workdir, tmp_path):
         blob = bytearray(workdir["ckpt"].read_bytes())
-        blob[4:8] = (99).to_bytes(4, "little")
         bad = tmp_path / "v.ckpt"
-        bad.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError, match="version"):
-            load_checkpoint(bad)
+        for version in (1, 99):  # VERSION 1 files have no reader
+            blob[4:8] = version.to_bytes(4, "little")
+            bad.write_bytes(bytes(blob))
+            with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
+                load_checkpoint(bad)
+
+    @pytest.mark.parametrize("word", ["", "two words", "tab\tword", "line\nbreak", "nbsp\xa0"])
+    def test_word_the_vocabulary_blob_cannot_hold(self, workdir, tmp_path, word):
+        # Tokens come from str.split(), so no text word is empty or holds whitespace.
+        ckpt = load_checkpoint(workdir["ckpt"])
+        vocab = corpus.Vocabulary(ckpt.vocab.id_to_word[1:] + [word])
+        path = tmp_path / "bad-word.ckpt"
+        with pytest.raises(ValueError, match="empty or holds whitespace"):
+            save_checkpoint(path, ckpt.params, vocab, ckpt.config)
+        assert not path.exists()
 
     def test_variant_flags_restored(self, workdir, tmp_path):
         vocab = workdir["vocab"]
@@ -412,6 +431,14 @@ class TestCheckpointRoundTrip:
             assert [ch.trainable for ch in ckpt.params.channels] == \
                 [ch.trainable for ch in params.channels], variant
             assert ckpt.params.keep_prob == ckpt.config.keep_prob == 0.4
+            again = tmp_path / f"{variant}-again.ckpt"
+            save_checkpoint(again, ckpt.params, ckpt.vocab, ckpt.config, ckpt.history_csv)
+            assert again.read_bytes() == path.read_bytes(), variant
+            # No per-tensor headers: the texts, the class count, then raw float64s.
+            texts = [optim.config_to_text(config), "", "\n".join(vocab.id_to_word)]
+            header = 8 + sum(4 + len(text.encode("utf-8")) for text in texts) + 4
+            values = sum(tensor.size for _, tensor in net.all_tensors(params))
+            assert path.stat().st_size == header + 8 * values, variant
 
 
 def _resaved(workdir, tmp_path, mutate, history_csv=""):
@@ -432,8 +459,10 @@ class TestCheckpointRejections:
         code = main(["predict", "--checkpoint", str(path), "--input", "-"])
         return code, capsys.readouterr()
 
+    # The writer stores no shapes, so tensors smaller than the config says
+    # leave the reader short of bytes.
     @pytest.mark.parametrize("change,message", [
-        ("conv", "shape"), ("output", "shape"), ("no-classes", "no classes")])
+        ("conv", "truncated"), ("output", "truncated"), ("no-classes", "no classes")])
     def test_shape_disagreeing_with_config(self, workdir, tmp_path, capsys, change, message):
         def reshape(params):
             if change == "conv":
@@ -480,40 +509,57 @@ class TestCheckpointRejections:
         assert captured.out == ""
         assert "UTF-8" in captured.err
 
-
-    def test_repeated_tensor_name(self, workdir, tmp_path, capsys, monkeypatch):
-        all_tensors = net.all_tensors
-        monkeypatch.setattr(net, "all_tensors", lambda params: all_tensors(params) + [
-            ("output.biases", np.full_like(params.output.biases, 7.0))])
-        path = _resaved(workdir, tmp_path, lambda params: None)
-        monkeypatch.setattr(net, "all_tensors", all_tensors)
-        code, captured = self._predict(path, capsys)
-        assert code == EXIT_CORRUPT
-        assert captured.out == ""
-        assert "output.biases appears twice" in captured.err
-
-    @pytest.mark.parametrize("dims,message", [
-        ((2**32, 2**32), "truncated"), ((0, 2**63), "unsupported dims")])
-    def test_impossible_dims(self, workdir, tmp_path, capsys, dims, message):
-        # (2**32, 2**32) float64s: the count must not wrap to 0, and the read
-        # is refused for the bytes the file lacks, not attempted.  (0, 2**63)
-        # holds no values but is beyond any array numpy can shape.
+    @pytest.mark.parametrize("replacement", [b"good sh", b"good\n\nh"])
+    def test_vocabulary_word_with_whitespace(self, workdir, tmp_path, capsys, replacement):
         path = _resaved(workdir, tmp_path, lambda params: None)
         blob = path.read_bytes()
-        name = b"channel0"
-        header = struct.pack("<I", len(name)) + name + struct.pack("<I", 2)
-        assert blob.count(header) == 1
-        dims_at = blob.index(header) + len(header)
-        packed = struct.pack("<QQ", *dims)
-        path.write_bytes(blob[:dims_at] + packed + blob[dims_at + len(packed):])
+        assert blob.count(b"\ngoodish\n") == 1
+        path.write_bytes(blob.replace(b"\ngoodish\n", b"\n" + replacement + b"\n"))
         code, captured = self._predict(path, capsys)
         assert code == EXIT_CORRUPT
         assert captured.out == ""
-        assert message in captured.err
+        assert "vocabulary holds an empty word or one with whitespace" in captured.err
+
+    @pytest.mark.parametrize("field", ["dim", "classes"])
+    def test_impossible_dims(self, workdir, tmp_path, capsys, monkeypatch, field):
+        # The embedded config and the class count size every tensor.  Sizes
+        # that need more bytes than the file holds are refused before any
+        # array is allocated for them.
+        ckpt = load_checkpoint(workdir["ckpt"])
+        path = tmp_path / "huge.ckpt"
+        if field == "dim":
+            ckpt.config.dim = 1099511627776
+        save_checkpoint(path, ckpt.params, ckpt.vocab, ckpt.config)
+        if field == "classes":
+            blob = bytearray(path.read_bytes())
+            at = len(blob) - 8 * sum(t.size for _, t in net.all_tensors(ckpt.params)) - 4
+            assert blob[at:at + 4] == struct.pack("<I", ckpt.params.num_classes)
+            blob[at:at + 4] = struct.pack("<I", 2**32 - 1)
+            path.write_bytes(bytes(blob))
+        size = path.stat().st_size
+        empty = np.empty
+
+        def bounded_empty(shape, dtype=float):
+            assert np.dtype(dtype).itemsize * math.prod(shape) <= size, shape
+            return empty(shape, dtype)
+
+        monkeypatch.setattr(np, "empty", bounded_empty)
+        code, captured = self._predict(path, capsys)
+        assert code == EXIT_CORRUPT
+        assert captured.out == ""
+        assert captured.err == "sentconv: corrupt checkpoint: truncated checkpoint\n"
 
     def test_fuzzed_tiny_checkpoint(self, tmp_path):
+        self._fuzz(tmp_path, "rand")
+
+    def test_fuzzed_tiny_multichannel_checkpoint(self, tmp_path):
+        self._fuzz(tmp_path, "multichannel")
+
+    @staticmethod
+    def _fuzz(tmp_path, variant):
+        """Every truncation is rejected; every flipped byte loads or is rejected."""
         vocab = corpus.build_vocabulary([["good", "bad", "film"]])
-        config = optim.TrainConfig(variant="rand", widths=(1, 2), maps_per_width=1, dim=2)
+        config = optim.TrainConfig(variant=variant, widths=(1, 2), maps_per_width=1, dim=2)
         base = np.ones((len(vocab), 2))
         base[0] = 0.0
         params = evaluate.initial_params(config, base, 2)

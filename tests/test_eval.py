@@ -184,6 +184,8 @@ class TestNearestNeighbors:
         vocab, matrix = self.fixture_matrix()
         with pytest.raises(ValueError, match="unknown word"):
             nearest_neighbors(matrix, vocab, "nope", 4)
+        with pytest.raises(ValueError, match="unknown word '<pad>'"):
+            nearest_neighbors(matrix, vocab, "<pad>", 4)  # reserved, never a text word
 
     def test_count_larger_than_candidates_raises(self):
         vocab, matrix = self.fixture_matrix()
