@@ -10,7 +10,6 @@ Run: python3 demos/gradient_check.py
 import numpy as np
 
 from sentconv import embed, net
-from sentconv.corpus import PAD_ID
 
 rng = np.random.default_rng(4)
 vocab_size, dim = 12, 6
@@ -49,11 +48,12 @@ def finite_difference(tensor, step=1e-5):
 
 
 _, trace = net.forward(params, token_ids, mask=mask)
-grads = {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
-net.backward(params, trace, [label], grads)  # a one-sentence trace: one label
+_, grads = net.backward(params, trace, [label])  # a one-sentence trace: one label
 # The table's gradient comes back compact, one row per distinct non-pad token
 # of the sentence; scatter it into the table's shape to compare entry by entry.
-grads["channel1"][trace.distinct[trace.distinct != PAD_ID]] = grads.pop("embedding")
+dense = np.zeros_like(tuned)
+dense[trace.table_rows] = grads["channel1"]
+grads["channel1"] = dense
 
 print(f"{'tensor':18s} {'entries':>8s} {'max |analytic - numeric|':>26s}")
 for name, tensor in net.trainable_tensors(params):

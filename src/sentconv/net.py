@@ -83,7 +83,7 @@ class ForwardTrace:
 
     The batch's B sentences (one from `forward`) are concatenated without
     padding; row p of a width's preactivations is the window that starts at
-    position p.
+    position p.  A fine-tuned table's gradient lives on `table_rows`.
     """
 
     distinct: np.ndarray        # (U,) the batch's distinct token ids, sorted
@@ -95,6 +95,11 @@ class ForwardTrace:
     masks: np.ndarray           # (B, m) 0/1 dropout masks
     logits: np.ndarray          # (B, classes)
 
+    @property
+    def table_rows(self) -> np.ndarray:
+        """(U',) the distinct non-pad token ids: the pad row gets no gradient."""
+        return self.distinct[self.distinct != PAD_ID]
+
 
 def init_params(channels: list[EmbeddingChannel], num_classes: int, widths,
                 maps_per_width: int, seed: int, *, keep_prob: float = 1.0,
@@ -102,6 +107,8 @@ def init_params(channels: list[EmbeddingChannel], num_classes: int, widths,
     """Fresh parameters: filter/output weights U[-init_scale, init_scale], zero biases."""
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
+    if num_classes < 2:
+        raise ValueError(f"need at least two classes, got {num_classes}")
     dim = channels[0].dim
     rng = np.random.default_rng(seed)
     banks = []
@@ -242,20 +249,19 @@ def loss_and_probs(logits: np.ndarray, labels):
     return np.exp(log_probs), losses
 
 
-def backward(params: ModelParams, trace: ForwardTrace, labels,
-             grads: dict[str, np.ndarray]) -> np.ndarray:
-    """Add a batch's cross-entropy gradients, summed over its examples, into
-    `grads`; return the (B,) per-example losses.
+def backward(params: ModelParams, trace: ForwardTrace,
+             labels) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """A batch's cross-entropy gradients, summed over its examples: returns
+    the (B,) per-example losses and a fresh dict keyed by the
+    `trainable_tensors` names.
 
-    `grads` holds one array per `trainable_tensors` name other than the
-    channels, and the filter and output gradients are added into them.
-    When a channel is trainable, `grads["embedding"]` is set (not added
-    to) to the (U', k) gradient of the batch's distinct non-pad rows,
-    `trace.distinct[trace.distinct != PAD_ID]`, which every trainable
-    channel shares: the pad row and the rows the batch does not hold get
-    none.  Dropout-masked pooled units contribute zero everywhere upstream,
-    and each filter's gradient flows only through its argmax window and
-    only where the activation derivative is nonzero.
+    The filter and output gradients have their tensors' shapes.  Each
+    trainable channel gets the (U', k) gradient of the rows
+    `trace.table_rows`, one array that every trainable channel shares: the
+    pad row and the rows the batch does not hold get none.  Dropout-masked
+    pooled units contribute zero everywhere upstream, and each filter's
+    gradient flows only through its argmax window and only where the
+    activation derivative is nonzero.
 
     Per width this is the transpose of `_conv`'s distinct-token GEMM.  One
     bincount puts example b's preactivation gradient dpre[b, f] at cell
@@ -273,11 +279,11 @@ def backward(params: ModelParams, trace: ForwardTrace, labels,
 
     dlogits, losses = loss_and_probs(trace.logits, labels)
     dlogits[np.arange(labels.shape[0]), labels] -= 1.0
-    grads["output.weights"] += dlogits.T @ (trace.z * trace.masks)
-    grads["output.biases"] += dlogits.sum(axis=0)
+    grads = {"output.weights": dlogits.T @ (trace.z * trace.masks),
+             "output.biases": dlogits.sum(axis=0)}
     dz = (dlogits @ params.output.weights) * trace.masks
 
-    tuned = any(ch.trainable for ch in params.channels)
+    tuned = [name for name, _ in trainable_tensors(params) if name.startswith("channel")]
     d_rows = np.zeros_like(trace.rows) if tuned else None
     n_distinct = trace.distinct.shape[0]
     offset = 0
@@ -286,17 +292,17 @@ def backward(params: ModelParams, trace: ForwardTrace, labels,
         dpre = dz[:, offset:offset + n_maps] * \
             _activate_grad(pre[arg, np.arange(n_maps)], params.activation)
         offset += n_maps
-        grads[f"conv{h}.biases"] += dpre.sum(axis=0)
+        grads[f"conv{h}.biases"] = dpre.sum(axis=0)
         cells = trace.inverse[arg[:, :, None] + np.arange(h)] * (n_maps * h) + \
             np.arange(n_maps * h).reshape(n_maps, h)
         scores = np.bincount(cells.ravel(), np.repeat(dpre.ravel(), h),
                              n_distinct * n_maps * h).reshape(n_distinct, n_maps * h)
-        grads[f"conv{h}.weights"] += (scores.T @ trace.rows).reshape(n_maps, h, k)
+        grads[f"conv{h}.weights"] = (scores.T @ trace.rows).reshape(n_maps, h, k)
         if tuned:
             d_rows += scores @ bank.weights.reshape(n_maps * h, k)
     if tuned:
-        grads["embedding"] = d_rows[trace.distinct != PAD_ID]
-    return losses
+        grads.update(dict.fromkeys(tuned, d_rows[trace.distinct != PAD_ID]))
+    return losses, grads
 
 
 def predict_probs(params: ModelParams, token_ids) -> np.ndarray:

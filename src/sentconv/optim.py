@@ -8,7 +8,6 @@ import numpy as np
 
 from . import embed, net
 from ._seeds import DROPOUT, SHUFFLE, derive_seed
-from .corpus import PAD_ID
 
 # Comparison slack that keeps the projection exactly idempotent: a row already
 # rescaled to norm s can land a few ulps above s and must not be touched again.
@@ -233,15 +232,12 @@ def train_epoch(params: net.ModelParams, examples, config: TrainConfig,
 
     Per mini-batch: one batched forward with fresh dropout masks, one batched
     backward, gradients averaged over the batch, an Adadelta step on every
-    trainable tensor, and the output-row norm projection.  Filter and output
-    gradients go into one buffer per tensor that serves the whole epoch and
-    is zeroed after each step.  A trainable channel is stepped only at the
-    batch's distinct non-pad rows, with the compact row gradient `backward`
-    returns, so a batch costs the table in proportion to its tokens, not to
-    the vocabulary, and the pad row stays zero.
+    trainable tensor, and the output-row norm projection.  A trainable
+    channel is stepped only at the trace's `table_rows`, with the compact
+    row gradient `backward` returns, so a batch costs the table in
+    proportion to its tokens, not to the vocabulary, and the pad row stays
+    zero.
     """
-    grads = {name: np.zeros_like(tensor) for name, tensor in net.trainable_tensors(params)
-             if not name.startswith("channel")}
     total_loss = 0.0
     batches = make_minibatches(len(examples), config.batch_size, shuffle_seed, epoch)
     for number, batch in enumerate(batches, 1):
@@ -249,48 +245,20 @@ def train_epoch(params: net.ModelParams, examples, config: TrainConfig,
         masks = mask_rng.random((len(batch), params.num_filters)) < params.keep_prob
         _, trace = net.forward_batch(params, [examples[idx].token_ids for idx in batch],
                                      masks.astype(np.float64))
-        losses = net.backward(params, trace, [examples[idx].label for idx in batch], grads)
+        losses, grads = net.backward(params, trace, [examples[idx].label for idx in batch])
         for loss in losses.tolist():  # in example order, as the per-example sum was
             total_loss += loss
 
-        touched = trace.distinct[trace.distinct != PAD_ID]
         scale = 1.0 / len(batch)
-        for grad in grads.values():
-            grad *= scale
         for name, tensor in net.trainable_tensors(params):
-            table = name.startswith("channel")
+            rows = trace.table_rows if name.startswith("channel") else None
             try:
-                adadelta_step(tensor, grads["embedding" if table else name], states[name],
-                              touched if table else None)
+                # Out of place: trainable channels share one row-gradient array.
+                adadelta_step(tensor, grads[name] * scale, states[name], rows)
             except ValueError as exc:
                 raise ValueError(f"{exc} in {name} at epoch {epoch}, batch {number}") from None
-            if not table:
-                grads[name][...] = 0.0
         l2_renorm(params.output, config.norm_limit)
     return total_loss / len(examples)
-
-
-@dataclass
-class EarlyStopper:
-    """Keep the best dev metric; stop after `patience` stale epochs.
-
-    Ties resolve in favor of the earlier epoch (strict improvement only).
-    """
-
-    patience: int
-    best_metric: float = -np.inf
-    best_epoch: int = 0
-    stale: int = 0
-
-    def update(self, epoch: int, metric: float) -> bool:
-        """Record an epoch's metric; returns True when training should stop."""
-        if metric > self.best_metric:
-            self.best_metric = metric
-            self.best_epoch = epoch
-            self.stale = 0
-        else:
-            self.stale += 1
-        return self.stale >= self.patience
 
 
 @dataclass
@@ -313,22 +281,20 @@ def fit(params: net.ModelParams, train_examples, dev_examples, config: TrainConf
     mask_rng = np.random.default_rng([config.seed, DROPOUT, fold])
     shuffle_seed = derive_seed(config.seed, SHUFFLE, fold)
 
-    stopper = EarlyStopper(config.patience)
-    # Dev accuracy is finite, so epoch 1 always beats the stopper's -inf and
-    # sets `best_params`; no clone is needed before it.
-    best_params = None
+    # Dev accuracy is finite, so epoch 1 always beats -inf and sets
+    # `best_params`; no clone is needed before it.  Ties keep the earlier epoch.
+    best_params, best_epoch, best_acc = None, 0, -np.inf
     history: list[tuple[int, float, float]] = []
     for epoch in range(1, config.max_epochs + 1):
         loss = train_epoch(params, train_examples, config, states, mask_rng,
                            shuffle_seed, epoch)
         dev_acc = net.accuracy(params, dev_examples)
         history.append((epoch, loss, dev_acc))
-        should_stop = stopper.update(epoch, dev_acc)
-        if stopper.best_epoch == epoch:
-            best_params = net.clone_params(params)
-        if should_stop:
+        if dev_acc > best_acc:
+            best_params, best_epoch, best_acc = net.clone_params(params), epoch, dev_acc
+        elif epoch - best_epoch >= config.patience:
             break
-    return FitResult(best_params, history, stopper.best_epoch, stopper.best_metric)
+    return FitResult(best_params, history, best_epoch, best_acc)
 
 
 def history_to_csv(history) -> str:

@@ -2,19 +2,19 @@
 
 import numpy as np
 
-from sentconv.corpus import PAD_ID
+from sentconv import net
 
 
-def scatter_row_gradient(params, trace, grads):
-    """Add `backward`'s (U', k) row gradient, popped from `grads["embedding"]`,
-    at the trace's distinct non-pad rows of a V x k `grads["channel{i}"]`
-    (zeros when absent) for each trainable channel, so that `grads` is keyed
-    like `net.trainable_tensors`, as the dense oracles are.  Returns `grads`."""
-    row_grad = grads.pop("embedding", None)
-    if row_grad is None:
-        return grads
-    rows = trace.distinct[trace.distinct != PAD_ID]
-    for i, channel in enumerate(params.channels):
-        if channel.trainable:
-            grads.setdefault(f"channel{i}", np.zeros_like(channel.matrix))[rows] += row_grad
-    return grads
+def dense_gradients(params, trace, grads):
+    """A copy of `backward`'s `grads`, keyed like `net.trainable_tensors`, in
+    which each trainable channel's (U', k) row gradient is scattered at
+    `trace.table_rows` of a V x k table of zeros, so that every gradient has
+    its tensor's shape, as the dense oracles' do."""
+    dense = {}
+    for name, tensor in net.trainable_tensors(params):
+        if name.startswith("channel"):
+            dense[name] = np.zeros_like(tensor)
+            dense[name][trace.table_rows] = grads[name]
+        else:
+            dense[name] = grads[name].copy()
+    return dense

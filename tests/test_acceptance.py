@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import synthdata
-from rowgrad import scatter_row_gradient
+from rowgrad import dense_gradients
 from sentconv import checkpoint, cli, corpus, embed, evaluate, net, optim
 
 MR_PATH = os.environ.get("SENTCONV_MR_TSV")
@@ -84,9 +84,7 @@ def test_criterion_1_gradient_oracle():
         logits, _ = net.forward(params, token_ids, mask=mask)
         return net.loss_and_probs(logits, label)[1]
 
-    grads = {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
-    net.backward(params, trace, [label], grads)
-    scatter_row_gradient(params, trace, grads)
+    grads = dense_gradients(params, trace, net.backward(params, trace, [label])[1])
     assert "channel0" not in grads  # static channel: no gradient by contract
 
     checked = 0

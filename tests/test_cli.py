@@ -115,6 +115,24 @@ class TestTrainCommand:
         assert code == EXIT_VALIDATION
         assert "line 2" in capsys.readouterr().err
 
+    def test_one_class_corpus_rejected(self, tmp_path, capsys):
+        # `inspect-data` describes such a corpus; `train` and `--cv` refuse
+        # to fit it, since a one-class model predicts that class at 1.0.
+        data = tmp_path / "one.tsv"
+        data.write_text("".join(f"0\tsentence number {i} here\n" for i in range(11)),
+                        encoding="utf-8")
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("variant = rand\ndim = 8\nwidths = 2,3\nmaps_per_width = 4\n"
+                       "max_epochs = 2\n", encoding="utf-8")
+        assert main(["inspect-data", "--data", str(data)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("c\t1\n")
+        for extra in ([], ["--cv"]):
+            code = main(["train", "--config", str(cfg), "--data", str(data)] + extra)
+            captured = capsys.readouterr()
+            assert code == EXIT_VALIDATION
+            assert captured.out == ""
+            assert captured.err == "sentconv: need at least two classes, got 1\n"
+
     def test_unknown_config_key_rejected(self, tmp_path, workdir, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("learning_rate = 1.0\n", encoding="utf-8")
@@ -193,12 +211,12 @@ class TestTrainCommand:
         calls = []
         original = net.backward
 
-        def poisoned_backward(params, trace, labels, grads):
-            losses = original(params, trace, labels, grads)
+        def poisoned_backward(params, trace, labels):
+            losses, grads = original(params, trace, labels)
             calls.append(None)
             if len(calls) == 2:  # the second batch's one backward call
                 grads["output.biases"][0] = np.nan
-            return losses
+            return losses, grads
 
         monkeypatch.setattr(net, "backward", poisoned_backward)
         code = main(["train", "--config", str(workdir["config"]), "--data", str(workdir["data"]),

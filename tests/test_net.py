@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from rowgrad import scatter_row_gradient
+from rowgrad import dense_gradients
 
 from sentconv import embed, net
 from sentconv.corpus import PAD_ID, Example
@@ -47,16 +47,19 @@ def toy_params(rng, channels, num_classes=3, widths=(2, 3), maps=4, keep_prob=0.
                            activation=activation, init_scale=init_scale)
 
 
-def zero_grads(params):
-    return {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
-
-
 def grads_of(params, trace, label):
     """One example's gradients, keyed by `net.trainable_tensors` name, the
     row gradient scattered to dense channel tables."""
-    grads = zero_grads(params)
-    backward(params, trace, [label], grads)
-    return scatter_row_gradient(params, trace, grads)
+    return dense_gradients(params, trace, backward(params, trace, [label])[1])
+
+
+def summed(grad_dicts):
+    """Per-name sums of gradient dicts, added in the order given."""
+    total = {}
+    for grads in grad_dicts:
+        for name, grad in grads.items():
+            total[name] = total[name] + grad if name in total else grad.copy()
+    return total
 
 
 def sentence_of(trace):
@@ -119,10 +122,12 @@ def oracle_embedding_gradient(params, trace, label):
     return grad
 
 
-def dense_reference_backward(params, trace, label, grads):
+def dense_reference_backward(params, trace, label):
     """One sentence's all-filter backward, from a one-sentence trace, kept as
     an oracle: the dense (F, h, k) weight-gradient product, and per width one
-    (n-h+1) x F @ F x hk GEMM over the argmax-sparse map, folded onto positions."""
+    (n-h+1) x F @ F x hk GEMM over the argmax-sparse map, folded onto positions.
+    Returns the loss and dense gradients keyed like `net.trainable_tensors`."""
+    grads = {name: np.zeros_like(t) for name, t in net.trainable_tensors(params)}
     token_ids, embedded = sentence_of(trace)
     z, mask = trace.z[0], trace.masks[0]
     dlogits, loss = loss_and_probs(trace.logits[0], label)
@@ -149,7 +154,7 @@ def dense_reference_backward(params, trace, label, grads):
     keep = token_ids != PAD_ID
     for dense in tuned:
         np.add.at(dense, token_ids[keep], d_embedded[keep])
-    return float(loss)
+    return float(loss), grads
 
 
 def old_window_stack(embedded, h):
@@ -436,9 +441,9 @@ class TestBackward:
                 return loss_and_probs(logits, labels[0])[1]
 
             _, trace = forward(params, ids, mask=mask)
-        grads = zero_grads(params)
-        assert backward(params, trace, labels, grads).sum() == loss_fn()
-        scatter_row_gradient(params, trace, grads)
+        losses, grads = backward(params, trace, labels)
+        assert losses.sum() == loss_fn()
+        grads = dense_gradients(params, trace, grads)
         for name, tensor in net.trainable_tensors(params):
             assert_grads_close(grads[name], finite_difference(loss_fn, tensor))
 
@@ -469,17 +474,6 @@ class TestBackward:
         assert np.all(grads["channel1"][0] == 0.0)
         assert np.any(grads["channel1"][[3, 4, 5]] != 0.0)
 
-    def test_examples_accumulate_into_the_buffers(self):
-        params, ids, mask = self._setup()
-        _, first = forward(params, ids, mask=mask)
-        _, second = forward(params, ids[::-1], mask=mask[::-1])
-        both = grads_of(params, first, 0)
-        backward(params, second, [2], both)
-        scatter_row_gradient(params, second, both)
-        one, two = grads_of(params, first, 0), grads_of(params, second, 2)
-        for name, _ in net.trainable_tensors(params):
-            assert np.allclose(both[name], one[name] + two[name], rtol=0.0, atol=1e-12)
-
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_embedding_gradient_matches_per_window_scatter(self, activation):
         rng = np.random.default_rng(19)
@@ -503,26 +497,41 @@ class TestBackward:
                     if ch.trainable:
                         assert np.max(np.abs(grads[f"channel{i}"] - expected)) <= 1e-12
 
-    def test_row_gradient_is_set_not_added(self):
-        # Each call sets `grads["embedding"]` to its own trace's (U', k) row
-        # gradient, over the distinct non-pad rows; nothing carries over.
+    @pytest.mark.parametrize("flags", [(False,), (True,), (False, True), (True, True)])
+    def test_returns_one_gradient_per_trainable_tensor(self, flags):
+        # Keyed exactly by `trainable_tensors`; each trainable channel gets
+        # the (U', k) gradient of the trace's distinct non-pad rows.
+        rng = np.random.default_rng(18)
+        channels = [EmbeddingChannel(ch.matrix, trainable)
+                    for ch, trainable in zip(random_channels(rng, len(flags), 10, 6), flags)]
+        params = toy_params(rng, channels)
+        _, trace = forward(params, np.array([0, 3, 3, 0, 5, 8, 0]), np.ones(params.num_filters))
+        _, grads = backward(params, trace, [2])
+        names = [name for name, _ in net.trainable_tensors(params)]
+        assert sorted(grads) == sorted(names)
+        assert trace.table_rows.tolist() == [3, 5, 8]
+        for name, tensor in net.trainable_tensors(params):
+            rows = len(trace.table_rows) if name.startswith("channel") else tensor.shape[0]
+            assert grads[name].shape == (rows,) + tensor.shape[1:], name
+
+    def test_calls_share_nothing(self):
+        # A second call on the same trace returns byte-equal gradients in
+        # fresh arrays: nothing carries over between calls.
         params, ids, mask = self._setup()
-        _, first = forward(params, ids, mask=mask)
-        _, second = forward(params, np.array([0, 3, 3, 0, 5, 8, 0]), mask=mask[::-1])
-        grads = zero_grads(params)
-        backward(params, first, [0], grads)
-        backward(params, second, [2], grads)
-        alone = zero_grads(params)
-        backward(params, second, [2], alone)
-        assert grads["embedding"].shape == (3, params.channels[0].dim)
-        assert grads["embedding"].tobytes() == alone["embedding"].tobytes()
-        assert np.all(grads["channel1"] == 0.0)  # the dense buffer is never written
+        _, trace = forward(params, ids, mask=mask)
+        first = backward(params, trace, [2])[1]
+        before = {name: grad.copy() for name, grad in first.items()}
+        second = backward(params, trace, [2])[1]
+        assert first.keys() == second.keys()
+        for name in first:
+            assert second[name].tobytes() == before[name].tobytes() == first[name].tobytes()
+            assert not any(np.shares_memory(second[name], grad) for grad in first.values())
 
     def test_labels_must_match_the_trace(self):
         params, ids, mask = self._setup()
         _, trace = forward(params, ids, mask=mask)
         with pytest.raises(ValueError, match="one label per example"):
-            backward(params, trace, [0, 1], zero_grads(params))
+            backward(params, trace, [0, 1])
 
     def test_mismatched_params_rejected(self):
         params, ids, mask = self._setup()
@@ -550,7 +559,7 @@ class TestLiveFilterBackward:
         channels = [EmbeddingChannel(ch.matrix, trainable)
                     for ch, trainable in zip(random_channels(rng, len(flags), 9, 16), flags)]
         params = toy_params(rng, channels, widths=(1, 3, 5), maps=24, activation=activation)
-        live, dense = zero_grads(params), zero_grads(params)
+        live, dense = [], []
         for _ in range(12):
             # a 9-word vocabulary forces repeated tokens; pads sit inside and at the ends
             ids = rng.integers(0, 9, size=int(rng.integers(5, 30)))
@@ -558,9 +567,12 @@ class TestLiveFilterBackward:
             mask = (rng.random(params.num_filters) < keep_prob).astype(np.float64)
             label = int(rng.integers(0, params.num_classes))
             _, trace = forward(params, ids, mask=mask)
-            assert backward(params, trace, [label], live).tolist() == \
-                [dense_reference_backward(params, trace, label, dense)]
-            scatter_row_gradient(params, trace, live)
+            losses, grads = backward(params, trace, [label])
+            loss, expected = dense_reference_backward(params, trace, label)
+            assert losses.tolist() == [loss]
+            live.append(dense_gradients(params, trace, grads))
+            dense.append(expected)
+        live, dense = summed(live), summed(dense)
         for name, _ in net.trainable_tensors(params):
             if name.startswith("channel"):
                 assert np.max(np.abs(live[name] - dense[name])) <= \
@@ -574,16 +586,13 @@ class TestLiveFilterBackward:
         rng = np.random.default_rng(22)
         params = toy_params(rng, random_channels(rng, 2, 9, 6, trainable_last=True),
                             activation=activation)
-        # buffers already holding earlier examples' gradients
-        grads = {name: rng.normal(size=t.shape) for name, t in net.trainable_tensors(params)}
-        before = {name: g.copy() for name, g in grads.items()}
         _, trace = forward(params, rng.integers(0, 9, size=8), mask=np.zeros(params.num_filters))
-        backward(params, trace, [1], grads)
-        assert not np.any(grads.pop("embedding"))
-        for name in grads:
+        _, grads = backward(params, trace, [1])
+        assert "channel1" in grads
+        for name, grad in grads.items():
             if name.startswith(("conv", "channel")):
-                assert grads[name].tobytes() == before[name].tobytes(), name
-        assert not np.array_equal(grads["output.biases"], before["output.biases"])
+                assert not np.any(grad), name
+        assert np.any(grads["output.biases"])
 
 
 class TestWindows:
@@ -814,15 +823,16 @@ class TestForwardBatch:
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_backward_adds_the_per_sentence_gradients(self, activation):
         params, sentences, masks, labels = self._setup(54, 2, activation)
-        batched, single = zero_grads(params), zero_grads(params)
         _, trace = net.forward_batch(params, sentences, masks)
-        losses = backward(params, trace, labels, batched)
-        scatter_row_gradient(params, trace, batched)
+        losses, batched = backward(params, trace, labels)
+        batched = dense_gradients(params, trace, batched)
+        single = []
         for ids, mask, label, loss in zip(sentences, masks, labels, losses):
             _, expected = forward(params, ids, mask)
-            assert loss == pytest.approx(backward(params, expected, [label], single)[0],
-                                         rel=0, abs=1e-12)
-            scatter_row_gradient(params, expected, single)
+            expected_losses, grads = backward(params, expected, [label])
+            assert loss == pytest.approx(expected_losses[0], rel=0, abs=1e-12)
+            single.append(dense_gradients(params, expected, grads))
+        single = summed(single)
         for name, _ in net.trainable_tensors(params):
             np.testing.assert_allclose(batched[name], single[name], rtol=0, atol=1e-12,
                                        err_msg=name)
@@ -853,14 +863,16 @@ class TestBatchBackward:
 
     @staticmethod
     def assert_matches_summed_oracle(params, sentences, masks, labels):
-        batched, dense = zero_grads(params), zero_grads(params)
         _, trace = net.forward_batch(params, sentences, masks)
-        losses = backward(params, trace, labels, batched)
-        scatter_row_gradient(params, trace, batched)
-        expected = []
+        losses, batched = backward(params, trace, labels)
+        batched = dense_gradients(params, trace, batched)
+        expected, dense = [], []
         for ids, mask, label in zip(sentences, masks, labels):
             _, one = forward(params, ids, mask)
-            expected.append(dense_reference_backward(params, one, int(label), dense))
+            loss, grads = dense_reference_backward(params, one, int(label))
+            expected.append(loss)
+            dense.append(grads)
+        dense = summed(dense)
         np.testing.assert_allclose(losses, expected, rtol=0, atol=1e-12)
         for name, _ in net.trainable_tensors(params):
             np.testing.assert_allclose(batched[name], dense[name], rtol=0, atol=1e-12,
@@ -893,18 +905,15 @@ class TestBatchBackward:
     def test_all_masked_batch_leaves_conv_and_channel_buffers(self, activation):
         rng = np.random.default_rng(61)
         params = toy_params(rng, random_channels(rng, 2, 9, 6), activation=activation)
-        # buffers already holding earlier batches' gradients
-        grads = {name: rng.normal(size=t.shape) for name, t in net.trainable_tensors(params)}
-        before = {name: g.copy() for name, g in grads.items()}
         sentences = [rng.integers(0, 9, size=int(rng.integers(3, 12))) for _ in range(6)]
         masks = np.zeros((len(sentences), params.num_filters))
         _, trace = net.forward_batch(params, sentences, masks)
-        backward(params, trace, [0, 1, 2, 1, 0, 2], grads)
-        assert not np.any(grads.pop("embedding"))
-        for name in grads:
+        _, grads = backward(params, trace, [0, 1, 2, 1, 0, 2])
+        assert "channel1" in grads
+        for name, grad in grads.items():
             if name.startswith(("conv", "channel")):
-                assert grads[name].tobytes() == before[name].tobytes(), name
-        assert not np.array_equal(grads["output.biases"], before["output.biases"])
+                assert not np.any(grad), name
+        assert np.any(grads["output.biases"])
         self.assert_matches_summed_oracle(params, sentences, masks, [0, 1, 2, 1, 0, 2])
 
 

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 import synthdata
-from rowgrad import scatter_row_gradient
+from rowgrad import dense_gradients
 from sentconv import corpus, embed, evaluate, net, optim
 from sentconv._seeds import DROPOUT
 from sentconv.optim import (
-    EarlyStopper,
     TrainConfig,
     adadelta_step,
     config_to_text,
@@ -328,8 +327,9 @@ def dense_reference_epoch(params, examples, config, states, mask_rng, shuffle_se
             ex = examples[idx]
             mask = (mask_rng.random(params.num_filters) < params.keep_prob).astype(np.float64)
             _, trace = net.forward(params, ex.token_ids, mask=mask)
-            net.backward(params, trace, [ex.label], grads)
-            scatter_row_gradient(params, trace, grads)
+            _, one = net.backward(params, trace, [ex.label])
+            for name, grad in dense_gradients(params, trace, one).items():
+                grads[name] += grad
         for name, tensor in net.trainable_tensors(params):
             adadelta_step(tensor, grads[name] * (1.0 / len(batch)), states[name], None)
         l2_renorm(params.output, config.norm_limit)
@@ -422,9 +422,9 @@ class TestTrainEpochAgainstReference:
 
         def recording_backward(*args):
             events.append("backward")
-            losses = original_backward(*args)
+            losses, grads = original_backward(*args)
             backward_calls.append((*args, losses))
-            return losses
+            return losses, grads
 
         monkeypatch.setattr(net, "forward_batch", recording_forward_batch)
         monkeypatch.setattr(net, "backward", recording_backward)
@@ -458,12 +458,12 @@ class TestTrainEpochAgainstReference:
         calls = []
         original = net.backward
 
-        def poisoned_backward(params, trace, labels, grads):
-            losses = original(params, trace, labels, grads)
+        def poisoned_backward(params, trace, labels):
+            losses, grads = original(params, trace, labels)
             calls.append(None)
             if len(calls) == 2:  # the second batch's one backward call
                 grads["conv3.weights"][0, 0, 0] = np.inf
-            return losses
+            return losses, grads
 
         monkeypatch.setattr(net, "backward", poisoned_backward)
         states = optim.init_states(params, config.rho, config.eps)
@@ -473,23 +473,35 @@ class TestTrainEpochAgainstReference:
                         np.random.default_rng(0), config.seed, 4)
 
 
-class TestEarlyStopper:
-    def test_stops_after_patience_stale_epochs(self):
-        stopper = EarlyStopper(patience=2)
-        decisions = [stopper.update(e, acc)
-                     for e, acc in enumerate([0.6, 0.7, 0.68, 0.69], start=1)]
-        assert decisions == [False, False, False, True]
-        assert stopper.best_epoch == 2
-        assert stopper.best_metric == 0.7
-
-    def test_tie_keeps_earlier_epoch(self):
-        stopper = EarlyStopper(patience=5)
-        for e, acc in enumerate([0.7, 0.7, 0.7], start=1):
-            stopper.update(e, acc)
-        assert stopper.best_epoch == 1
-
-
 class TestFit:
+    @staticmethod
+    def scripted_fit(monkeypatch, accuracies, patience, max_epochs):
+        """`fit` with `net.accuracy` returning `accuracies` in turn; returns the
+        result and the live params' tensor hashes at each epoch's dev score."""
+        params, dataset, config = tiny_setup(keep_prob=0.5)
+        config.patience, config.max_epochs = patience, max_epochs
+        scripted, seen = iter(accuracies), []
+
+        def scripted_accuracy(scored, examples):
+            seen.append(tensor_hashes(scored))
+            return next(scripted)
+
+        monkeypatch.setattr(net, "accuracy", scripted_accuracy)
+        train_ds, dev_ds = corpus.select_dev_split(dataset, 0.10, seed=3)
+        return fit(params, train_ds.examples, dev_ds.examples, config), seen
+
+    def test_stops_after_patience_stale_epochs(self, monkeypatch):
+        result, seen = self.scripted_fit(monkeypatch, [0.6, 0.7, 0.68, 0.69], 2, 10)
+        assert [acc for _, _, acc in result.history] == [0.6, 0.7, 0.68, 0.69]
+        assert result.best_epoch == 2 and result.best_dev_accuracy == 0.7
+        assert tensor_hashes(result.params) == seen[1] != seen[3]
+
+    def test_tie_keeps_earlier_epoch(self, monkeypatch):
+        result, seen = self.scripted_fit(monkeypatch, [0.7, 0.7, 0.7], 5, 3)
+        assert len(result.history) == 3
+        assert result.best_epoch == 1 and result.best_dev_accuracy == 0.7
+        assert tensor_hashes(result.params) == seen[0] != seen[2]
+
     def test_returns_best_epoch_params(self):
         params, dataset, config = tiny_setup(keep_prob=0.5)
         train_ds, dev_ds = corpus.select_dev_split(dataset, 0.10, seed=3)
@@ -507,7 +519,8 @@ class TestFit:
         assert len(result.history) == 1
 
     def test_max_epochs_one_returns_a_copy_of_epoch_one(self):
-        # Epoch 1 always improves on the stopper's -inf, so it sets the result.
+        # Epoch 1's finite dev accuracy always beats the initial -inf best, so
+        # it sets the result.
         params, dataset, config = tiny_setup(keep_prob=0.5)
         config.max_epochs = 1
         train_ds, dev_ds = corpus.select_dev_split(dataset, 0.10, seed=3)
