@@ -30,10 +30,10 @@ for variant in ("rand", "static"):
     dataset = corpus.encode_corpus(token_lists, labels, vocab, max(config.widths))
     plan = evaluate.cv_fold_plan(len(dataset), config)
     print(f"{variant}: fold sizes {np.bincount(plan.fold_of, minlength=plan.n_folds).tolist()}")
-    if variant == "rand":
-        base, _ = embed.build_base_matrix(vocab, config.dim, "rand", config.seed)
-    else:
-        base = embed.random_matrix(len(vocab), config.dim, seed=2, a=0.25)
+    # `static` freezes a random table drawn from another seed, standing in
+    # for pre-trained vectors
+    seed = config.seed if variant == "rand" else 2
+    base, _ = embed.build_base_matrix(vocab, config.dim, "rand", seed)
     reports[variant] = evaluate.run_cross_validation(dataset, config, base)
 
 print(f"\n{'fold':>4s} {'rand':>8s} {'static':>8s}")

@@ -4,6 +4,8 @@ Run: python3 demos/word_vector_files.py
 """
 
 import io
+import os
+import tempfile
 
 import numpy as np
 
@@ -31,25 +33,35 @@ print("  parse -> write round trip is byte-identical:",
       again.getvalue() == blob.getvalue())
 
 print("\n== variance-matched initialization of unknown words ==")
-pooled = matrix[[vocab.id(w) for w in known_words]].var()
-unknown_ids = [vocab.id("axolotl"), vocab.id("quokka")]
-a = embed.variance_matched_init(matrix, [vocab.id(w) for w in known_words],
-                                unknown_ids, seed=1)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "vectors.bin")
+    with open(path, "wb") as fh:
+        fh.write(blob.getvalue())
+    base, _ = embed.build_base_matrix(vocab, 5, "static", seed=1, vectors_path=path)
+pooled = base[[vocab.id(w) for w in known_words]].var()
+a = np.sqrt(3 * pooled)
+unknown = base[[vocab.id("axolotl"), vocab.id("quokka")]]
 print(f"  pooled variance of matched entries: {pooled:.5f}")
-print(f"  chosen half-width a = sqrt(3 v) = {a:.5f}; a^2/3 = {a * a / 3:.5f}")
-print(f"  axolotl row now nonzero: {np.any(matrix[vocab.id('axolotl')] != 0)}")
+print(f"  half-width a = sqrt(3 v) = {a:.5f}; a^2/3 = {a * a / 3:.5f}")
+print(f"  axolotl and quokka rows drawn from U[-a, a]: "
+      f"{np.all(np.abs(unknown) <= a) and np.all(unknown != 0)}")
 
 print("\n== channel assembly per model variant ==")
+rand_base, _ = embed.build_base_matrix(vocab, 5, "rand", seed=2)
 for variant in embed.VARIANTS:
-    if variant == "rand":
-        base = embed.random_matrix(len(vocab), 5, seed=2)
-    else:
-        base = matrix
-    channels = embed.assemble_channels(variant, base)
+    channels = embed.assemble_channels(variant, rand_base if variant == "rand" else base)
     flags = [ch.trainable for ch in channels]
     print(f"  {variant:13s} -> {len(channels)} channel(s), trainable={flags}")
 
-print("\n== the plain-text variant ==")
+print("\n== the plain-text variant, with the optional `<count> <dim>` header ==")
 text_blob = io.BytesIO()
+text_blob.write(b"2 5\n")
 embed.write_word2vec_text(text_blob, ["cat", "dog"], known[:2])
-print("  " + text_blob.getvalue().decode().splitlines()[0][:60] + " ...")
+print("  " + text_blob.getvalue().decode().splitlines()[1][:60] + " ...")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "vectors.vec")
+    with open(path, "wb") as fh:
+        fh.write(text_blob.getvalue())
+    text_matrix, text_matched = embed.load_vectors(path, vocab)
+print(f"  read as text: matched {sorted(text_matched)}, same values as the binary file:",
+      np.array_equal(text_matrix[vocab.id("dog")], known[1]))

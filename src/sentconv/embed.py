@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,43 +57,49 @@ def _read_until_space(stream) -> bytes:
     return b"".join(chunks)
 
 
-def _store(matrix, vocab, word, vec, exact, fallback):
-    """First exact match wins; a lowercase fallback never displaces an exact one."""
-    if word in vocab:
-        vid = vocab.id(word)
-        if vid not in exact:
+def _header(fields, expected_dim: int | None = None):
+    """`(count, dim)` if a first line's fields are word2vec's `<count> <dim>` header
+    (two non-negative integers), else None; a zero or unexpected `dim` is rejected."""
+    try:
+        count, dim = map(int, fields)
+    except ValueError:
+        return None
+    if count < 0 or dim < 0:
+        return None
+    if dim == 0:
+        raise ValueError("bad header")
+    if expected_dim is not None and dim != expected_dim:
+        raise ValueError(f"file declares {dim}-dimensional vectors, expected {expected_dim}")
+    return count, dim
+
+
+def _fill(vocab: Vocabulary, dim: int, records):
+    """The V x dim matrix of `(word, vector)` records, unmatched rows zero, and
+    the matched vocabulary words.  The first exact match wins; a lowercase
+    fallback never displaces an exact one."""
+    matrix = np.zeros((len(vocab), dim), dtype=np.float64)
+    exact_of: dict[int, bool] = {}
+    for word, vec in records:
+        exact = word in vocab
+        if not exact and word.lower() not in vocab:
+            continue
+        vid = vocab.id(word if exact else word.lower())
+        if vid not in exact_of or (exact and not exact_of[vid]):
             matrix[vid] = vec
-            exact.add(vid)
-            fallback.discard(vid)
-        return
-    lower = word.lower()
-    if lower in vocab:
-        vid = vocab.id(lower)
-        if vid not in exact and vid not in fallback:
-            matrix[vid] = vec
-            fallback.add(vid)
+            exact_of[vid] = exact
+    return matrix, {vocab.id_to_word[v] for v in exact_of}
 
 
 def parse_word2vec_binary(stream, vocab: Vocabulary, expected_dim: int | None = None):
-    """Fill vocabulary rows from a word2vec binary stream.
-
-    Layout: ASCII header `<count> <dim>\\n`, then per record the word bytes
-    terminated by one space, `dim` little-endian float32 values, and an
-    optional newline.  Values are widened to float64.  Returns the V x dim
-    matrix (unmatched rows zero) and the set of matched vocabulary words.
-    The stream must be seekable: the header is checked against the bytes
-    after it, so a corrupt count or dimension never sizes the matrix.
-    """
-    header = stream.readline()
-    parts = header.split()
-    try:
-        count, dim = int(parts[0]), int(parts[1])
-        if len(parts) != 2 or count < 0 or dim < 1:
-            raise ValueError
-    except (ValueError, IndexError):
-        raise ValueError("bad header") from None
-    if expected_dim is not None and dim != expected_dim:
-        raise ValueError(f"file declares {dim}-dimensional vectors, expected {expected_dim}")
+    """`_fill` from a word2vec binary stream: the header line `<count> <dim>`,
+    then per record the word bytes, one space, `dim` little-endian float32
+    values (widened to float64) and an optional newline.  The stream must be
+    seekable: the header is checked against the bytes after it, so a corrupt
+    count or dimension never sizes the matrix."""
+    header = _header(stream.readline().split(), expected_dim)
+    if header is None:
+        raise ValueError("bad header")
+    count, dim = header
     start = stream.tell()
     left = stream.seek(0, io.SEEK_END) - start
     stream.seek(start)
@@ -104,51 +111,43 @@ def parse_word2vec_binary(stream, vocab: Vocabulary, expected_dim: int | None = 
         raise ValueError(f"a record of dimension {dim} needs at least {record_min} bytes, "
                          f"{left} follow the header")
 
-    matrix = np.zeros((len(vocab), dim), dtype=np.float64)
-    exact: set[int] = set()
-    fallback: set[int] = set()
-    record_bytes = 4 * dim
-    for _ in range(count):
-        word = _read_until_space(stream).decode("utf-8", errors="replace")
-        buf = stream.read(record_bytes)
-        if len(buf) != record_bytes:
-            raise ValueError(f"truncated record at byte {stream.tell()}")
-        vec = np.frombuffer(buf, dtype="<f4").astype(np.float64)
-        _store(matrix, vocab, word, vec, exact, fallback)
-    matched = {vocab.id_to_word[v] for v in exact | fallback}
-    return matrix, matched
+    def records():
+        for _ in range(count):
+            word = _read_until_space(stream).decode("utf-8", errors="replace")
+            buf = stream.read(4 * dim)
+            if len(buf) != 4 * dim:
+                raise ValueError(f"truncated record at byte {stream.tell()}")
+            yield word, np.frombuffer(buf, dtype="<f4")
+    return _fill(vocab, dim, records())
 
 
 def parse_word2vec_text(stream, vocab: Vocabulary, expected_dim: int | None = None):
-    """Plain-text variant: one `word v1 ... vk` line per record, no header."""
-    matrix = None
-    exact: set[int] = set()
-    fallback: set[int] = set()
-    dim = expected_dim
-    for lineno, raw in enumerate(stream, 1):
-        line = raw.decode("utf-8", errors="replace") if isinstance(raw, bytes) else raw
-        fields = line.split()
-        if not fields:
-            continue
-        if dim is None:
-            dim = len(fields) - 1
-            if dim < 1:
-                raise ValueError(f"line {lineno}: no vector values")
-        if len(fields) != dim + 1:
-            raise ValueError(f"line {lineno}: expected {dim} values, got {len(fields) - 1}")
-        try:
-            vec = np.array([float(x) for x in fields[1:]], dtype=np.float64)
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric value") from None
-        if matrix is None:
-            matrix = np.zeros((len(vocab), dim), dtype=np.float64)
-        _store(matrix, vocab, fields[0], vec, exact, fallback)
-    if matrix is None:
-        if dim is None:
-            raise ValueError("empty vector file")
-        matrix = np.zeros((len(vocab), dim), dtype=np.float64)
-    matched = {vocab.id_to_word[v] for v in exact | fallback}
-    return matrix, matched
+    """Plain-text variant from a binary stream: an optional `<count> <dim>`
+    header line, then one `word v1 ... vk` line per record.  Fields are split
+    at ASCII whitespace only, as word2vec and fastText write them."""
+    lines = ((n, raw.split()) for n, raw in enumerate(stream, 1))
+    lines = ((n, fields) for n, fields in lines if fields)
+    first = next(lines, None)
+    header = _header(first[1], expected_dim) if first else None
+    dim = header[1] if header else expected_dim
+    if not header and first:
+        lines = itertools.chain([first], lines)
+        dim = len(first[1]) - 1 if dim is None else dim
+        if dim < 1:
+            raise ValueError(f"line {first[0]}: no vector values")
+    if dim is None:
+        raise ValueError("empty vector file")
+
+    def records():
+        for lineno, fields in lines:
+            if len(fields) != dim + 1:
+                raise ValueError(f"line {lineno}: expected {dim} values, got {len(fields) - 1}")
+            try:
+                yield (fields[0].decode("utf-8", errors="replace"),
+                       np.array([float(x) for x in fields[1:]], dtype=np.float64))
+            except ValueError:
+                raise ValueError(f"line {lineno}: non-numeric value") from None
+    return _fill(vocab, dim, records())
 
 
 def write_word2vec_binary(stream, words, matrix) -> None:
@@ -167,22 +166,24 @@ def write_word2vec_text(stream, words, matrix) -> None:
 
 
 def load_vectors(path, vocab: Vocabulary, expected_dim: int | None = None):
-    """Parse a vector file, sniffing binary vs. text by the header line.
+    """Parse a vector file of either format.
 
-    Every parse error names the file; a matched vector holding NaN or
-    infinity is rejected, naming the word.
+    A first line `<count> <dim>` is a header in both; the body is text when
+    the next non-blank line splits into a word and `dim` numbers, else
+    binary.  A file without a header is text.  Every error names the file;
+    a matched vector holding NaN or infinity is rejected, naming the word.
     """
     with open(path, "rb") as fh:
-        fields = fh.readline().split()
-        fh.seek(0)
-        is_binary = len(fields) == 2
-        if is_binary:
-            try:
-                int(fields[0]), int(fields[1])
-            except ValueError:
-                is_binary = False
-        parse = parse_word2vec_binary if is_binary else parse_word2vec_text
         try:
+            header = _header(fh.readline().split())
+            fields = next((line.split() for line in fh if not line.isspace()), []) if header else []
+            try:
+                is_text = not header or (len(fields) == header[1] + 1
+                                         and bool([float(x) for x in fields[1:]]))
+            except ValueError:
+                is_text = False
+            fh.seek(0)
+            parse = parse_word2vec_text if is_text else parse_word2vec_binary
             matrix, matched = parse(fh, vocab, expected_dim)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
@@ -193,61 +194,37 @@ def load_vectors(path, vocab: Vocabulary, expected_dim: int | None = None):
     return matrix, matched
 
 
-def variance_matched_init(matrix, matched_ids, unknown_ids, seed: int,
-                          fallback_a: float = 0.25) -> float:
-    """Fill unknown rows from U[-a, a] with a chosen so the new entries have
-    the same variance as the matched ones (Var U[-a,a] = a^2/3).
-
-    Returns the half-width actually used; zero matched variance (or no
-    matched rows) falls back to `fallback_a`.
-    """
-    matched_ids = np.asarray(sorted(matched_ids), dtype=np.int64)
-    pooled_var = float(matrix[matched_ids].var()) if matched_ids.size else 0.0
-    a = float(np.sqrt(3.0 * pooled_var)) if pooled_var > 0.0 else fallback_a
-    fill_uniform(matrix, unknown_ids, a, seed)
-    return a
-
-
-def fill_uniform(matrix, ids, a: float, seed: int) -> None:
-    ids = np.asarray(sorted(ids), dtype=np.int64)
-    if ids.size:
-        rng = np.random.default_rng(seed)
-        matrix[ids] = rng.uniform(-a, a, size=(ids.size, matrix.shape[1]))
-
-
-def random_matrix(vocab_size: int, dim: int, seed: int, a: float = 0.25) -> np.ndarray:
-    """All-random V x k matrix with a zero pad row."""
-    matrix = np.zeros((vocab_size, dim), dtype=np.float64)
-    fill_uniform(matrix, range(1, vocab_size), a, seed)
-    return matrix
-
-
 def build_base_matrix(vocab: Vocabulary, dim: int, variant: str, seed: int,
                       vectors_path=None, unknown_init: str = "variance_matched",
                       rand_a: float = 0.25):
-    """Base embedding matrix for a model variant.
+    """Base embedding matrix for a model variant, and the matched-word set.
 
-    `rand` ignores any vector file; the other variants require one and
-    initialize vocabulary words missing from it either variance-matched to
-    the matched entries or from a fixed U[-rand_a, rand_a].  Returns the
-    matrix and the matched-word set (empty for `rand`).
+    Each non-pad row no vector matched is drawn from U[-a, a], in ascending
+    id order.  `rand` reads no vectors, so all its rows are drawn, with
+    a = `rand_a`.  The other variants require a file and use a = `rand_a`
+    (`fixed`) or a matching the variance of the matched entries, a^2 / 3
+    (`variance_matched`; `rand_a` when that variance is zero).
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "rand":
-        return random_matrix(len(vocab), dim, derive_seed(seed, RAND_MATRIX), rand_a), set()
-    if vectors_path is None:
+        matrix, matched, stream = np.zeros((len(vocab), dim), dtype=np.float64), set(), RAND_MATRIX
+    elif vectors_path is None:
         raise ValueError(f"{variant} variant requires pre-trained vectors")
-    matrix, matched = load_vectors(vectors_path, vocab, dim)
-    matched_ids = {vocab.id(w) for w in matched}
-    unknown_ids = [i for i in range(1, len(vocab)) if i not in matched_ids]
-    if unknown_init == "variance_matched":
-        variance_matched_init(matrix, matched_ids, unknown_ids,
-                              derive_seed(seed, UNKNOWN_INIT), fallback_a=rand_a)
-    elif unknown_init == "fixed":
-        fill_uniform(matrix, unknown_ids, rand_a, derive_seed(seed, UNKNOWN_INIT))
-    else:
+    elif unknown_init not in ("variance_matched", "fixed"):
         raise ValueError(f"unknown unknown_init mode {unknown_init!r}")
+    else:
+        (matrix, matched), stream = load_vectors(vectors_path, vocab, dim), UNKNOWN_INIT
+    matched_ids = sorted(vocab.id(w) for w in matched)
+    a = rand_a
+    if unknown_init == "variance_matched" and matched_ids:
+        rows = matrix[matched_ids]  # np.var's steps, in place on the one gathered copy
+        rows -= rows.mean()
+        rows *= rows
+        a = float(np.sqrt(3.0 * rows.mean())) or rand_a
+    unknown_ids = np.setdiff1d(np.arange(PAD_ID + 1, len(vocab)), matched_ids)
+    rng = np.random.default_rng(derive_seed(seed, stream))
+    matrix[unknown_ids] = rng.uniform(-a, a, size=(unknown_ids.size, dim))
     return matrix, matched
 
 

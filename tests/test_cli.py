@@ -104,6 +104,29 @@ class TestTrainCommand:
         assert code == EXIT_VALIDATION
         assert "requires --vectors" in capsys.readouterr().err
 
+    def test_static_on_headered_text_vectors(self, workdir, capsys, tmp_path):
+        """A text file with word2vec's `<count> <dim>` header (fastText's
+        `.vec`) trains the model that the binary file of the same vectors does."""
+        vocab = workdir["vocab"]
+        with open(workdir["vectors"], "rb") as fh:
+            planted, _ = embed.parse_word2vec_binary(fh, vocab)
+        text = tmp_path / "vectors.vec"
+        with open(text, "wb") as fh:
+            fh.write(f"{len(vocab) - 1} 8\n".encode("ascii"))
+            embed.write_word2vec_text(fh, vocab.id_to_word[1:], planted[1:])
+        outputs = []
+        for vectors in (workdir["vectors"], text):
+            code = main(["train", "--config", str(workdir["config"]), "--data",
+                         str(workdir["data"]), "--vectors", str(vectors), "--variant", "static"])
+            assert code == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        text.write_bytes(b"1 5\ngoodish 1 2 3 4 5\n")
+        code = main(["train", "--config", str(workdir["config"]), "--data", str(workdir["data"]),
+                     "--vectors", str(text), "--variant", "static"])
+        assert code == EXIT_VALIDATION
+        assert f"{text}: file declares 5-dimensional vectors, expected 8" in capsys.readouterr().err
+
     def test_missing_data_file(self, capsys):
         code = main(["train", "--data", "/nonexistent/d.tsv", "--variant", "rand"])
         assert code == EXIT_VALIDATION

@@ -109,7 +109,7 @@ class TestEncodeAndPad:
 
     def test_unseen_sentence_still_scores(self):
         v = build_vocabulary([["a", "b"]])
-        channels = [embed.EmbeddingChannel(embed.random_matrix(len(v), 4, seed=1), True)]
+        channels = [embed.EmbeddingChannel(embed.build_base_matrix(v, 4, "rand", seed=1)[0], True)]
         params = net.init_params(channels, 2, (2,), 3, seed=2, keep_prob=0.5)
         ids = encode_and_pad(["totally", "new", "words"], v, 2)
         probs = net.predict_probs(params, ids)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sentconv import embed
+from sentconv._seeds import RAND_MATRIX, UNKNOWN_INIT, derive_seed
 from sentconv.corpus import PAD_ID, build_vocabulary
 from sentconv.embed import (
     EmbeddingChannel,
@@ -15,8 +16,6 @@ from sentconv.embed import (
     load_vectors,
     parse_word2vec_binary,
     parse_word2vec_text,
-    random_matrix,
-    variance_matched_init,
     write_word2vec_binary,
     write_word2vec_text,
 )
@@ -164,6 +163,13 @@ class TestRoundTrips:
         with pytest.raises(ValueError, match="line 2"):
             parse_word2vec_text(io.BytesIO(b"a 1.0 2.0\nb 1.0\n"), vocab)
 
+    def test_text_word_may_hold_unicode_space(self):
+        # fastText splits at ASCII whitespace, so a no-break space stays in the word
+        vocab = build_vocabulary([["new\u00a0york"]])
+        matrix, matched = parse_word2vec_text(io.BytesIO("new\u00a0york 1.0 2.0\n".encode()), vocab)
+        assert matched == {"new\u00a0york"}
+        assert matrix[1].tolist() == [1.0, 2.0]
+
 
 class TestLoadVectors:
     def test_sniffs_binary(self, tmp_path):
@@ -202,12 +208,33 @@ class TestLoadVectors:
         with pytest.raises(ValueError, match=re.escape(f"{path}: truncated record")):
             load_vectors(path, vocab)
 
+    @pytest.mark.parametrize("blob", [b"2 3\ncat 1.0 2.0 3.0\ndog -1.0 0.5 0.25\n",
+                                      b"2 3 \n\ncat 1.0 2.0 3.0 \ndog -1.0 0.5 0.25 \n"])
+    def test_headered_text_loads_like_headerless(self, tmp_path, blob):
+        vocab = build_vocabulary([["cat", "dog"]])
+        headed, bare = tmp_path / "headed.txt", tmp_path / "bare.txt"
+        headed.write_bytes(blob)
+        bare.write_bytes(b"cat 1.0 2.0 3.0\ndog -1.0 0.5 0.25\n")
+        matrix, matched = load_vectors(headed, vocab, expected_dim=3)
+        expected, expected_matched = load_vectors(bare, vocab)
+        assert matched == expected_matched == {"cat", "dog"}
+        assert np.array_equal(matrix, expected)
+        assert np.array_equal(parse_word2vec_text(io.BytesIO(blob), vocab)[0], expected)
+        with pytest.raises(ValueError, match="file declares 3-dimensional vectors, expected 5"):
+            load_vectors(headed, vocab, expected_dim=5)
+
+    def test_one_dim_binary_without_whitespace_bytes(self, tmp_path):
+        # `cat <4 bytes>` splits into a word and one field, which is no number
+        path = tmp_path / "v.bin"
+        path.write_bytes(binary_fixture([("cat", [1.0]), ("dog", [2.0])]))
+        vocab = build_vocabulary([["cat", "dog"]])
+        matrix, matched = load_vectors(path, vocab)
+        assert matched == {"cat", "dog"}
+        assert matrix[1:].tolist() == [[1.0], [2.0]]
+
     def test_fuzzed_tiny_vector_file(self, tmp_path):
         vocab = build_vocabulary([["cat", "dog"]])
         path = tmp_path / "tiny.bin"
-        blob = binary_fixture(CAT_DOG)
-        path.write_bytes(blob)
-        assert load_vectors(path, vocab)[1] == {"cat", "dog"}
 
         def loads_or_rejects(data):
             path.write_bytes(data)
@@ -217,54 +244,82 @@ class TestLoadVectors:
                 return
             assert matrix.shape[0] == len(vocab) and matrix.shape[1] <= len(data)
 
-        for end in range(len(blob)):
-            loads_or_rejects(blob[:end])
-        for i in range(len(blob)):
-            loads_or_rejects(blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1:])
+        # binary, then text with a `<count> <dim>` header
+        for blob in (binary_fixture(CAT_DOG), b"2 3\ncat 1.0 2.0 3.0\ndog -1.0 0.5 0.25\n"):
+            path.write_bytes(blob)
+            assert load_vectors(path, vocab)[1] == {"cat", "dog"}
+            for end in range(len(blob)):
+                loads_or_rejects(blob[:end])
+            for i in range(len(blob)):
+                loads_or_rejects(blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1:])
+
+
+def words(n):
+    return [f"w{i}" for i in range(n)]
+
+
+def base_with_vectors(tmp_path, vocab_words, records, seed=0, **kwargs):
+    """`build_base_matrix` for a static model whose vector file holds `records`."""
+    path = tmp_path / "v.bin"
+    path.write_bytes(binary_fixture(records))
+    vocab = build_vocabulary([vocab_words])
+    matrix, matched = build_base_matrix(vocab, len(records[0][1]), "static", seed,
+                                        vectors_path=path, **kwargs)
+    return vocab, matrix, matched
+
+
+def unknown_draw(seed, stream, a, n_rows, dim):
+    """The rows `build_base_matrix` draws for unmatched words, oracle version."""
+    return np.random.default_rng(derive_seed(seed, stream)).uniform(-a, a, (n_rows, dim))
 
 
 class TestVarianceMatchedInit:
-    def test_half_width_matches_pooled_variance(self):
+    def test_half_width_matches_pooled_variance(self, tmp_path):
         rng = np.random.default_rng(2)
-        matrix = np.zeros((10, 5))
-        matrix[1:4] = rng.normal(0, 0.7, (3, 5))
-        pooled = matrix[1:4].var()
-        a = variance_matched_init(matrix, [1, 2, 3], [4, 5, 6], seed=0)
-        assert np.isclose(a * a / 3.0, pooled, rtol=1e-12)
+        records = [(w, rng.normal(0, 0.7, 5).astype(np.float32)) for w in ("w1", "w3", "w4")]
+        vocab, matrix, matched = base_with_vectors(tmp_path, words(7), records, seed=8)
+        assert matched == {"w1", "w3", "w4"}
+        matched_ids = [vocab.id(w) for w in ("w1", "w3", "w4")]
+        a = np.sqrt(3 * np.var(matrix[matched_ids]))
+        unknown_ids = [vocab.id(w) for w in ("w0", "w2", "w5", "w6")]
+        assert np.array_equal(matrix[unknown_ids], unknown_draw(8, UNKNOWN_INIT, a, 4, 5))
+        assert np.array_equal(matrix[matched_ids], np.array([r[1] for r in records], np.float64))
 
-    def test_zero_variance_falls_back(self):
-        matrix = np.zeros((6, 4))
-        a = variance_matched_init(matrix, [1, 2], [3, 4, 5], seed=0)
-        assert a == 0.25
-        assert np.all(np.abs(matrix[3:]) <= 0.25)
-        assert np.any(matrix[3:] != 0.0)
+    def test_zero_variance_falls_back(self, tmp_path):
+        records = [("w1", [0.5] * 4), ("w2", [0.5] * 4)]
+        for rand_a in (0.25, 0.1):
+            _, matrix, _ = base_with_vectors(tmp_path, words(6), records, rand_a=rand_a)
+            unknown = matrix[[1, *range(4, 7)]]  # w0, w3, w4, w5
+            assert np.array_equal(unknown, unknown_draw(0, UNKNOWN_INIT, rand_a, 4, 4))
 
-    def test_no_matched_rows_falls_back(self):
-        matrix = np.zeros((4, 4))
-        assert variance_matched_init(matrix, [], [1, 2, 3], seed=0) == 0.25
+    def test_no_matched_rows_falls_back(self, tmp_path):
+        _, matrix, matched = base_with_vectors(tmp_path, words(4), [("emu", [1.0] * 4)],
+                                               rand_a=0.3)
+        assert matched == set()
+        assert np.array_equal(matrix[1:], unknown_draw(0, UNKNOWN_INIT, 0.3, 4, 4))
 
-    def test_sampled_variance_within_5_percent(self):
+    def test_sampled_variance_within_5_percent(self, tmp_path):
         rng = np.random.default_rng(3)
-        dim = 50
-        matrix = np.zeros((2003, dim))
-        matrix[1:3] = rng.normal(0, 0.4, (2, dim))
+        records = [(w, rng.normal(0, 0.4, 50)) for w in ("w0", "w1")]
+        _, matrix, _ = base_with_vectors(tmp_path, words(2002), records, seed=11)
         pooled = matrix[1:3].var()
-        variance_matched_init(matrix, [1, 2], list(range(3, 2003)), seed=11)
         sampled = matrix[3:].var()  # 2000 * 50 = 1e5 entries
         assert abs(sampled - pooled) / pooled < 0.05
 
-    def test_deterministic(self):
-        m1 = np.zeros((8, 3))
-        m2 = np.zeros((8, 3))
-        m1[1] = m2[1] = [0.3, -0.2, 0.1]
-        variance_matched_init(m1, [1], [2, 3], seed=9)
-        variance_matched_init(m2, [1], [2, 3], seed=9)
+    def test_deterministic(self, tmp_path):
+        records = [("w0", [0.3, -0.2, 0.1])]
+        m1 = base_with_vectors(tmp_path, words(3), records, seed=9)[1]
+        m2 = base_with_vectors(tmp_path, words(3), records, seed=9)[1]
+        m3 = base_with_vectors(tmp_path, words(3), records, seed=10)[1]
         assert np.array_equal(m1, m2)
+        assert np.array_equal(m1[1], m3[1])
+        assert not np.array_equal(m1[2:], m3[2:])
 
 
 class TestAssembleChannels:
     def setup_method(self):
-        self.base = random_matrix(12, 6, seed=4)
+        self.base = np.vstack([np.zeros((1, 6)),
+                               np.random.default_rng(4).uniform(-0.25, 0.25, (11, 6))])
 
     def test_multichannel_copies_and_flags(self):
         ch = assemble_channels("multichannel", self.base)
@@ -285,7 +340,7 @@ class TestAssembleChannels:
     def test_rand_rows_differ_from_pretrained(self):
         pretrained = np.zeros((12, 6))
         pretrained[1:] = np.random.default_rng(5).normal(0, 0.3, (11, 6))
-        rand_base = random_matrix(12, 6, seed=6)
+        rand_base, _ = build_base_matrix(build_vocabulary([words(11)]), 6, "rand", seed=6)
         ch = assemble_channels("rand", rand_base)[0]
         assert ch.trainable is True
         for row in ch.matrix[1:]:
@@ -307,12 +362,17 @@ class TestAssembleChannels:
 
 
 class TestBuildBaseMatrix:
-    def test_rand_ignores_vectors(self):
+    def test_rand_ignores_vectors(self, tmp_path):
+        p = tmp_path / "v.bin"
+        p.write_bytes(binary_fixture(CAT_DOG))
         vocab = build_vocabulary([["cat", "dog"]])
-        matrix, matched = build_base_matrix(vocab, 3, "rand", seed=1)
+        matrix, matched = build_base_matrix(vocab, 3, "rand", seed=1, vectors_path=p)
         assert matched == set()
         assert matrix.shape == (3, 3)
         assert np.all(matrix[PAD_ID] == 0.0)
+        assert np.array_equal(matrix[1:], unknown_draw(1, RAND_MATRIX, 0.25, 2, 3))
+        matrix, _ = build_base_matrix(vocab, 3, "rand", seed=1, rand_a=0.5)
+        assert np.array_equal(matrix[1:], unknown_draw(1, RAND_MATRIX, 0.5, 2, 3))
 
     def test_pretrained_requires_path(self):
         vocab = build_vocabulary([["cat"]])
@@ -338,3 +398,7 @@ class TestBuildBaseMatrix:
         matrix, _ = build_base_matrix(vocab, 3, "non-static", seed=1, vectors_path=p,
                                       unknown_init="fixed")
         assert np.all(np.abs(matrix[vocab.id("bird")]) <= 0.25)
+        assert np.array_equal(matrix[[vocab.id("bird")]], unknown_draw(1, UNKNOWN_INIT, 0.25, 1, 3))
+        matrix, _ = build_base_matrix(vocab, 3, "non-static", seed=1, vectors_path=p,
+                                      unknown_init="fixed", rand_a=0.05)
+        assert np.array_equal(matrix[[vocab.id("bird")]], unknown_draw(1, UNKNOWN_INIT, 0.05, 1, 3))

@@ -43,7 +43,9 @@ class TestAccuracy:
 
     def test_random_params_near_chance_on_balanced_data(self):
         rng = np.random.default_rng(21)
-        channels = [embed.EmbeddingChannel(embed.random_matrix(50, 6, seed=1), True)]
+        table = np.vstack([np.zeros((1, 6)),
+                           np.random.default_rng(1).uniform(-0.25, 0.25, (49, 6))])
+        channels = [embed.EmbeddingChannel(table, True)]
         params = net.init_params(channels, 2, (2, 3), 4, seed=2, init_scale=0.1)
         examples = [Example(rng.integers(1, 50, size=8), i % 2) for i in range(2000)]
         acc = accuracy(params, examples)
