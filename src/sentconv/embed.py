@@ -123,8 +123,9 @@ def parse_word2vec_binary(stream, vocab: Vocabulary, expected_dim: int | None = 
 
 def parse_word2vec_text(stream, vocab: Vocabulary, expected_dim: int | None = None):
     """Plain-text variant from a binary stream: an optional `<count> <dim>`
-    header line, then one `word v1 ... vk` line per record.  Fields are split
-    at ASCII whitespace only, as word2vec and fastText write them."""
+    header line, then one `word v1 ... vk` line per record, as many as the
+    header counts.  Fields are split at ASCII whitespace only, as word2vec
+    and fastText write them."""
     lines = ((n, raw.split()) for n, raw in enumerate(stream, 1))
     lines = ((n, fields) for n, fields in lines if fields)
     first = next(lines, None)
@@ -139,6 +140,7 @@ def parse_word2vec_text(stream, vocab: Vocabulary, expected_dim: int | None = No
         raise ValueError("empty vector file")
 
     def records():
+        found = 0
         for lineno, fields in lines:
             if len(fields) != dim + 1:
                 raise ValueError(f"line {lineno}: expected {dim} values, got {len(fields) - 1}")
@@ -147,6 +149,9 @@ def parse_word2vec_text(stream, vocab: Vocabulary, expected_dim: int | None = No
                        np.array([float(x) for x in fields[1:]], dtype=np.float64))
             except ValueError:
                 raise ValueError(f"line {lineno}: non-numeric value") from None
+            found += 1
+        if header and found != header[0]:
+            raise ValueError(f"the header declares {header[0]} vectors, {found} follow it")
     return _fill(vocab, dim, records())
 
 
@@ -201,9 +206,10 @@ def build_base_matrix(vocab: Vocabulary, dim: int, variant: str, seed: int,
 
     Each non-pad row no vector matched is drawn from U[-a, a], in ascending
     id order.  `rand` reads no vectors, so all its rows are drawn, with
-    a = `rand_a`.  The other variants require a file and use a = `rand_a`
-    (`fixed`) or a matching the variance of the matched entries, a^2 / 3
-    (`variance_matched`; `rand_a` when that variance is zero).
+    a = `rand_a`.  The other variants require a file that matches at least
+    one vocabulary word, and use a = `rand_a` (`fixed`) or a matching the
+    variance of the matched entries, a^2 / 3 (`variance_matched`; `rand_a`
+    when that variance is zero).
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -215,9 +221,11 @@ def build_base_matrix(vocab: Vocabulary, dim: int, variant: str, seed: int,
         raise ValueError(f"unknown unknown_init mode {unknown_init!r}")
     else:
         (matrix, matched), stream = load_vectors(vectors_path, vocab, dim), UNKNOWN_INIT
+        if not matched:
+            raise ValueError(f"{vectors_path}: no vector matches a vocabulary word")
     matched_ids = sorted(vocab.id(w) for w in matched)
     a = rand_a
-    if unknown_init == "variance_matched" and matched_ids:
+    if variant != "rand" and unknown_init == "variance_matched":
         rows = matrix[matched_ids]  # np.var's steps, in place on the one gathered copy
         rows -= rows.mean()
         rows *= rows

@@ -4,8 +4,12 @@ A sentence is a sequence of embedding rows (summed over channels, since
 filters are shared across channels).  Each filter of width h produces one
 feature per window, the feature map is max-pooled over positions, the
 pooled vector is dropout-masked during training, and a linear layer plus
-softmax yields class probabilities.  Training runs `forward_batch`, whose
-trace `backward` replays; inference runs `predict_logits`, with no trace.
+softmax yields class probabilities.  One convolution engine serves both
+passes: `_score_table` scores each distinct token once against every
+filter offset, and `_window_preacts` sums a window's scores from that
+table.  Training runs `forward_batch`, one table per width for the whole
+minibatch, whose trace `backward` replays; inference runs `predict_logits`,
+with no trace, one table per block of sentences and slab of filters.
 The backward pass is written by hand: gradient flows only through each
 feature map's argmax window, only where the activation was live, only
 through unmasked pooled units, and only into trainable channels.
@@ -21,7 +25,14 @@ from .corpus import PAD_ID
 from .embed import EmbeddingChannel
 
 ACTIVATIONS = ("relu", "tanh")
-_CHUNK_ROWS = 1024  # rows per batched-inference GEMM; 512 and 2,048 time the same
+# Inference sizes: rows gathered and pooled at once (512 and 2,048 timed the
+# same), rows whose distinct tokens share score tables, and filters per
+# table.  On the benchmark's 400 predict lines, blocks of 6 chunks held
+# 1.8 MB less at once but predicted 6-9% slower, slabs of 25 filters were
+# 10% slower, and whole-width tables raised the static peak RSS by 8%.
+_CHUNK_ROWS = 1024
+_BLOCK_ROWS = 8 * _CHUNK_ROWS
+_SLAB_MAPS = 50
 
 
 def _activate(pre: np.ndarray, kind: str) -> np.ndarray:
@@ -126,36 +137,44 @@ def summed_embedding(channels, token_ids: np.ndarray) -> np.ndarray:
     per-channel windows before the dot product equals adding the responses."""
     total = channels[0].matrix[token_ids]
     for ch in channels[1:]:
-        total = total + ch.matrix[token_ids]
+        total += ch.matrix[token_ids]
     return total
+
+
+def _score_table(rows: np.ndarray, bank: FilterBank) -> np.ndarray:
+    """The (U·h, F) table whose row u·h + j holds token u's scores against
+    every filter's offset-j slice, from U tokens' (U, k) summed `rows`: one
+    GEMM against the offset-major (h·F, k) weight view, reshaped for free.
+    A score depends only on the token, so each token is scored once however
+    often it occurs."""
+    n_maps, h, k = bank.weights.shape
+    return (rows @ bank.weights.transpose(1, 0, 2).reshape(h * n_maps, k).T).reshape(-1, n_maps)
+
+
+def _window_preacts(table: np.ndarray, bank: FilterBank, inverse: np.ndarray) -> np.ndarray:
+    """The (n - h + 1, F) preactivations of every window of the n positions
+    `inverse`, each an index into `table`'s tokens: window p sums, offsets in
+    order, offset j's scores of the token at p + j, then adds the biases."""
+    h = bank.width
+    n_windows = inverse.shape[0] - h + 1
+    at = inverse * h  # each position's offset-0 row
+    pre = table.take(at[:n_windows], axis=0)
+    for j in range(1, h):
+        pre += table.take(at[j:j + n_windows] + j, axis=0)
+    pre += bank.biases
+    return pre
 
 
 def _conv(params: ModelParams, token_ids: np.ndarray):
     """Per filter width h, the (n - h + 1, F) preactivations of every window
     of the n tokens `token_ids`; needs n >= h.  Returns (distinct, inverse,
     rows, preacts): the sorted distinct tokens, each position's index into
-    them, their rows summed over channels, and the preactivations.
-
-    Offset j of a window scores its token's row against every filter's
-    offset-j slice, which depends only on the token, so each distinct token
-    is scored once: one GEMM of the U distinct tokens' summed rows against
-    the free (F·h, k) view of the weights gives a (U, F, h) table, stored
-    offset-major, and window p sums, offsets in order, offset j's scores of
-    the token at p + j.  `backward` runs the transpose of this GEMM."""
+    them, their rows summed over channels, and the preactivations, from one
+    `_score_table` per width.  `backward` runs the transpose of its GEMM."""
     distinct, inverse = np.unique(token_ids, return_inverse=True)
     rows = summed_embedding(params.channels, distinct)
-    n = token_ids.shape[0]
-    preacts = []
-    for bank in params.filters:
-        n_maps, h, k = bank.weights.shape
-        table = (rows @ bank.weights.reshape(n_maps * h, k).T).reshape(-1, n_maps, h)
-        table = np.ascontiguousarray(table.transpose(2, 0, 1))
-        n_windows = n - h + 1
-        pre = table[0].take(inverse[:n_windows], axis=0)
-        for j in range(1, h):
-            pre += table[j].take(inverse[j:j + n_windows], axis=0)
-        pre += bank.biases
-        preacts.append(pre)
+    preacts = [_window_preacts(_score_table(rows, bank), bank, inverse)
+               for bank in params.filters]
     return distinct, inverse, rows, preacts
 
 
@@ -169,30 +188,28 @@ def _sentences(params: ModelParams, sentences) -> tuple[list[np.ndarray], np.nda
     return sentences, lengths
 
 
-def _ragged_pool(params: ModelParams, preacts: list[np.ndarray], lengths: np.ndarray):
-    """Max-over-time of sentences whose rows were concatenated without
-    padding and convolved as one sequence by `_conv`.
+def _ragged_pool(pre: np.ndarray, width: int, lengths: np.ndarray, activation: str):
+    """Max-over-time of one width's (n_windows, F) preactivations of sentences
+    of `lengths` whose rows were concatenated without padding and convolved
+    as one sequence.
 
     Windows that run past their sentence's last row are set to -inf after
     the activation, so the max from each sentence's first row pools its own
-    windows only.  Returns the (B, m) pooled features and, per width, the
-    masked (n_windows, F) activations.
+    windows only.  Returns the (B, F) pooled features and the masked
+    (n_windows, F) activations.
     """
     starts = np.cumsum(lengths) - lengths
-    row_end = np.repeat(starts + lengths, lengths)  # per row: one past its sentence's end
-    acts, pooled = [], []
-    for bank, pre in zip(params.filters, preacts):
-        act = _activate(pre, params.activation)
-        n_windows = act.shape[0]
-        act[np.arange(n_windows) + bank.width > row_end[:n_windows]] = -np.inf
-        acts.append(act)
-        pooled.append(np.maximum.reduceat(act, starts, axis=0))
-    return np.concatenate(pooled, axis=1), acts
+    act = _activate(pre, activation)
+    n_windows = act.shape[0]
+    row_end = np.repeat(starts + lengths, lengths)[:n_windows]  # one past its sentence's end
+    act[np.arange(n_windows) + width > row_end] = -np.inf
+    return np.maximum.reduceat(act, starts, axis=0), act
 
 
 def _first_argmax(acts: list[np.ndarray], z: np.ndarray, lengths: np.ndarray):
     """Per width, the (B, F) row of each sentence's first window that pools to
-    its max, from `_ragged_pool`'s masked activations and (B, m) features.
+    its max, from the masked activations `_ragged_pool` returns per width and
+    the (B, m) features.
 
     This is numpy's argmax rule per sentence: the first maximum, or the first
     NaN when a column holds one (the pooled max is then NaN too).
@@ -224,7 +241,9 @@ def forward_batch(params: ModelParams, sentences, masks):
     masks.  The sentences are concatenated without padding and convolved once."""
     sentences, lengths = _sentences(params, sentences)
     distinct, inverse, rows, preacts = _conv(params, np.concatenate(sentences))
-    z, acts = _ragged_pool(params, preacts, lengths)
+    pooled, acts = zip(*(_ragged_pool(pre, bank.width, lengths, params.activation)
+                         for bank, pre in zip(params.filters, preacts)))
+    z = np.concatenate(pooled, axis=1)
     argmax = _first_argmax(acts, z, lengths)
     masks = np.asarray(masks, dtype=np.float64)
     logits = _logits(params, z, masks)
@@ -313,30 +332,76 @@ def predict_class(params: ModelParams, token_ids) -> int:
     return int(np.argmax(predict_logits(params, [token_ids])[0]))
 
 
+def _runs(sizes, limit: int) -> list[int]:
+    """Bounds [0, ..., len(sizes)] of greedy runs of consecutive items whose
+    sizes sum to at most `limit`; an item larger than that is a run alone."""
+    bounds, total = [0], 0
+    for i, size in enumerate(sizes):
+        if i > bounds[-1] and total + size > limit:
+            bounds.append(i)
+            total = 0
+        total += size
+    return bounds + [len(sizes)] if len(sizes) else bounds
+
+
+def _pool_block(params: ModelParams, slabs: list[FilterBank], sentences: list[np.ndarray],
+                lengths: np.ndarray, chunks: list[int], out: np.ndarray) -> None:
+    """Write a block's (b, m) pooled features into `out`.  The block's
+    distinct tokens are found once; per slab of filters, one score table of
+    them is gathered, activated and pooled chunk by chunk, sentences
+    `chunks[c]:chunks[c + 1]`, and freed before the next slab's."""
+    distinct, inverse = np.unique(np.concatenate(sentences), return_inverse=True)
+    rows = summed_embedding(params.channels, distinct)
+    row_at = np.concatenate([[0], np.cumsum(lengths)])
+    col = 0
+    for slab in slabs:
+        table = _score_table(rows, slab)
+        cols = slice(col, col + slab.biases.shape[0])
+        for lo, hi in zip(chunks, chunks[1:]):
+            pre = _window_preacts(table, slab, inverse[row_at[lo]:row_at[hi]])
+            out[lo:hi, cols], _ = _ragged_pool(pre, slab.width, lengths[lo:hi], params.activation)
+        col = cols.stop
+        del table, pre
+
+
 def predict_logits(params: ModelParams, sentences) -> np.ndarray:
     """Inference logits of many sentences at once: (B, classes), row i for
     sentence i, with the output weights scaled by keep_prob.
 
-    The sentences are concatenated without padding, about _CHUNK_ROWS rows
-    at a time, and each chunk is convolved as one sequence and pooled per
-    sentence by `_ragged_pool`, with no trace and no argmax.  A row does not
-    depend on where its sentence sits in the chunk, but its last bits can
-    depend on the chunk's other sentences, whose distinct tokens set the
+    The sentences are concatenated without padding and split into chunks of
+    about _CHUNK_ROWS rows, and consecutive chunks into blocks of about
+    _BLOCK_ROWS rows; a sentence longer than a chunk or a block is one alone.
+    `_pool_block` finds a block's distinct tokens once; per width, and per
+    slab of _SLAB_MAPS filters in it, it builds one score table of those
+    tokens, gathers, activates and pools each chunk of the block with
+    `_ragged_pool`, with no trace and no argmax, and frees the table.
+
+    Memory: with R = max(_BLOCK_ROWS, longest sentence) rows in a block,
+    U <= R distinct tokens in it, k the embedding size, h the widest filter
+    and S = _SLAB_MAPS, a call holds at once, besides its int64 sentences
+    and the (B, m) features and (B, classes) logits it returns, at most
+    8·(2·U·k + h·S·(U + k) + (24 + 4·S)·R) bytes: one block's summed rows
+    (twice while channels are summed), one slab's weight view and table, the
+    block's index arrays and one chunk's gathered and activated scores.  On
+    the MR shape (k = 300, h = 5) that is 71 MB when every token of a block
+    is distinct, whatever B.
+
+    Every copy of a token in a block reads the same table row, so a row does
+    not depend on where its sentence sits in the block; its last bits can
+    depend on the block's other sentences, whose distinct tokens set the
     size of the score GEMM and so the BLAS kernels it runs: a row agrees
     with scoring its sentence alone within 1e-12, not byte for byte.
     """
     sentences, lengths = _sentences(params, sentences)
-    firsts, rows = [], 0  # each chunk's first sentence
-    for i, n in enumerate(lengths):
-        if not firsts or rows + n > _CHUNK_ROWS:
-            firsts.append(i)
-            rows = 0
-        rows += n
-
+    chunks = _runs(lengths, _CHUNK_ROWS)
+    blocks = _runs([lengths[lo:hi].sum() for lo, hi in zip(chunks, chunks[1:])], _BLOCK_ROWS)
+    slabs = [FilterBank(bank.width, bank.weights[f:f + _SLAB_MAPS], bank.biases[f:f + _SLAB_MAPS])
+             for bank in params.filters for f in range(0, bank.biases.shape[0], _SLAB_MAPS)]
     z = np.empty((len(sentences), params.num_filters))
-    for lo, hi in zip(firsts, firsts[1:] + [len(sentences)]):
-        _, _, _, preacts = _conv(params, np.concatenate(sentences[lo:hi]))
-        z[lo:hi], _ = _ragged_pool(params, preacts, lengths[lo:hi])
+    for first, last in zip(blocks, blocks[1:]):
+        lo, hi = chunks[first], chunks[last]
+        _pool_block(params, slabs, sentences[lo:hi], lengths[lo:hi],
+                    [c - lo for c in chunks[first:last + 1]], z[lo:hi])
     return _logits(params, z, None)
 
 

@@ -1,0 +1,105 @@
+"""Reference run: train, score and cross-validate every variant on a fixed
+synthetic corpus, write every output to OUTDIR and print a sha256 manifest.
+
+    PYTHONPATH=src python3 tests/reference_run.py OUTDIR
+
+The corpus is `synthdata.trigger_bigram_pairs(300, seed=5)`; a word2vec
+binary file holds `synthdata.planted_vectors` for three of every four
+vocabulary words.  Three configs (k=16, widths 2,3,4, 10 maps, seed 11):
+
+* `reference`: batch 50, 15 epochs, the config earlier identity checks used
+  (its models barely train: six batches an epoch);
+* `learning`: the same with batch 10, on which every variant learns;
+* `early-stop`: batch 20, up to 30 epochs, patience 4, init_scale 0.1, so
+  early stopping ends the run before its last epoch.
+
+Per config and variant it writes the `train` stdout, history CSV and
+checkpoint, the `predict` output on held-out lines, the `neighbors` output
+for one trigger word, and the `train --cv` report and stdout.  Two builds
+produce the same manifest iff every one of those outputs has the same
+bytes, so `diff` of two manifests names every output a change moves.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+
+import synthdata  # noqa: E402
+from sentconv import cli, corpus, embed  # noqa: E402
+
+BASE = "widths = 2,3,4\nmaps_per_width = 10\ndim = 16\nseed = 11\n"
+CONFIGS = {
+    "reference": "batch_size = 50\nmax_epochs = 15\n",
+    "learning": "batch_size = 10\nmax_epochs = 15\n",
+    "early-stop": "batch_size = 20\nmax_epochs = 30\npatience = 4\ninit_scale = 0.1\n",
+}
+
+
+def run(argv, stdout_path=None) -> None:
+    """`sentconv ARGV` in this process; its stdout goes to `stdout_path`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([str(a) for a in argv])
+    if code != cli.EXIT_OK:
+        raise SystemExit(f"sentconv {' '.join(map(str, argv))} exited {code}")
+    if stdout_path is not None:
+        stdout_path.write_text(out.getvalue(), encoding="utf-8")
+
+
+def write_inputs(root: Path):
+    """The corpus, vector file and held-out lines; returns their paths."""
+    pairs = synthdata.trigger_bigram_pairs(300, seed=5)
+    data = root / "data.tsv"
+    synthdata.write_tsv(data, pairs)
+    vocab = corpus.build_vocabulary(corpus.tokenize_corpus(pairs)[0])
+    planted = synthdata.planted_vectors(vocab, 16, seed=5)
+    kept = [i for i in range(1, len(vocab)) if i % 4 != 0]
+    vectors = root / "vectors.bin"
+    with open(vectors, "wb") as fh:
+        embed.write_word2vec_binary(fh, [vocab.id_to_word[i] for i in kept], planted[kept])
+    lines = [text for _, text in synthdata.trigger_bigram_pairs(40, seed=6)]
+    held_out = root / "held-out.txt"
+    held_out.write_text("\n".join(lines + ["", "unseen words only"]) + "\n", encoding="utf-8")
+    return data, vectors, held_out
+
+
+def main(outdir) -> int:
+    out = Path(outdir)
+    out.mkdir(parents=True, exist_ok=True)
+    inputs = out / "inputs"
+    inputs.mkdir(exist_ok=True)
+    data, vectors, held_out = write_inputs(inputs)
+    query = synthdata.TRIGGER_WORDS[0]
+    for name, extra in CONFIGS.items():
+        config = inputs / f"{name}.cfg"
+        config.write_text(BASE + extra, encoding="utf-8")
+        for variant in embed.VARIANTS:
+            stem = f"{name}-{variant}"
+            train = ["train", "--config", config, "--data", data, "--variant", variant]
+            if variant != "rand":
+                train += ["--vectors", vectors]
+            ckpt = out / f"{stem}.ckpt"
+            run(train + ["--checkpoint", ckpt, "--out", out / f"{stem}-history.csv"],
+                out / f"{stem}-train.txt")
+            run(["predict", "--checkpoint", ckpt, "--input", held_out],
+                out / f"{stem}-predict.txt")
+            run(["neighbors", "--checkpoint", ckpt, query], out / f"{stem}-neighbors.txt")
+            run(train + ["--cv", "--out", out / f"{stem}-cv-report.txt"],
+                out / f"{stem}-cv.txt")
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(out).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__.split("\n\n")[1].strip())
+    sys.exit(main(sys.argv[1]))

@@ -127,6 +127,21 @@ class TestTrainCommand:
         assert code == EXIT_VALIDATION
         assert f"{text}: file declares 5-dimensional vectors, expected 8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("blob, message", [
+        (b"", "no vector matches a vocabulary word"),
+        (b"zzyzx 1 2 3 4 5 6 7 8\n", "no vector matches a vocabulary word"),
+        (b"5 8\ngoodish 1 2 3 4 5 6 7 8\n", "the header declares 5 vectors, 1 follow it"),
+    ])
+    def test_vectors_that_fill_no_row_rejected(self, workdir, capsys, tmp_path, blob, message):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_bytes(blob)
+        code = main(["train", "--config", str(workdir["config"]), "--data", str(workdir["data"]),
+                     "--vectors", str(vectors), "--variant", "static"])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert captured.out == ""
+        assert f"{vectors}: {message}" in captured.err
+
     def test_missing_data_file(self, capsys):
         code = main(["train", "--data", "/nonexistent/d.tsv", "--variant", "rand"])
         assert code == EXIT_VALIDATION

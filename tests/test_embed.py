@@ -223,6 +223,19 @@ class TestLoadVectors:
         with pytest.raises(ValueError, match="file declares 3-dimensional vectors, expected 5"):
             load_vectors(headed, vocab, expected_dim=5)
 
+    @pytest.mark.parametrize("blob, found", [
+        (b"5 8\ngoodish 1 2 3 4 5 6 7 8\n", 1),       # truncated .vec
+        (b"2 3\ncat 1 2 3\ndog 4 5 6\nemu 7 8 9\n", 3),  # records past the count
+    ])
+    def test_text_header_count_checked(self, tmp_path, blob, found):
+        path = tmp_path / "counted.vec"
+        path.write_bytes(blob)
+        vocab = build_vocabulary([["cat", "dog", "goodish"]])
+        declared = blob.split()[0].decode()
+        with pytest.raises(ValueError, match=f"counted.vec: the header declares {declared} "
+                                             f"vectors, {found} follow it"):
+            load_vectors(path, vocab)
+
     def test_one_dim_binary_without_whitespace_bytes(self, tmp_path):
         # `cat <4 bytes>` splits into a word and one field, which is no number
         path = tmp_path / "v.bin"
@@ -292,11 +305,21 @@ class TestVarianceMatchedInit:
             unknown = matrix[[1, *range(4, 7)]]  # w0, w3, w4, w5
             assert np.array_equal(unknown, unknown_draw(0, UNKNOWN_INIT, rand_a, 4, 4))
 
-    def test_no_matched_rows_falls_back(self, tmp_path):
-        _, matrix, matched = base_with_vectors(tmp_path, words(4), [("emu", [1.0] * 4)],
-                                               rand_a=0.3)
-        assert matched == set()
-        assert np.array_equal(matrix[1:], unknown_draw(0, UNKNOWN_INIT, 0.3, 4, 4))
+    @pytest.mark.parametrize("unknown_init", ["variance_matched", "fixed"])
+    def test_no_matched_rows_rejected(self, tmp_path, unknown_init):
+        # A pre-trained variant whose file matches no vocabulary word would
+        # train a random table, frozen when static: rejected, naming the file.
+        with pytest.raises(ValueError, match=r"v\.bin: no vector matches a vocabulary word"):
+            base_with_vectors(tmp_path, words(4), [("emu", [1.0] * 4)],
+                              unknown_init=unknown_init)
+        empty = tmp_path / "empty.txt"
+        empty.write_bytes(b"")
+        vocab = build_vocabulary([words(4)])
+        for variant in ("static", "non-static", "multichannel"):
+            with pytest.raises(ValueError,
+                               match=r"empty\.txt: no vector matches a vocabulary word"):
+                build_base_matrix(vocab, 4, variant, seed=0, vectors_path=empty,
+                                  unknown_init=unknown_init)
 
     def test_sampled_variance_within_5_percent(self, tmp_path):
         rng = np.random.default_rng(3)

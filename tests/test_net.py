@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -616,47 +617,82 @@ class TestWindows:
 
 
 def repeated_sentence_rows():
-    """`predict_logits` rows of one sentence placed at five offsets of a
-    single chunk, among random sentences, on the MR shape (k=300, 3 x 100 maps)."""
+    """`predict_logits` rows of one sentence placed in five chunks of a single
+    block, among random sentences, on the MR shape (k=300, 3 x 100 maps)."""
     rng = np.random.default_rng(44)
     channels = random_channels(rng, 1, 50, 300)
     params = toy_params(rng, channels, widths=(3, 4, 5), maps=100, init_scale=0.05)
     same = rng.integers(1, 50, size=23)
-    sentences = [rng.integers(0, 50, size=rng.integers(5, 40)) for _ in range(20)]
-    spots = [0, 3, 7, 12, 22]
+    sentences = [rng.integers(0, 50, size=rng.integers(5, 40)) for _ in range(250)]
+    spots = [0, 3, 70, 140, 249]
     for spot in spots:
         sentences.insert(spot, same)
-    assert sum(map(len, sentences)) <= net._CHUNK_ROWS  # one chunk
+    rows = sum(map(len, sentences))
+    assert 4 * net._CHUNK_ROWS < rows <= net._BLOCK_ROWS  # one block, five chunks
     return net.predict_logits(params, sentences)[spots]
 
 
+def block_count(sentences):
+    """How many blocks `predict_logits` splits the sentences into."""
+    lengths = [len(ids) for ids in sentences]
+    chunks = net._runs(lengths, net._CHUNK_ROWS)
+    chunk_rows = [sum(lengths[lo:hi]) for lo, hi in zip(chunks, chunks[1:])]
+    return len(net._runs(chunk_rows, net._BLOCK_ROWS)) - 1
+
+
 class TestPredictLogits:
-    """The batched scorer against `reference_forward`, the `np.argmax` oracle."""
+    """The batched scorer against `reference_forward`, the `np.argmax` oracle,
+    and against scoring each sentence alone."""
 
     @staticmethod
     def _sentences(rng, vocab_size, max_width):
         sentences = [np.full(max_width, 3), np.zeros(max_width, dtype=np.int64),
                      np.zeros(max_width + 6, dtype=np.int64)]  # exact width, all pad
         sentences += [rng.integers(0, vocab_size, size=rng.integers(max_width, 60))
-                      for _ in range(90)]  # ragged, several chunks
+                      for _ in range(600)]  # ragged, several chunks and blocks
         sentences.insert(40, rng.integers(0, vocab_size, size=net._CHUNK_ROWS + 300))
+        sentences.insert(400, rng.integers(0, vocab_size, size=net._BLOCK_ROWS + 300))
         return sentences
+
+    @staticmethod
+    def _check_rows(params, sentences):
+        logits = net.predict_logits(params, sentences)
+        assert logits.shape == (len(sentences), params.num_classes)
+        for row, ids in zip(logits, sentences):
+            expected, _ = reference_forward(params, ids)
+            np.testing.assert_allclose(row, expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(row, net.predict_logits(params, [ids])[0],
+                                       rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n_channels", [1, 2])
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_rows_match_forward(self, activation, n_channels):
+        # Blocks end at sentence boundaries, so every block boundary is a
+        # sentence that would have straddled it; one sentence is longer than
+        # a chunk and one longer than a whole block.
         rng = np.random.default_rng(40 + n_channels)
         channels = random_channels(rng, n_channels, 25, 6)
         params = toy_params(rng, channels, widths=(1, 3, 4), maps=5, activation=activation)
         for bank in params.filters:
             bank.biases[:] = rng.normal(size=bank.biases.shape)
         sentences = self._sentences(rng, 25, params.max_width)
-        assert sum(map(len, sentences)) > 3 * net._CHUNK_ROWS
-        logits = net.predict_logits(params, sentences)
-        assert logits.shape == (len(sentences), params.num_classes)
-        for row, ids in zip(logits, sentences):
-            expected, _ = reference_forward(params, ids)
-            np.testing.assert_allclose(row, expected, rtol=0, atol=1e-12)
+        assert block_count(sentences) >= 4
+        self._check_rows(params, sentences)
+
+    @pytest.mark.parametrize("n_channels", [1, 2])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_distinct_tokens_beyond_one_block(self, activation, n_channels):
+        # More distinct tokens than a block has rows, and slabs of filters:
+        # 120 maps per width split into slabs of 50, 50 and 20.
+        rng = np.random.default_rng(48 + n_channels)
+        channels = random_channels(rng, n_channels, 30000, 3)
+        params = toy_params(rng, channels, widths=(2, 5), maps=120, activation=activation,
+                            init_scale=0.3)
+        sentences = [rng.integers(0, 30000, size=rng.integers(5, 200)) for _ in range(220)]
+        assert len(np.unique(np.concatenate(sentences))) > net._BLOCK_ROWS
+        assert block_count(sentences) >= 2
+        assert 120 % net._SLAB_MAPS != 0
+        self._check_rows(params, sentences)
 
     def test_windows_never_cross_into_the_next_sentence(self):
         # Width-2 sum filter over a scalar channel: a window straddling the
@@ -674,8 +710,8 @@ class TestPredictLogits:
         np.testing.assert_allclose(both[1], [10.0, -10.0], rtol=0, atol=1e-15)
 
     def test_rows_lie_near_scoring_each_line_alone(self):
-        # A row's last bits can depend on the other sentences of its chunk:
-        # the chunk's distinct tokens set the score GEMM's size, and with it
+        # A row's last bits can depend on the other sentences of its block:
+        # the block's distinct tokens set the score GEMM's size, and with it
         # the BLAS kernels.  So each row is pinned within 1e-12 of scoring its
         # sentence alone, not to its bytes.  MR shape: k = 300, widths 3, 4, 5
         # with 100 maps each, sentences of 5-40 words padded by 4 on each side.
@@ -685,18 +721,19 @@ class TestPredictLogits:
                             init_scale=0.05)
         sentences = [np.concatenate([np.zeros(4, dtype=np.int64),
                                      rng.integers(1, 2000, size=rng.integers(5, 41)),
-                                     np.zeros(4, dtype=np.int64)]) for _ in range(120)]
-        assert sum(map(len, sentences)) > 3 * net._CHUNK_ROWS
+                                     np.zeros(4, dtype=np.int64)]) for _ in range(400)]
+        assert block_count(sentences) >= 2
         logits = net.predict_logits(params, sentences)
         for row, ids in zip(logits, sentences):
             np.testing.assert_allclose(row, net.predict_logits(params, [ids])[0],
                                        rtol=0, atol=1e-12)
 
     def test_repeated_sentence_gives_byte_equal_rows(self):
-        # Every copy of a token in one chunk reads the same row of the
-        # distinct-token score table, so the copies' rows are equal bytes
-        # with the default BLAS threads here, and in a child process that
-        # pins one thread before numpy loads, as the benchmark runs.
+        # Every copy of a token in one block reads the same row of the
+        # distinct-token score table, whichever chunk pools it, so the
+        # copies' rows are equal bytes with the default BLAS threads here,
+        # and in a child process that pins one thread before numpy loads, as
+        # the benchmark runs.
         rows = repeated_sentence_rows()
         assert len({row.tobytes() for row in rows}) == 1
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
@@ -707,6 +744,29 @@ class TestPredictLogits:
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True)
         assert (proc.returncode, proc.stdout) == (0, "1\n"), proc.stderr
+
+    def test_memory_stays_under_the_stated_bound(self):
+        # The docstring's bound, 8·(2·U·k + h·S·(U + k) + (24 + 4·S)·R) bytes
+        # besides the returned features and logits, in its worst case: ten
+        # blocks whose every token is distinct, two channels.  tracemalloc
+        # sees numpy's buffers, not BLAS's own workspace.
+        rng = np.random.default_rng(49)
+        vocab, k = 20000, 16
+        params = toy_params(rng, random_channels(rng, 2, vocab, k), num_classes=2,
+                            widths=(3, 4, 5), maps=100)
+        ids = np.arange(10 * net._BLOCK_ROWS) % (vocab - 1) + 1
+        sentences = np.split(ids, len(ids) // 32)
+        assert block_count(sentences) == 10
+        rows, h, slab = net._BLOCK_ROWS, params.max_width, net._SLAB_MAPS
+        bound = 8 * (2 * rows * k + h * slab * (rows + k) + (24 + 4 * slab) * rows)
+        returned = 8 * len(sentences) * (params.num_filters + 2 * params.num_classes)
+        tracemalloc.start()
+        try:
+            net.predict_logits(params, sentences)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - returned <= bound
 
     def test_empty_list_and_short_sentence(self):
         rng = np.random.default_rng(45)
