@@ -3,7 +3,7 @@
 Two variants share the identical fold assignment (it depends only on the
 seed), so their per-fold accuracies are directly comparable.
 
-Run: python3 demos/cross_validation.py   (about half a minute)
+Run: python3 demos/cross_validation.py   (about five seconds)
 """
 
 import numpy as np
@@ -34,7 +34,8 @@ for variant in ("rand", "static"):
     # for pre-trained vectors
     seed = config.seed if variant == "rand" else 2
     base, _ = embed.build_base_matrix(vocab, config.dim, "rand", seed)
-    reports[variant] = evaluate.run_cross_validation(dataset, config, base)
+    params0 = evaluate.initial_params(config, base, dataset.num_classes)
+    reports[variant] = evaluate.run_cross_validation(dataset, config, params0)
 
 print(f"\n{'fold':>4s} {'rand':>8s} {'static':>8s}")
 for fold, (a, b) in enumerate(zip(reports["rand"].accuracies,

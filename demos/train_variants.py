@@ -7,7 +7,7 @@ trigger words, which the static/non-static/multichannel variants can
 exploit.  After training, the multichannel model's fine-tuned channel is
 compared to its static twin via nearest neighbors.
 
-Run: python3 demos/train_variants.py   (about a minute)
+Run: python3 demos/train_variants.py   (a few seconds)
 """
 
 import io

@@ -126,8 +126,8 @@ def load_checkpoint(path) -> Checkpoint:
         if len(vocab) != len(words):
             raise CheckpointError("duplicate words in checkpoint vocabulary")
         classes = reader.u32()
-        if classes < 1:
-            raise CheckpointError("output layer has no classes")
+        if classes < 2:
+            raise CheckpointError(f"output layer needs at least two classes, got {classes}")
         flags = embed.VARIANT_CHANNELS[config.variant]
         dim, maps = config.dim, config.maps_per_width
         tables = [reader.array(len(vocab), dim) for _ in flags]

@@ -79,16 +79,18 @@ def cmd_train(args) -> int:
         raise ValueError(f"{config.variant} variant requires --vectors")
 
     dataset, vocab, _ = _load_and_encode(args.data, max(config.widths))
-    base, _ = embed.build_base_matrix(vocab, config.dim, config.variant, config.seed,
-                                      vectors_path=args.vectors,
-                                      unknown_init=config.unknown_init,
-                                      rand_a=config.rand_init_a)
+    # Only the model holds the base matrix: frozen channels view it, trainable ones copy it.
+    params = evaluate.initial_params(
+        config, embed.build_base_matrix(vocab, config.dim, config.variant, config.seed,
+                                        vectors_path=args.vectors,
+                                        unknown_init=config.unknown_init,
+                                        rand_a=config.rand_init_a)[0], dataset.num_classes)
 
     if args.cv:
         if args.checkpoint:
             sys.stderr.write("sentconv: --cv trains one throwaway model per fold; "
                              "--checkpoint is ignored\n")
-        report = evaluate.run_cross_validation(dataset, config, base)
+        report = evaluate.run_cross_validation(dataset, config, params)
         text = (f"# seed={report.seed} variant={config.variant} "
                 f"config={report.config_fingerprint}\n") + report.to_csv()
         sys.stdout.write(text)
@@ -97,7 +99,6 @@ def cmd_train(args) -> int:
                 fh.write(text)
         return EXIT_OK
 
-    params = evaluate.initial_params(config, base, dataset.num_classes)
     result = evaluate.fit_with_dev_split(params, dataset, config)
     history_csv = optim.history_to_csv(result.history)
     sys.stdout.write(f"seed\t{config.seed}\n")

@@ -12,7 +12,7 @@ from ._seeds import RAND_MATRIX, UNKNOWN_INIT, derive_seed
 from .corpus import PAD_ID, Vocabulary
 
 # Per model variant, the trainable flag of each embedding channel, in channel
-# order.  Every channel starts as a copy of the same base matrix.
+# order.  Every channel starts from the same base matrix.
 VARIANT_CHANNELS = {
     "rand": (True,),
     "static": (False,),
@@ -24,13 +24,17 @@ VARIANTS = tuple(VARIANT_CHANNELS)
 
 @dataclass
 class EmbeddingChannel:
-    """One V x k lookup table; row 0 backs the pad token and stays zero."""
+    """One V x k lookup table; row 0 backs the pad token and stays zero.  A
+    frozen table is a read-only view, so a stray write raises."""
 
     matrix: np.ndarray
     trainable: bool
 
     def __post_init__(self):
         self.matrix = np.ascontiguousarray(self.matrix, dtype=np.float64)
+        if not self.trainable and self.matrix.flags.writeable:
+            self.matrix = self.matrix.view()
+            self.matrix.flags.writeable = False
         if self.matrix.ndim != 2:
             raise ValueError("channel matrix must be V x k")
         if np.any(self.matrix[PAD_ID] != 0.0):
@@ -239,10 +243,11 @@ def build_base_matrix(vocab: Vocabulary, dim: int, variant: str, seed: int,
 def assemble_channels(variant: str, base_matrix) -> list[EmbeddingChannel]:
     """Turn a fully initialized base matrix into the variant's channel list.
 
-    Every channel gets its own copy, so fine-tuning one channel can never
-    leak into another.
+    A trainable channel gets its own copy, so fine-tuning it can never leak
+    into another channel; a frozen channel is a read-only view of the base.
     """
     if variant not in VARIANT_CHANNELS:
         raise ValueError(f"unknown variant {variant!r}")
     base = np.asarray(base_matrix, dtype=np.float64)
-    return [EmbeddingChannel(base.copy(), trainable=flag) for flag in VARIANT_CHANNELS[variant]]
+    return [EmbeddingChannel(base.copy() if flag else base, trainable=flag)
+            for flag in VARIANT_CHANNELS[variant]]

@@ -58,13 +58,12 @@ def fit_with_dev_split(params: net.ModelParams, dataset: Dataset, config: optim.
     return optim.fit(params, train_ds.examples, dev_ds.examples, config, fold=fold)
 
 
-def run_cross_validation(dataset: Dataset, config: optim.TrainConfig, base_matrix,
-                         n_folds: int = 10) -> CvReport:
-    """Train on 9 folds (with an inner dev split for early stopping) and score
-    the held-out fold, for each fold in a seed-fixed plan."""
+def run_cross_validation(dataset: Dataset, config: optim.TrainConfig,
+                         params0: net.ModelParams, n_folds: int = 10) -> CvReport:
+    """Train a clone of `params0` on 9 folds (with an inner dev split for early
+    stopping) and score the held-out fold, for each fold in a seed-fixed plan."""
     config.validate()
     plan = cv_fold_plan(len(dataset), config, n_folds)
-    params0 = initial_params(config, base_matrix, dataset.num_classes)
 
     accuracies = []
     for fold in range(n_folds):

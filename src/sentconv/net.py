@@ -434,7 +434,7 @@ def trainable_tensors(params: ModelParams) -> list[tuple[str, np.ndarray]]:
 
 def clone_params(params: ModelParams) -> ModelParams:
     """A copy that training `params` further leaves as it is.  Frozen channels
-    are shared, not copied: nothing writes them."""
+    are shared, not copied: their tables are read-only."""
     channels = [EmbeddingChannel(ch.matrix.copy() if ch.trainable else ch.matrix, ch.trainable)
                 for ch in params.channels]
     banks = [FilterBank(b.width, b.weights.copy(), b.biases.copy()) for b in params.filters]

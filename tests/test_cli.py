@@ -435,6 +435,13 @@ class TestCheckpointRoundTrip:
             b = net.predict_probs(reloaded.params, ids)
             assert np.array_equal(a, b)
 
+    def test_frozen_table_loads_read_only(self, workdir):
+        frozen, tuned = load_checkpoint(workdir["ckpt"]).params.channels  # multichannel
+        assert not frozen.trainable and not frozen.matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            frozen.matrix[1, 0] = 0.0
+        tuned.matrix[1, 0] += 1.0  # the fine-tuned table stays writeable
+
     def test_truncation_detected(self, workdir, tmp_path):
         blob = workdir["ckpt"].read_bytes()
         bad = tmp_path / "t.ckpt"
@@ -517,8 +524,10 @@ class TestCheckpointRejections:
 
     # The writer stores no shapes, so tensors smaller than the config says
     # leave the reader short of bytes.
+    # A one-class output layer would "predict" class 0 with probability 1.
     @pytest.mark.parametrize("change,message", [
-        ("conv", "truncated"), ("output", "truncated"), ("no-classes", "no classes")])
+        ("conv", "truncated"), ("output", "truncated"),
+        ("no-classes", "two classes"), ("one-class", "two classes")])
     def test_shape_disagreeing_with_config(self, workdir, tmp_path, capsys, change, message):
         def reshape(params):
             if change == "conv":
@@ -526,8 +535,9 @@ class TestCheckpointRejections:
             elif change == "output":
                 params.output.weights = params.output.weights[:, :-1]
             else:
-                params.output = net.OutputLayer(params.output.weights[:0],
-                                                params.output.biases[:0])
+                classes = 0 if change == "no-classes" else 1
+                params.output = net.OutputLayer(params.output.weights[:classes],
+                                                params.output.biases[:classes])
         path = _resaved(workdir, tmp_path, reshape)
         code, captured = self._predict(path, capsys)
         assert code == EXIT_CORRUPT

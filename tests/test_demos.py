@@ -9,7 +9,8 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("demo", ["gradient_check", "tokenize_and_folds", "word_vector_files"])
+@pytest.mark.parametrize("demo", ["cross_validation", "gradient_check", "tokenize_and_folds",
+                                  "train_variants", "word_vector_files"])
 def test_demo_exits_cleanly(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -1,6 +1,7 @@
 """Accuracy, the cross-validation protocol, and nearest-neighbor rankings."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,7 +75,8 @@ def cv_setup(variant="rand", n=80, seed=7):
 class TestCrossValidation:
     def test_ten_fold_report(self):
         dataset, config, base, _ = cv_setup()
-        report = run_cross_validation(dataset, config, base)
+        params0 = evaluate.initial_params(config, base, dataset.num_classes)
+        report = run_cross_validation(dataset, config, params0)
         assert len(report.accuracies) == 10
         assert np.isclose(report.mean, np.mean(report.accuracies))
         assert all(0.0 <= a <= 1.0 for a in report.accuracies)
@@ -114,9 +116,10 @@ class TestCrossValidation:
             return result
 
         monkeypatch.setattr(evaluate, "fit_with_dev_split", recording_fit)
-        run_cross_validation(dataset, config, base)
+        params0 = evaluate.initial_params(config, base, dataset.num_classes)
+        run_cross_validation(dataset, config, params0)
         assert len(fits) == 10
-        frozen = fits[0][0].channels[0].matrix  # channel0 is the frozen one
+        frozen = params0.channels[0].matrix  # channel0 is the frozen one
         for live, best in fits:
             for (name, got), (_, original) in zip(net.all_tensors(best), net.all_tensors(live)):
                 if name == "channel0":
@@ -126,9 +129,51 @@ class TestCrossValidation:
 
     def test_deterministic_report(self):
         dataset, config, base, _ = cv_setup()
-        r1 = run_cross_validation(dataset, config, base)
-        r2 = run_cross_validation(dataset, config, base)
+        params0 = evaluate.initial_params(config, base, dataset.num_classes)
+        r1 = run_cross_validation(dataset, config, params0)
+        r2 = run_cross_validation(dataset, config, params0)
         assert r1.accuracies == r2.accuracies
+
+
+class TestFrozenChannels:
+    """A frozen table is held once: a read-only view of the base, which
+    clones share."""
+
+    @pytest.mark.parametrize("variant", ["static", "multichannel"])
+    def test_initial_params_view_the_base_read_only(self, variant):
+        dataset, config, base, _ = cv_setup(variant)
+        params = evaluate.initial_params(config, base, dataset.num_classes)
+        frozen, *tuned = params.channels
+        assert not frozen.trainable and np.shares_memory(frozen.matrix, base)
+        with pytest.raises(ValueError, match="read-only"):
+            frozen.matrix[1, 0] = 0.0
+        assert base.flags.writeable  # the caller's array is not frozen
+        assert not any(np.shares_memory(ch.matrix, base) for ch in tuned)
+
+    @pytest.mark.parametrize("variant", ["static", "multichannel"])
+    def test_clones_share_the_read_only_table(self, variant):
+        dataset, config, base, _ = cv_setup(variant)
+        params = evaluate.initial_params(config, base, dataset.num_classes)
+        clone = net.clone_params(params)
+        assert clone.channels[0].matrix is params.channels[0].matrix
+        with pytest.raises(ValueError, match="read-only"):
+            clone.channels[0].matrix[1, 0] = 0.0
+
+    @pytest.mark.parametrize("variant,copies", [("static", 0), ("multichannel", 1)])
+    def test_initial_params_copy_only_trainable_tables(self, variant, copies):
+        # tracemalloc sees numpy's buffers: each trainable channel allocates
+        # one V x k table, a frozen one none.
+        rng = np.random.default_rng(8)
+        base = np.zeros((5000, 50))
+        base[1:] = rng.uniform(-0.25, 0.25, (4999, 50))
+        config = optim.TrainConfig(variant=variant, widths=(2,), maps_per_width=2, dim=50)
+        tracemalloc.start()
+        try:
+            evaluate.initial_params(config, base, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert copies * base.nbytes <= peak < (copies + 1) * base.nbytes
 
 
 class TestEvaluationPurity:

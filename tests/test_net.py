@@ -850,7 +850,9 @@ class TestForwardBatch:
         # `np.argmax`, so each such column must pick its first NaN window,
         # a row inside the sentence, not fall off the end.
         params, sentences, masks, _ = self._setup(56)
-        params.channels[0].matrix[5] = value
+        frozen = params.channels[0].matrix.copy()  # a frozen table is read-only
+        frozen[5] = value
+        params.channels[0] = EmbeddingChannel(frozen, trainable=False)
         with np.errstate(invalid="ignore"):
             _, trace = net.forward_batch(params, sentences, masks)
             assert np.isnan(trace.z).any() and not np.isnan(trace.z).all()

@@ -306,7 +306,9 @@ class TestTrainEpoch:
         # stop on the non-finite gradient, at the first batch holding the token.
         params, dataset, config = tiny_setup(variant=variant, keep_prob=0.5)
         token = 31
-        params.channels[0].matrix[token] = value
+        frozen = params.channels[0].matrix.copy()  # a frozen table is read-only
+        frozen[token] = value
+        params.channels[0] = embed.EmbeddingChannel(frozen, trainable=False)
         batches = make_minibatches(len(dataset.examples), config.batch_size, config.seed, 3)
         number = next(i for i, batch in enumerate(batches, 1)
                       if any(token in dataset.examples[idx].token_ids for idx in batch))
