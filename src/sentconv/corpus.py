@@ -14,29 +14,43 @@ PAD_ID = 0
 # Apostrophe-bearing suffixes detached as their own tokens.
 _CONTRACTIONS = ("'ve", "'re", "'ll", "n't", "'s", "'d")
 # Everything outside this set becomes a space (apostrophes are resolved later).
-_NON_TOKEN = re.compile(r"[^a-z0-9(),!?']+")
-_PUNCT = re.compile(r"([,!?()])")
+# Spaces and newlines are left alone: tokens are split at whitespace anyway.
+_NON_TOKEN = re.compile(r"[^a-z0-9(),!?' \n]+")
 
 
-def clean_and_tokenize(raw: str) -> list[str]:
-    """Break raw text into lowercase tokens.
+def tokenize_texts(texts) -> list[list[str]]:
+    """Break each raw text into lowercase tokens, in one pass over them all.
 
     Contraction suffixes ('ve 're 'll n't 's 'd) are detached, the
     punctuation marks , ! ? ( ) become standalone tokens, and every other
     non-alphanumeric character (including apostrophes not consumed by a
-    contraction) turns into a space.
+    contraction) turns into a space.  The texts are lowercased as one string,
+    each ended by a newline once its own newlines are spaces; neither is
+    cased nor case-ignorable, so `str.lower`'s context rules stay in a text.
     """
-    s = _NON_TOKEN.sub(" ", raw.lower())
+    s = _NON_TOKEN.sub(" ", "".join(t.replace("\n", " ") + "\n" for t in texts).lower())
     for suffix in _CONTRACTIONS:
         s = s.replace(suffix, " " + suffix)
-    s = _PUNCT.sub(r" \1 ", s)
-    tokens: list[str] = []
-    for tok in s.split():
-        if "'" not in tok or tok in _CONTRACTIONS:
-            tokens.append(tok)
-        else:
-            tokens.extend(tok.replace("'", " ").split())
-    return tokens
+    for mark in ",!?()":
+        s = s.replace(mark, f" {mark} ")
+    token_lists = []
+    for line in s.split("\n")[:-1]:
+        if "'" not in line:
+            token_lists.append(line.split())
+            continue
+        tokens = []
+        for tok in line.split():
+            if "'" not in tok or tok in _CONTRACTIONS:
+                tokens.append(tok)
+            else:
+                tokens.extend(tok.replace("'", " ").split())
+        token_lists.append(tokens)
+    return token_lists
+
+
+def clean_and_tokenize(raw: str) -> list[str]:
+    """`tokenize_texts` of one text."""
+    return tokenize_texts([raw])[0]
 
 
 class Vocabulary:
@@ -45,14 +59,11 @@ class Vocabulary:
     __slots__ = ("word_to_id", "id_to_word")
 
     def __init__(self, words=()):
-        self.id_to_word: list[str] = [PAD_TOKEN]
-        self.word_to_id: dict[str, int] = {PAD_TOKEN: PAD_ID}
-        for w in words:
-            if w == PAD_TOKEN:
-                raise ValueError(f"{PAD_TOKEN!r} is reserved and may not appear in text")
-            if w not in self.word_to_id:
-                self.word_to_id[w] = len(self.id_to_word)
-                self.id_to_word.append(w)
+        distinct = dict.fromkeys(words)
+        if PAD_TOKEN in distinct:
+            raise ValueError(f"{PAD_TOKEN!r} is reserved and may not appear in text")
+        self.id_to_word: list[str] = [PAD_TOKEN, *distinct]
+        self.word_to_id: dict[str, int] = {w: i for i, w in enumerate(self.id_to_word)}
 
     def __len__(self) -> int:
         return len(self.id_to_word)
@@ -70,7 +81,7 @@ def build_vocabulary(token_lists) -> Vocabulary:
     token_lists = list(token_lists)
     if not token_lists:
         raise ValueError("empty corpus")
-    return Vocabulary(t for toks in token_lists for t in toks)
+    return Vocabulary(itertools.chain.from_iterable(token_lists))
 
 
 def encode_and_pad(tokens, vocab: Vocabulary, h_max: int) -> np.ndarray:
@@ -168,9 +179,7 @@ def load_tsv(path) -> list[tuple[int, str]]:
 
 def tokenize_corpus(pairs):
     """Tokenize (label, text) pairs into parallel token lists and labels."""
-    token_lists = [clean_and_tokenize(text) for _, text in pairs]
-    labels = [label for label, _ in pairs]
-    return token_lists, labels
+    return tokenize_texts(text for _, text in pairs), [label for label, _ in pairs]
 
 
 def count_classes(labels) -> int:
@@ -186,6 +195,14 @@ def count_classes(labels) -> int:
 
 
 def encode_corpus(token_lists, labels, vocab: Vocabulary, h_max: int) -> Dataset:
-    examples = [Example(encode_and_pad(toks, vocab, h_max), label)
-                for toks, label in zip(token_lists, labels)]
+    """`encode_and_pad` of every token list, as slices of one id array."""
+    if h_max < 1:
+        raise ValueError("h_max must be >= 1")
+    padded = [toks if len(toks) >= h_max else [*toks, *[PAD_TOKEN] * (h_max - len(toks))]
+              for toks in token_lists]
+    tokens = itertools.chain.from_iterable(padded)
+    ids = np.fromiter(map(vocab.word_to_id.get, tokens, itertools.repeat(PAD_ID)), np.int64)
+    ends = np.cumsum([len(toks) for toks in padded]).tolist()
+    examples = [Example(ids[end - len(toks):end], label)
+                for toks, end, label in zip(padded, ends, labels)]
     return Dataset(examples, count_classes(labels))

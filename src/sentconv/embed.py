@@ -20,6 +20,8 @@ VARIANT_CHANNELS = {
     "multichannel": (False, True),
 }
 VARIANTS = tuple(VARIANT_CHANNELS)
+# Bytes the binary reader takes from the file per read.
+_CHUNK = 1 << 20
 
 
 @dataclass
@@ -45,22 +47,6 @@ class EmbeddingChannel:
         return self.matrix.shape[1]
 
 
-def _read_until_space(stream) -> bytes:
-    """Word bytes up to a single space; leading newlines left over from the
-    previous record are consumed."""
-    chunks = []
-    while True:
-        ch = stream.read(1)
-        if ch == b" ":
-            break
-        if ch == b"":
-            raise ValueError(f"truncated record at byte {stream.tell()}")
-        if ch == b"\n" and not chunks:
-            continue
-        chunks.append(ch)
-    return b"".join(chunks)
-
-
 def _header(fields, expected_dim: int | None = None):
     """`(count, dim)` if a first line's fields are word2vec's `<count> <dim>` header
     (two non-negative integers), else None; a zero or unexpected `dim` is rejected."""
@@ -83,11 +69,11 @@ def _fill(vocab: Vocabulary, dim: int, records):
     fallback never displaces an exact one."""
     matrix = np.zeros((len(vocab), dim), dtype=np.float64)
     exact_of: dict[int, bool] = {}
+    get = vocab.word_to_id.get
     for word, vec in records:
-        exact = word in vocab
-        if not exact and word.lower() not in vocab:
+        exact = (vid := get(word, PAD_ID)) != PAD_ID  # the pad token is no text word
+        if not exact and (vid := get(word.lower(), PAD_ID)) == PAD_ID:
             continue
-        vid = vocab.id(word if exact else word.lower())
         if vid not in exact_of or (exact and not exact_of[vid]):
             matrix[vid] = vec
             exact_of[vid] = exact
@@ -116,12 +102,18 @@ def parse_word2vec_binary(stream, vocab: Vocabulary, expected_dim: int | None = 
                          f"{left} follow the header")
 
     def records():
+        buf, pos = b"", 0
         for _ in range(count):
-            word = _read_until_space(stream).decode("utf-8", errors="replace")
-            buf = stream.read(4 * dim)
-            if len(buf) != 4 * dim:
-                raise ValueError(f"truncated record at byte {stream.tell()}")
-            yield word, np.frombuffer(buf, dtype="<f4")
+            # Read on until the buffer holds the word's space and the values after it.
+            while (space := buf.find(b" ", pos)) < 0 or space + 4 * dim >= len(buf):
+                buf, pos = buf[pos:], 0  # drop what was parsed before reading more
+                chunk = stream.read(_CHUNK)
+                if not chunk:
+                    raise ValueError(f"truncated record at byte {stream.tell()}")
+                buf += chunk
+            word = buf[pos:space].lstrip(b"\n").decode("utf-8", errors="replace")
+            pos = space + 1 + 4 * dim
+            yield word, np.frombuffer(buf[space + 1:pos], dtype="<f4")
     return _fill(vocab, dim, records())
 
 
@@ -227,14 +219,16 @@ def build_base_matrix(vocab: Vocabulary, dim: int, variant: str, seed: int,
         (matrix, matched), stream = load_vectors(vectors_path, vocab, dim), UNKNOWN_INIT
         if not matched:
             raise ValueError(f"{vectors_path}: no vector matches a vocabulary word")
-    matched_ids = sorted(vocab.id(w) for w in matched)
+    matched_ids = np.sort(np.array([vocab.word_to_id[w] for w in matched], dtype=np.int64))
     a = rand_a
     if variant != "rand" and unknown_init == "variance_matched":
         rows = matrix[matched_ids]  # np.var's steps, in place on the one gathered copy
         rows -= rows.mean()
         rows *= rows
         a = float(np.sqrt(3.0 * rows.mean())) or rand_a
-    unknown_ids = np.setdiff1d(np.arange(PAD_ID + 1, len(vocab)), matched_ids)
+    unknown = np.ones(len(vocab), dtype=bool)
+    unknown[PAD_ID] = unknown[matched_ids] = False
+    unknown_ids = np.flatnonzero(unknown)
     rng = np.random.default_rng(derive_seed(seed, stream))
     matrix[unknown_ids] = rng.uniform(-a, a, size=(unknown_ids.size, dim))
     return matrix, matched

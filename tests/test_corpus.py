@@ -1,5 +1,7 @@
 """Tokenization, vocabulary, encoding, fold and dev-split behavior."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,22 @@ from sentconv.corpus import (
     encode_and_pad,
     select_dev_split,
 )
+
+
+def reference_tokenize(raw):
+    """The per-text, per-token tokenizer that `tokenize_texts` replaced; it
+    stays as the oracle the one-pass version must equal."""
+    s = re.sub(r"[^a-z0-9(),!?']+", " ", raw.lower())
+    for suffix in ("'ve", "'re", "'ll", "n't", "'s", "'d"):
+        s = s.replace(suffix, " " + suffix)
+    s = re.sub(r"([,!?()])", r" \1 ", s)
+    tokens = []
+    for tok in s.split():
+        if "'" not in tok or tok in ("'ve", "'re", "'ll", "n't", "'s", "'d"):
+            tokens.append(tok)
+        else:
+            tokens.extend(tok.replace("'", " ").split())
+    return tokens
 
 
 class TestCleanAndTokenize:
@@ -60,7 +78,49 @@ class TestCleanAndTokenize:
             assert clean_and_tokenize(" ".join(once)) == once
 
 
+    @pytest.mark.parametrize("raw, tokens", [
+        ("\u0130stanbul \u0130S", ["i", "stanbul", "i", "s"]),  # İ lowers to i + U+0307
+        ("\u03a3\u0391\u03a3 a\u03a3 \u03a3a \u03c3\u03c2", ["a", "a"]),  # final sigma
+        ("one\ntwo\rthree\x0bfour\tfive\x0csix", ["one", "two", "three", "four", "five", "six"]),
+        ("DON'T I'VE YOU'RE HE'LL IT'S WE'D",
+         ["do", "n't", "i", "'ve", "you", "'re", "he", "'ll", "it", "'s", "we", "'d"]),
+        ("rock 'n' roll '' '", ["rock", "n", "roll"]),
+        ("\u039a\u0391\u039b\u0397\u03a3'S", ["'s"]),
+        ("\u212aelvin \u212b", ["kelvin"]),  # the Kelvin sign lowers to k
+        ("x\x85y\xa0z\u2028w", ["x", "y", "z", "w"]),
+        ("i\u0307 \u0130's", ["i", "i", "'s"]),
+        ("can'T won't", ["ca", "n't", "wo", "n't"]),
+        ("\u03a3\u0391\u03a3\n\u03a3", []),
+        ("(a,b)!?", ["(", "a", ",", "b", ")", "!", "?"]),
+    ])
+    def test_golden_unicode_whitespace_and_case(self, raw, tokens):
+        assert clean_and_tokenize(raw) == tokens == reference_tokenize(raw)
+        assert corpus.tokenize_texts(["x", raw, "\u03a3"]) == [["x"], tokens, []]
+
+    def test_corpus_pass_equals_the_per_text_oracle(self):
+        rng = np.random.default_rng(1)
+        alphabet = list("aBz09 '!?,()&;.\n\r\x0b\t\u0130\u03a3\u03c3\u03c2\u212a") + [
+            "N'T", "'VE", "'S", "'Re", "'LL", "'D", "n't", "<pad>"]
+        texts = ["".join(rng.choice(alphabet, int(rng.integers(0, 30)))) for _ in range(2000)]
+        pairs = [(i % 3, text) for i, text in enumerate(texts)]
+        token_lists, labels = corpus.tokenize_corpus(pairs)
+        assert token_lists == [reference_tokenize(text) for text in texts]
+        assert token_lists == [clean_and_tokenize(text) for text in texts]
+        assert labels == [i % 3 for i in range(2000)]
+        assert corpus.tokenize_corpus([]) == ([], [])
+
+
 class TestVocabulary:
+    def test_constructor_keeps_first_occurrence_order(self):
+        v = Vocabulary(["c", "a", "c", "b", "a"])
+        assert v.id_to_word == [PAD_TOKEN, "c", "a", "b"]
+        assert v.word_to_id == {PAD_TOKEN: 0, "c": 1, "a": 2, "b": 3}
+
+    @pytest.mark.parametrize("words", [[PAD_TOKEN], ["a", "a", PAD_TOKEN, "b"]])
+    def test_constructor_rejects_pad(self, words):
+        with pytest.raises(ValueError, match="reserved"):
+            Vocabulary(iter(words))
+
     def test_first_occurrence_order(self):
         v = build_vocabulary([["b", "a"], ["a", "c"]])
         assert v.id_to_word == [PAD_TOKEN, "b", "a", "c"]
@@ -129,6 +189,32 @@ class TestEncodeAndPad:
         v = build_vocabulary([["a"]])
         with pytest.raises(ValueError):
             encode_and_pad(["a"], v, 0)
+
+
+class TestEncodeCorpus:
+    def test_examples_equal_encode_and_pad(self):
+        rng = np.random.default_rng(4)
+        vocab = build_vocabulary([["a", "b", "c"]])
+        token_lists = [list(rng.choice(["a", "b", "c", "zz"], int(rng.integers(0, 9))))
+                       for _ in range(300)]
+        labels = [i % 2 for i in range(300)]
+        for h_max in (1, 3, 5):
+            ds = corpus.encode_corpus(token_lists, labels, vocab, h_max)
+            assert ds.num_classes == 2 and len(ds) == 300
+            for toks, label, ex in zip(token_lists, labels, ds.examples):
+                expected = encode_and_pad(toks, vocab, h_max)
+                assert ex.token_ids.dtype == np.int64
+                assert ex.token_ids.tolist() == expected.tolist()
+                assert ex.label == label
+
+    def test_short_sentences_right_padded(self):
+        vocab = build_vocabulary([["a", "b"]])
+        ds = corpus.encode_corpus([["b"], [], ["a", "b", "a"]], [0, 1, 0], vocab, 2)
+        assert [ex.token_ids.tolist() for ex in ds.examples] == [[2, 0], [0, 0], [1, 2, 1]]
+
+    def test_bad_width_raises(self):
+        with pytest.raises(ValueError, match="h_max"):
+            corpus.encode_corpus([["a"]], [0], build_vocabulary([["a"]]), 0)
 
 
 class TestAssignFolds:

@@ -120,6 +120,53 @@ class TestParseBinary:
         assert np.all(matrix[PAD_ID] == 0.0)
 
 
+def _straddling_blob():
+    """A binary file whose records exercise the reader's edge cases: leading
+    newlines, a word holding a newline, records with and without their
+    trailing newline, a lowercase fallback, a repeated word and non-matches."""
+    words = ["\n\nalpha", "BETA", "ga\nmma", "beta", "delta", "x", "alpha"]
+    values = np.arange(len(words) * 3, dtype="<f4").reshape(-1, 3) + 0.5
+    records = b"".join(w.encode() + b" " + v.tobytes() + b"\n" * (i % 2)
+                       for i, (w, v) in enumerate(zip(words, values)))
+    return f"{len(words)} 3\n".encode() + records
+
+
+class TestBufferedReader:
+    VOCAB = build_vocabulary([["alpha", "beta", "ga\nmma", "delta", "omega"]])
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 7, 13, 64])
+    def test_chunk_size_changes_nothing(self, monkeypatch, chunk):
+        blob = _straddling_blob()
+        expected = parse_word2vec_binary(io.BytesIO(blob), self.VOCAB)
+        monkeypatch.setattr(embed, "_CHUNK", chunk)
+        matrix, matched = parse_word2vec_binary(io.BytesIO(blob), self.VOCAB)
+        assert matrix.tobytes() == expected[0].tobytes()
+        assert matched == expected[1] == {"alpha", "beta", "ga\nmma", "delta"}
+        v = self.VOCAB.word_to_id
+        # first records win: the leading newlines are skipped, BETA falls back
+        # to beta until the exact beta replaces it, the second alpha is ignored
+        assert matrix[v["alpha"]].tolist() == [0.5, 1.5, 2.5]
+        assert matrix[v["beta"]].tolist() == [9.5, 10.5, 11.5]
+        assert matrix[v["ga\nmma"]].tolist() == [6.5, 7.5, 8.5]
+        assert not matrix[v["omega"]].any()
+
+    @pytest.mark.parametrize("chunk", [1, 4, 1 << 20])
+    def test_every_truncation_names_the_end_of_file(self, monkeypatch, chunk):
+        monkeypatch.setattr(embed, "_CHUNK", chunk)
+        blob = _straddling_blob()
+        per_record = 0
+        for cut in range(len(blob)):
+            with pytest.raises(ValueError) as info:
+                parse_word2vec_binary(io.BytesIO(blob[:cut]), self.VOCAB)
+            message = str(info.value)
+            if message.startswith("truncated record "):
+                assert message == f"truncated record at byte {cut}"
+                per_record += 1
+            else:
+                assert re.match("bad header|truncated records: ", message), message
+        assert per_record == 35  # the cuts past the header's size bound, 91 bytes of records
+
+
 class TestRoundTrips:
     def test_binary_parse_write_parse_is_byte_identical(self):
         vocab = build_vocabulary([["cat", "dog"]])
