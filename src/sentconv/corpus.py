@@ -84,18 +84,26 @@ def build_vocabulary(token_lists) -> Vocabulary:
     return Vocabulary(itertools.chain.from_iterable(token_lists))
 
 
-def encode_and_pad(tokens, vocab: Vocabulary, h_max: int) -> np.ndarray:
-    """Map tokens to ids, right-padding so at least one width-h_max window exists.
+def _encode_padded(token_lists, vocab: Vocabulary, h_max: int) -> list[np.ndarray]:
+    """Each token list's ids, right-padded so at least one width-h_max window
+    exists, as slices of one int64 array mapped in one pass.
 
     Tokens missing from the vocabulary map to the pad id, which is backed by
     a frozen all-zero vector downstream.
     """
     if h_max < 1:
         raise ValueError("h_max must be >= 1")
-    ids = [vocab.word_to_id.get(t, PAD_ID) for t in tokens]
-    if len(ids) < h_max:
-        ids.extend([PAD_ID] * (h_max - len(ids)))
-    return np.asarray(ids, dtype=np.int64)
+    padded = [toks if len(toks) >= h_max else [*toks, *[PAD_TOKEN] * (h_max - len(toks))]
+              for toks in token_lists]
+    tokens = itertools.chain.from_iterable(padded)
+    ids = np.fromiter(map(vocab.word_to_id.get, tokens, itertools.repeat(PAD_ID)), np.int64)
+    ends = itertools.accumulate(map(len, padded))
+    return [ids[end - len(toks):end] for toks, end in zip(padded, ends)]
+
+
+def encode_and_pad(tokens, vocab: Vocabulary, h_max: int) -> np.ndarray:
+    """Map tokens to ids, right-padding so at least one width-h_max window exists."""
+    return _encode_padded([list(tokens)], vocab, h_max)[0]
 
 
 @dataclass
@@ -196,13 +204,6 @@ def count_classes(labels) -> int:
 
 def encode_corpus(token_lists, labels, vocab: Vocabulary, h_max: int) -> Dataset:
     """`encode_and_pad` of every token list, as slices of one id array."""
-    if h_max < 1:
-        raise ValueError("h_max must be >= 1")
-    padded = [toks if len(toks) >= h_max else [*toks, *[PAD_TOKEN] * (h_max - len(toks))]
-              for toks in token_lists]
-    tokens = itertools.chain.from_iterable(padded)
-    ids = np.fromiter(map(vocab.word_to_id.get, tokens, itertools.repeat(PAD_ID)), np.int64)
-    ends = np.cumsum([len(toks) for toks in padded]).tolist()
-    examples = [Example(ids[end - len(toks):end], label)
-                for toks, end, label in zip(padded, ends, labels)]
+    examples = [Example(ids, label)
+                for ids, label in zip(_encode_padded(token_lists, vocab, h_max), labels)]
     return Dataset(examples, count_classes(labels))

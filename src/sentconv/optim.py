@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -13,9 +12,6 @@ from ._seeds import DROPOUT, SHUFFLE, derive_seed
 # Comparison slack that keeps the projection exactly idempotent: a row already
 # rescaled to norm s can land a few ulps above s and must not be touched again.
 _RENORM_SLACK = 1e-12
-# Elements per block of the Adadelta update, so a block's operands stay in
-# cache.  Every operation is elementwise, so the blocks change no bit.
-_BLOCK = 1 << 14
 
 
 @dataclass
@@ -159,29 +155,6 @@ def init_states(params: net.ModelParams, rho: float, eps: float) -> dict[str, Ad
             for name, tensor in net.trainable_tensors(params)}
 
 
-def _adadelta_block(grad, acc_g, acc_u, rho, eps):
-    """One block of the update, in place on both accumulators; returns the step.
-    The operations of `acc_g = rho*acc_g + (1-rho)*g*g`, `step = -sqrt(acc_u+eps) /
-    sqrt(acc_g+eps) * g` and `acc_u = rho*acc_u + (1-rho)*step*step`, in that order."""
-    tmp, step = np.empty_like(grad), np.empty_like(grad)
-    np.multiply(acc_g, rho, out=acc_g)
-    np.multiply(grad, 1.0 - rho, out=tmp)
-    np.multiply(tmp, grad, out=tmp)
-    np.add(acc_g, tmp, out=acc_g)
-    np.add(acc_u, eps, out=step)
-    np.sqrt(step, out=step)
-    np.negative(step, out=step)
-    np.add(acc_g, eps, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    np.divide(step, tmp, out=step)
-    np.multiply(step, grad, out=step)
-    np.multiply(acc_u, rho, out=acc_u)
-    np.multiply(step, 1.0 - rho, out=tmp)
-    np.multiply(tmp, step, out=tmp)
-    np.add(acc_u, tmp, out=acc_u)
-    return step
-
-
 def adadelta_step(param: np.ndarray, grad: np.ndarray, state: AdadeltaState,
                   rows=None) -> np.ndarray:
     """One in-place update: step size is RMS(past steps) / RMS(past grads).
@@ -204,22 +177,26 @@ def adadelta_step(param: np.ndarray, grad: np.ndarray, state: AdadeltaState,
         raise ValueError("diverged: non-finite gradient")
     rho, eps = state.rho, state.eps
     state.steps += 1
-    n_rows = param.shape[0] if rows is None else len(rows)
-    block = max(1, _BLOCK // math.prod(param.shape[1:]))  # rows per block
-    if rows is not None:
-        decay = rho ** (state.steps - 1 - state.last[rows]).reshape(-1, *[1] * (param.ndim - 1))
-    for lo in range(0, n_rows, block):
-        part = slice(lo, lo + block)
-        at = part if rows is None else rows[part]
-        acc_g, acc_u = state.acc_grad_sq[at], state.acc_update_sq[at]  # views, or gathered
-        if rows is not None:
-            acc_g *= decay[part]
-            acc_u *= decay[part]
-        step = _adadelta_block(grad[part], acc_g, acc_u, rho, eps)
-        if rows is not None:
-            state.acc_grad_sq[at], state.acc_update_sq[at] = acc_g, acc_u
-        param[at] += step
-    state.last[slice(None) if rows is None else rows] = state.steps
+    if rows is None:
+        acc_g, acc_u = state.acc_grad_sq, state.acc_update_sq
+    else:
+        decay = rho ** (state.steps - 1 - state.last[rows])
+        decay = decay.reshape(decay.shape + (1,) * (param.ndim - 1))
+        acc_g = state.acc_grad_sq[rows] * decay
+        acc_u = state.acc_update_sq[rows] * decay
+    acc_g *= rho
+    acc_g += (1.0 - rho) * grad * grad
+    step = -np.sqrt(acc_u + eps) / np.sqrt(acc_g + eps) * grad
+    acc_u *= rho
+    acc_u += (1.0 - rho) * step * step
+    if rows is None:
+        param += step
+        state.last[:] = state.steps
+    else:
+        state.acc_grad_sq[rows] = acc_g
+        state.acc_update_sq[rows] = acc_u
+        param[rows] += step
+        state.last[rows] = state.steps
     return param
 
 

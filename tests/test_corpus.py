@@ -163,6 +163,11 @@ class TestEncodeAndPad:
         v = build_vocabulary([toks])
         assert len(encode_and_pad(toks, v, 5)) == 7
 
+    def test_any_iterable_of_tokens(self):
+        v = build_vocabulary([["a", "b"]])
+        ids = encode_and_pad(iter(["b", "a"]), v, 3)
+        assert ids.dtype == np.int64 and ids.tolist() == [2, 1, 0]
+
     def test_unseen_token_maps_to_pad(self):
         v = build_vocabulary([["a"]])
         assert encode_and_pad(["zzz"], v, 3).tolist() == [PAD_ID] * 3
@@ -202,9 +207,11 @@ class TestEncodeCorpus:
             ds = corpus.encode_corpus(token_lists, labels, vocab, h_max)
             assert ds.num_classes == 2 and len(ds) == 300
             for toks, label, ex in zip(token_lists, labels, ds.examples):
-                expected = encode_and_pad(toks, vocab, h_max)
+                expected = [vocab.word_to_id.get(t, PAD_ID) for t in toks]
+                expected += [PAD_ID] * (h_max - len(toks))
                 assert ex.token_ids.dtype == np.int64
-                assert ex.token_ids.tolist() == expected.tolist()
+                assert ex.token_ids.tolist() == expected
+                assert encode_and_pad(toks, vocab, h_max).tolist() == expected
                 assert ex.label == label
 
     def test_short_sentences_right_padded(self):

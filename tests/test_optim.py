@@ -133,25 +133,6 @@ class TestAdadeltaStep:
         assert lazy[never].tobytes() == want[never].tobytes()
         assert np.all(state.acc_grad_sq[never] == 0.0)
 
-    @pytest.mark.parametrize("block", [1, 35, 64])
-    def test_block_size_changes_nothing(self, monkeypatch, block):
-        """Blocks of one row, of several rows with a short last one, and of
-        rows wider than a block give the one-block update bit for bit."""
-        def run():
-            rng = np.random.default_rng(6)
-            dense, table = rng.normal(size=(7, 3, 5)), rng.normal(size=(20, 9))
-            states = init_state(dense, 0.9, 1e-6), init_state(table, 0.9, 1e-6)
-            for _ in range(6):
-                adadelta_step(dense, rng.normal(size=dense.shape), states[0])
-                rows = np.sort(rng.choice(20, size=int(rng.integers(0, 12)), replace=False))
-                adadelta_step(table, rng.normal(size=(len(rows), 9)), states[1], rows)
-            return [a.tobytes() for st in states
-                    for a in (st.acc_grad_sq, st.acc_update_sq, st.last)] + [
-                dense.tobytes(), table.tobytes()]
-        want = run()
-        monkeypatch.setattr(optim, "_BLOCK", block)
-        assert run() == want
-
     def test_scale_freeness_at_first_step(self):
         # The ratio-normalized update grows sublinearly in the gradient.
         g = np.array([0.2, -1.5, 3.0])
