@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ VARIANT_CHANNELS = {
     "multichannel": (False, True),
 }
 VARIANTS = tuple(VARIANT_CHANNELS)
-# Bytes the binary reader takes from the file per read.
+# Bytes the binary reader and the format sniff take from the file per read.
 _CHUNK = 1 << 20
 
 
@@ -166,6 +167,28 @@ def write_word2vec_text(stream, words, matrix) -> None:
         stream.write(line.encode("utf-8"))
 
 
+def _text_body(fh, dim: int) -> bool:
+    """Whether the first non-blank line from `fh` on (the end of the file
+    ends it too) splits at ASCII whitespace into a word and `dim` numbers.
+    Reads `_CHUNK` bytes at a time, keeps a field count and the open value
+    field, never the word, and stops at the first field that rules text out."""
+    count, field = 0, None  # fields ended on the line; the open field's bytes, b"" for the word
+    for chunk in itertools.chain(iter(lambda: fh.read(_CHUNK), b""), [b"\n"]):
+        for token in (match[0] for match in re.finditer(rb"\S+|\n|[^\S\n]+", chunk)):
+            if not token.isspace():
+                field = (field or b"") + token if count else b""
+            elif field is not None:
+                try:
+                    if count:
+                        float(field)
+                except ValueError:
+                    return False
+                count, field = count + 1, None
+            if count > dim + 1 or (token == b"\n" and count):
+                return count == dim + 1
+    return False
+
+
 def load_vectors(path, vocab: Vocabulary, expected_dim: int | None = None):
     """Parse a vector file of either format.
 
@@ -177,12 +200,7 @@ def load_vectors(path, vocab: Vocabulary, expected_dim: int | None = None):
     with open(path, "rb") as fh:
         try:
             header = _header(fh.readline().split())
-            fields = next((line.split() for line in fh if not line.isspace()), []) if header else []
-            try:
-                is_text = not header or (len(fields) == header[1] + 1
-                                         and bool([float(x) for x in fields[1:]]))
-            except ValueError:
-                is_text = False
+            is_text = not header or _text_body(fh, header[1])
             fh.seek(0)
             parse = parse_word2vec_text if is_text else parse_word2vec_binary
             matrix, matched = parse(fh, vocab, expected_dim)

@@ -27,9 +27,11 @@ from .embed import EmbeddingChannel
 ACTIVATIONS = ("relu", "tanh")
 # Inference sizes: rows gathered and pooled at once (512 and 2,048 timed the
 # same), rows whose distinct tokens share score tables, and filters per
-# table.  On the benchmark's 400 predict lines, blocks of 6 chunks held
-# 1.8 MB less at once but predicted 6-9% slower, slabs of 25 filters were
-# 10% slower, and whole-width tables raised the static peak RSS by 8%.
+# table.  On the benchmark's 400 predict lines, blocks of 6 chunks held 1.8 MB
+# less but ran 6-9% slower and slabs of 25 filters 10% slower.  Dead ends, one
+# BLAS thread: whole blocks gathered with no chunks ran 18-23% slower at a
+# 19.7 MiB tracemalloc peak (12.0 with chunks); whole-width tables with no
+# slabs ran no faster, peaked at 17.8 MiB and moved last bits.
 _CHUNK_ROWS = 1024
 _BLOCK_ROWS = 8 * _CHUNK_ROWS
 _SLAB_MAPS = 50
@@ -126,8 +128,7 @@ def init_params(channels: list[EmbeddingChannel], num_classes: int, widths,
     for h in widths:
         weights = rng.uniform(-init_scale, init_scale, size=(maps_per_width, h, dim))
         banks.append(FilterBank(h, weights, np.zeros(maps_per_width)))
-    m = maps_per_width * len(list(widths))
-    out_w = rng.uniform(-init_scale, init_scale, size=(num_classes, m))
+    out_w = rng.uniform(-init_scale, init_scale, size=(num_classes, maps_per_width * len(banks)))
     return ModelParams(channels, banks, OutputLayer(out_w, np.zeros(num_classes)),
                        keep_prob=keep_prob, activation=activation)
 
@@ -206,25 +207,17 @@ def _ragged_pool(pre: np.ndarray, width: int, lengths: np.ndarray, activation: s
     return np.maximum.reduceat(act, starts, axis=0), act
 
 
-def _first_argmax(acts: list[np.ndarray], z: np.ndarray, lengths: np.ndarray):
-    """Per width, the (B, F) row of each sentence's first window that pools to
-    its max, from the masked activations `_ragged_pool` returns per width and
-    the (B, m) features.
+def _first_argmax(act: np.ndarray, best: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The (B, F) row of each sentence's first window that pools to its max,
+    from one width's activations and features as `_ragged_pool` returns them.
 
     This is numpy's argmax rule per sentence: the first maximum, or the first
     NaN when a column holds one (the pooled max is then NaN too).
     """
-    starts = np.cumsum(lengths) - lengths
-    sentence = np.repeat(np.arange(len(lengths)), lengths)
-    argmax, offset = [], 0
-    for act in acts:
-        n_windows, n_maps = act.shape
-        best = z[sentence[:n_windows], offset:offset + n_maps]
-        offset += n_maps
-        hit = (act == best) | np.isnan(act)
-        argmax.append(np.minimum.reduceat(np.where(hit, np.arange(n_windows)[:, None], n_windows),
-                                          starts, axis=0))
-    return argmax
+    n_windows = act.shape[0]
+    hit = (act == np.repeat(best, lengths, axis=0)[:n_windows]) | np.isnan(act)
+    return np.minimum.reduceat(np.where(hit, np.arange(n_windows)[:, None], n_windows),
+                               np.cumsum(lengths) - lengths, axis=0)
 
 
 def _logits(params: ModelParams, z: np.ndarray, masks: np.ndarray | None) -> np.ndarray:
@@ -241,10 +234,12 @@ def forward_batch(params: ModelParams, sentences, masks):
     masks.  The sentences are concatenated without padding and convolved once."""
     sentences, lengths = _sentences(params, sentences)
     distinct, inverse, rows, preacts = _conv(params, np.concatenate(sentences))
-    pooled, acts = zip(*(_ragged_pool(pre, bank.width, lengths, params.activation)
-                         for bank, pre in zip(params.filters, preacts)))
+    pooled, argmax = [], []
+    for bank, pre in zip(params.filters, preacts):
+        best, act = _ragged_pool(pre, bank.width, lengths, params.activation)
+        pooled.append(best)
+        argmax.append(_first_argmax(act, best, lengths))
     z = np.concatenate(pooled, axis=1)
-    argmax = _first_argmax(acts, z, lengths)
     masks = np.asarray(masks, dtype=np.float64)
     logits = _logits(params, z, masks)
     return logits, ForwardTrace(distinct, inverse, rows, preacts, argmax, z, masks, logits)
@@ -345,14 +340,15 @@ def _runs(sizes, limit: int) -> list[int]:
 
 
 def _pool_block(params: ModelParams, slabs: list[FilterBank], sentences: list[np.ndarray],
-                lengths: np.ndarray, chunks: list[int], out: np.ndarray) -> None:
+                lengths: np.ndarray, out: np.ndarray) -> None:
     """Write a block's (b, m) pooled features into `out`.  The block's
     distinct tokens are found once; per slab of filters, one score table of
-    them is gathered, activated and pooled chunk by chunk, sentences
-    `chunks[c]:chunks[c + 1]`, and freed before the next slab's."""
+    them is gathered, activated and pooled chunk by chunk, runs of sentences
+    of about _CHUNK_ROWS rows, and freed before the next slab's."""
     distinct, inverse = np.unique(np.concatenate(sentences), return_inverse=True)
     rows = summed_embedding(params.channels, distinct)
     row_at = np.concatenate([[0], np.cumsum(lengths)])
+    chunks = _runs(lengths, _CHUNK_ROWS)
     col = 0
     for slab in slabs:
         table = _score_table(rows, slab)
@@ -368,13 +364,13 @@ def predict_logits(params: ModelParams, sentences) -> np.ndarray:
     """Inference logits of many sentences at once: (B, classes), row i for
     sentence i, with the output weights scaled by keep_prob.
 
-    The sentences are concatenated without padding and split into chunks of
-    about _CHUNK_ROWS rows, and consecutive chunks into blocks of about
-    _BLOCK_ROWS rows; a sentence longer than a chunk or a block is one alone.
-    `_pool_block` finds a block's distinct tokens once; per width, and per
-    slab of _SLAB_MAPS filters in it, it builds one score table of those
-    tokens, gathers, activates and pools each chunk of the block with
-    `_ragged_pool`, with no trace and no argmax, and frees the table.
+    The sentences are split into blocks of about _BLOCK_ROWS rows and each
+    block into chunks of about _CHUNK_ROWS, both runs of whole sentences; a
+    sentence longer than a block or a chunk is one alone.  `_pool_block`
+    finds a block's distinct tokens once; per width, and per slab of
+    _SLAB_MAPS filters in it, it builds one score table of those tokens, and
+    gathers, activates and pools each chunk, its sentences concatenated
+    without padding, with `_ragged_pool`, no trace and no argmax.
 
     Memory: with R = max(_BLOCK_ROWS, longest sentence) rows in a block,
     U <= R distinct tokens in it, k the embedding size, h the widest filter
@@ -393,15 +389,12 @@ def predict_logits(params: ModelParams, sentences) -> np.ndarray:
     with scoring its sentence alone within 1e-12, not byte for byte.
     """
     sentences, lengths = _sentences(params, sentences)
-    chunks = _runs(lengths, _CHUNK_ROWS)
-    blocks = _runs([lengths[lo:hi].sum() for lo, hi in zip(chunks, chunks[1:])], _BLOCK_ROWS)
+    blocks = _runs(lengths, _BLOCK_ROWS)
     slabs = [FilterBank(bank.width, bank.weights[f:f + _SLAB_MAPS], bank.biases[f:f + _SLAB_MAPS])
              for bank in params.filters for f in range(0, bank.biases.shape[0], _SLAB_MAPS)]
     z = np.empty((len(sentences), params.num_filters))
-    for first, last in zip(blocks, blocks[1:]):
-        lo, hi = chunks[first], chunks[last]
-        _pool_block(params, slabs, sentences[lo:hi], lengths[lo:hi],
-                    [c - lo for c in chunks[first:last + 1]], z[lo:hi])
+    for lo, hi in zip(blocks, blocks[1:]):
+        _pool_block(params, slabs, sentences[lo:hi], lengths[lo:hi], z[lo:hi])
     return _logits(params, z, None)
 
 

@@ -159,44 +159,38 @@ def adadelta_step(param: np.ndarray, grad: np.ndarray, state: AdadeltaState,
                   rows=None) -> np.ndarray:
     """One in-place update: step size is RMS(past steps) / RMS(past grads).
 
-    With `rows` None, `grad` has the tensor's shape and every row is
-    stepped.  Otherwise `rows` holds distinct row indices and `grad` their
-    gradient, one row each; only those rows of the parameter and of both
-    accumulators are read or written.  A row last updated at step s first
-    receives the decay of the steps s+1 .. t-1 it missed, `rho ** (t-1-s)`
-    on both accumulators, and then step t's update: E[g^2] decays and takes
-    g^2, the step reads E[dx^2] before its own decay, and E[dx^2] decays
-    and takes the step^2.  In real arithmetic this is the update of the
-    whole tensor with zero gradient on the other rows; in floating point
-    one multiply by `rho ** gap` rounds differently from `gap` multiplies
-    by rho, and a row stepped at every step (gap factor 1.0) is unchanged
-    bit for bit.
+    `grad` holds one gradient row per distinct index in `rows`, or, with
+    `rows` None, one per row of the tensor.  Only those rows of the parameter
+    and of both accumulators are read or written.  A row last updated at
+    step s first receives the decay of the steps s+1 .. t-1 it missed,
+    `rho ** (t-1-s)` on both accumulators, and then step t's update: E[g^2]
+    decays and takes g^2, the step reads E[dx^2] before its own decay, and
+    E[dx^2] decays and takes the step^2.  In real arithmetic this is the
+    update of the whole tensor with zero gradient on the other rows; in
+    floating point one multiply by `rho ** gap` rounds differently from
+    `gap` multiplies by rho, and a row stepped at every step, as every row of
+    a dense tensor is, gets the factor 1.0 and is unchanged bit for bit.
     """
     grad = np.asarray(grad, dtype=np.float64)
     if not np.all(np.isfinite(grad)):
         raise ValueError("diverged: non-finite gradient")
     rho, eps = state.rho, state.eps
     state.steps += 1
-    if rows is None:
-        acc_g, acc_u = state.acc_grad_sq, state.acc_update_sq
-    else:
-        decay = rho ** (state.steps - 1 - state.last[rows])
-        decay = decay.reshape(decay.shape + (1,) * (param.ndim - 1))
-        acc_g = state.acc_grad_sq[rows] * decay
-        acc_u = state.acc_update_sq[rows] * decay
+    rows = slice(None) if rows is None else rows
+    decay = rho ** (state.steps - 1 - state.last[rows])
+    decay = decay.reshape(decay.shape + (1,) * (param.ndim - 1))
+    # Views for a slice, gathered copies for an index array: written back below.
+    acc_g, acc_u = state.acc_grad_sq[rows], state.acc_update_sq[rows]
+    acc_g *= decay
+    acc_u *= decay
     acc_g *= rho
     acc_g += (1.0 - rho) * grad * grad
     step = -np.sqrt(acc_u + eps) / np.sqrt(acc_g + eps) * grad
     acc_u *= rho
     acc_u += (1.0 - rho) * step * step
-    if rows is None:
-        param += step
-        state.last[:] = state.steps
-    else:
-        state.acc_grad_sq[rows] = acc_g
-        state.acc_update_sq[rows] = acc_u
-        param[rows] += step
-        state.last[rows] = state.steps
+    state.acc_grad_sq[rows], state.acc_update_sq[rows] = acc_g, acc_u
+    param[rows] += step
+    state.last[rows] = state.steps
     return param
 
 
@@ -210,8 +204,7 @@ def l2_renorm(output: net.OutputLayer, s: float) -> net.OutputLayer:
     weights = output.weights
     norms = np.sqrt((weights * weights).sum(axis=1))
     over = norms > s * (1.0 + _RENORM_SLACK)
-    if np.any(over):
-        weights[over] *= (s / norms[over])[:, None]
+    weights[over] *= (s / norms[over])[:, None]
     return output
 
 

@@ -5,11 +5,13 @@ synthetic corpus, write every output to OUTDIR and print a sha256 manifest.
 
 The corpus is `synthdata.trigger_bigram_pairs(300, seed=5)`; a word2vec
 binary file holds `synthdata.planted_vectors` for three of every four
-vocabulary words.  Three configs (k=16, widths 2,3,4, 10 maps, seed 11):
+vocabulary words.  Four configs (k=16, widths 2,3,4, 10 maps, seed 11):
 
 * `reference`: batch 50, 15 epochs, the config earlier identity checks used
   (its models barely train: six batches an epoch);
 * `learning`: the same with batch 10, on which every variant learns;
+* `tanh`: `learning` with the tanh activation, so the checks cover the
+  tanh activation, derivative and argmax paths too;
 * `early-stop`: batch 20, up to 30 epochs, patience 4, init_scale 0.1, so
   early stopping ends the run before its last epoch.
 
@@ -38,6 +40,7 @@ BASE = "widths = 2,3,4\nmaps_per_width = 10\ndim = 16\nseed = 11\n"
 CONFIGS = {
     "reference": "batch_size = 50\nmax_epochs = 15\n",
     "learning": "batch_size = 10\nmax_epochs = 15\n",
+    "tanh": "batch_size = 10\nmax_epochs = 15\nactivation = tanh\n",
     "early-stop": "batch_size = 20\nmax_epochs = 30\npatience = 4\ninit_scale = 0.1\n",
 }
 

@@ -2,6 +2,7 @@
 
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,6 +292,46 @@ class TestLoadVectors:
         matrix, matched = load_vectors(path, vocab)
         assert matched == {"cat", "dog"}
         assert matrix[1:].tolist() == [[1.0], [2.0]]
+
+    SNIFF_CASES = [  # (file bytes, whether the body is text)
+        (b"2 3\ncat 1.0 2.0 3.0\ndog -1.0 0.5 0.25\n", True),
+        (b"2 3 \ncat 1.0 2.0 3.0 \ndog -1.0 0.5 0.25 \n", True),  # fastText .vec
+        (b"2 3\n\n \r\n\t\ncat 1.0 2.0 3.0\ndog -1.0 0.5 0.25\n", True),  # blank lines first
+        (binary_fixture(CAT_DOG), False),
+        (b"2 3\n" + b"".join(w.encode() + b" " + np.asarray(v, dtype="<f4").tobytes()
+                             for w, v in CAT_DOG), False),  # no record newlines
+    ]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 7, 13, 64])
+    def test_sniff_chunk_size_changes_nothing(self, tmp_path, monkeypatch, chunk):
+        vocab = build_vocabulary([["cat", "dog"]])
+        path = tmp_path / "v"
+        for blob, is_text in self.SNIFF_CASES:
+            path.write_bytes(blob)
+            expected = load_vectors(path, vocab)[0]
+            with monkeypatch.context() as patch:
+                patch.setattr(embed, "_CHUNK", chunk)
+                stream = io.BytesIO(blob)
+                stream.readline()
+                assert embed._text_body(stream, 3) is is_text
+                assert load_vectors(path, vocab)[0].tobytes() == expected.tobytes()
+            assert expected[1:].tolist() == [[1.0, 2.0, 3.0], [-1.0, 0.5, 0.25]]
+
+    def test_sniff_reads_a_binary_body_without_newlines_in_chunks(self, tmp_path):
+        # 8,000 zero vectors of 300 values, no newline after the header: the
+        # body is one 9.2 MiB line, which the sniff must not hold whole.
+        path = tmp_path / "flat.bin"
+        zeros = np.zeros(300, dtype="<f4").tobytes()
+        path.write_bytes(b"8000 300\n" + b"".join(b"w%d " % i + zeros for i in range(8000)))
+        vocab = build_vocabulary([["w0", "w7999"]])
+        tracemalloc.start()
+        try:
+            matrix, matched = load_vectors(path, vocab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matched == {"w0", "w7999"} and not matrix.any()
+        assert peak < 4 << 20
 
     def test_fuzzed_tiny_vector_file(self, tmp_path):
         vocab = build_vocabulary([["cat", "dog"]])

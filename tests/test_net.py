@@ -295,6 +295,17 @@ class TestLossAndProbs:
 
 
 class TestForward:
+    def test_widths_iterator_sizes_the_output_layer(self):
+        # `widths` is walked once, so an iterator gives the same parameters
+        # as a tuple, output layer included.
+        channels = random_channels(np.random.default_rng(5), 1, 9, 5)
+        params = net.init_params(channels, 2, iter((2, 3)), 3, seed=1)
+        expected = net.init_params(channels, 2, (2, 3), 3, seed=1)
+        assert params.output.weights.shape == (2, 6)
+        assert np.array_equal(params.output.weights, expected.output.weights)
+        logits, _ = forward(params, [1, 2, 3, 4], np.ones(params.num_filters))
+        assert logits.shape == (2,)
+
     def test_keep_prob_one_train_equals_inference(self):
         rng = np.random.default_rng(6)
         channels = random_channels(rng, 1, 9, 5)
@@ -634,10 +645,7 @@ def repeated_sentence_rows():
 
 def block_count(sentences):
     """How many blocks `predict_logits` splits the sentences into."""
-    lengths = [len(ids) for ids in sentences]
-    chunks = net._runs(lengths, net._CHUNK_ROWS)
-    chunk_rows = [sum(lengths[lo:hi]) for lo, hi in zip(chunks, chunks[1:])]
-    return len(net._runs(chunk_rows, net._BLOCK_ROWS)) - 1
+    return len(net._runs([len(ids) for ids in sentences], net._BLOCK_ROWS)) - 1
 
 
 class TestPredictLogits:
