@@ -6,12 +6,25 @@ class count, and finally every tensor's float64 little-endian data in
 `net.all_tensors` order.  No tensor carries a name or shape: the embedded
 config, the vocabulary size and the class count fix them all.  No trailing
 bytes.  Files of other versions, VERSION 1 included, are rejected.
+
+`load_checkpoint` maps the file once, privately and copy-on-write, and every
+tensor it returns is a view of that mapping: no table is read into fresh
+memory, and a write to a loaded tensor copies its page and never reaches the
+file.  The views start wherever the texts end, so they are unaligned; numpy
+copies where BLAS needs alignment.  A mapped file must not be changed in
+place while a process has it loaded: a truncated page faults on its next
+read, and a rewritten one may show the new bytes.  So `save_checkpoint`
+writes a sibling temporary file and renames it over the path, and never
+truncates a checkpoint.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
+import secrets
+import shutil
 import struct
 from dataclasses import dataclass
 
@@ -36,25 +49,30 @@ def _write_str(fh, text: str) -> None:
 
 
 class _Reader:
-    """Checkpoint fields in file order.  No read asks for more bytes than the
-    file has left, so a corrupt length, size or class count never sizes an
-    allocation."""
+    """Checkpoint fields in file order, from one copy-on-write mapping of the
+    file.  No read asks for more bytes than the file has left, so a corrupt
+    length, size or class count never sizes an allocation or a view."""
 
     def __init__(self, fh):
-        self.fh = fh
-        self.left = os.fstat(fh.fileno()).st_size
+        if os.fstat(fh.fileno()).st_size == 0:  # mmap cannot map an empty file
+            raise CheckpointError("truncated checkpoint")
+        self.map = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+        self.at = 0
 
-    def _take(self, n: int) -> None:
+    @property
+    def left(self) -> int:
+        return len(self.map) - self.at
+
+    def _take(self, n: int) -> int:
+        """The offset of the next `n` bytes, which this read consumes."""
         if n > self.left:
             raise CheckpointError("truncated checkpoint")
-        self.left -= n
+        self.at += n
+        return self.at - n
 
     def exact(self, n: int) -> bytes:
-        self._take(n)
-        data = self.fh.read(n)
-        if len(data) != n:
-            raise CheckpointError("truncated checkpoint")
-        return data
+        start = self._take(n)
+        return self.map[start:start + n]
 
     def u32(self) -> int:
         return struct.unpack("<I", self.exact(4))[0]
@@ -66,11 +84,9 @@ class _Reader:
             raise CheckpointError("string is not valid UTF-8") from None
 
     def array(self, *shape: int) -> np.ndarray:
-        self._take(8 * math.prod(shape))
-        out = np.empty(shape, dtype="<f8")
-        if self.fh.readinto(out) != out.nbytes:
-            raise CheckpointError("truncated checkpoint")
-        return out
+        count = math.prod(shape)
+        start = self._take(8 * count)
+        return np.frombuffer(self.map, dtype="<f8", count=count, offset=start).reshape(shape)
 
 
 @dataclass
@@ -88,15 +104,26 @@ def save_checkpoint(path, params: net.ModelParams, vocab: Vocabulary,
     if blob.split() != words:
         bad = next(word for word in words if word.split() != [word])
         raise ValueError(f"vocabulary word {bad!r} is empty or holds whitespace")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        _write_str(fh, optim.config_to_text(config))
-        _write_str(fh, history_csv)
-        _write_str(fh, blob)
-        fh.write(struct.pack("<I", params.num_classes))
-        for _, tensor in net.all_tensors(params):
-            fh.write(np.ascontiguousarray(tensor, dtype="<f8"))
+    # Replace the file, never rewrite it: a process may have it mapped.
+    path = os.path.realpath(path)
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            _write_str(fh, optim.config_to_text(config))
+            _write_str(fh, history_csv)
+            _write_str(fh, blob)
+            fh.write(struct.pack("<I", params.num_classes))
+            for _, tensor in net.all_tensors(params):
+                fh.write(np.ascontiguousarray(tensor, dtype="<f8"))
+        if os.path.exists(path):  # the mode `open(path, "wb")` would have kept
+            shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:

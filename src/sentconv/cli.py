@@ -125,9 +125,9 @@ def cmd_predict(args) -> int:
                  for line in lines]
     probs, _ = net.loss_and_probs(net.predict_logits(ckpt.params, sentences),
                                   np.zeros(len(sentences), dtype=np.int64))
-    for row in probs:
-        dist = " ".join(f"{p:.10f}" for p in row)
-        sys.stdout.write(f"{int(np.argmax(row))}\t{dist}\n")
+    row = "{}\t" + " ".join(["{:.10f}"] * probs.shape[1]) + "\n"
+    sys.stdout.write("".join(row.format(best, *dist) for best, dist in
+                             zip(probs.argmax(axis=1).tolist(), probs.tolist())))
     return EXIT_OK
 
 

@@ -168,8 +168,8 @@ def adadelta_step(param: np.ndarray, grad: np.ndarray, state: AdadeltaState,
     E[dx^2] decays and takes the step^2.  In real arithmetic this is the
     update of the whole tensor with zero gradient on the other rows; in
     floating point one multiply by `rho ** gap` rounds differently from
-    `gap` multiplies by rho, and a row stepped at every step, as every row of
-    a dense tensor is, gets the factor 1.0 and is unchanged bit for bit.
+    `gap` multiplies by rho.  A row stepped at every step, as every row of a
+    dense tensor is, missed no decay, so no decay is applied to it.
     """
     grad = np.asarray(grad, dtype=np.float64)
     if not np.all(np.isfinite(grad)):
@@ -177,12 +177,13 @@ def adadelta_step(param: np.ndarray, grad: np.ndarray, state: AdadeltaState,
     rho, eps = state.rho, state.eps
     state.steps += 1
     rows = slice(None) if rows is None else rows
-    decay = rho ** (state.steps - 1 - state.last[rows])
-    decay = decay.reshape(decay.shape + (1,) * (param.ndim - 1))
+    gap = state.steps - 1 - state.last[rows]
     # Views for a slice, gathered copies for an index array: written back below.
     acc_g, acc_u = state.acc_grad_sq[rows], state.acc_update_sq[rows]
-    acc_g *= decay
-    acc_u *= decay
+    if gap.any():  # with no gap the decay is 1.0, and multiplying by it changes no bit
+        decay = (rho ** gap).reshape(gap.shape + (1,) * (param.ndim - 1))
+        acc_g *= decay
+        acc_u *= decay
     acc_g *= rho
     acc_g += (1.0 - rho) * grad * grad
     step = -np.sqrt(acc_u + eps) / np.sqrt(acc_g + eps) * grad

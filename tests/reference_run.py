@@ -3,9 +3,12 @@ synthetic corpus, write every output to OUTDIR and print a sha256 manifest.
 
     PYTHONPATH=src python3 tests/reference_run.py OUTDIR
 
+It pins one BLAS thread before numpy is imported, so the manifest does not
+depend on the machine's core count.
+
 The corpus is `synthdata.trigger_bigram_pairs(300, seed=5)`; a word2vec
 binary file holds `synthdata.planted_vectors` for three of every four
-vocabulary words.  Four configs (k=16, widths 2,3,4, 10 maps, seed 11):
+vocabulary words.  Five configs (k=16, widths 2,3,4, 10 maps, seed 11):
 
 * `reference`: batch 50, 15 epochs, the config earlier identity checks used
   (its models barely train: six batches an epoch);
@@ -13,7 +16,10 @@ vocabulary words.  Four configs (k=16, widths 2,3,4, 10 maps, seed 11):
 * `tanh`: `learning` with the tanh activation, so the checks cover the
   tanh activation, derivative and argmax paths too;
 * `early-stop`: batch 20, up to 30 epochs, patience 4, init_scale 0.1, so
-  early stopping ends the run before its last epoch.
+  early stopping ends the run before its last epoch;
+* `six-class`: `learning` on `synthdata.six_class_pairs(300, seed=5)` and
+  its own vector file, written under `inputs/six-class/`, so the checks
+  cover an output layer of more than two classes.
 
 Per config and variant it writes the `train` stdout, history CSV and
 checkpoint, the `predict` output on held-out lines, the `neighbors` output
@@ -31,6 +37,9 @@ import os
 import sys
 from pathlib import Path
 
+# Summation order inside BLAS depends on its thread count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import synthdata  # noqa: E402
@@ -42,6 +51,7 @@ CONFIGS = {
     "learning": "batch_size = 10\nmax_epochs = 15\n",
     "tanh": "batch_size = 10\nmax_epochs = 15\nactivation = tanh\n",
     "early-stop": "batch_size = 20\nmax_epochs = 30\npatience = 4\ninit_scale = 0.1\n",
+    "six-class": "batch_size = 10\nmax_epochs = 15\n",
 }
 
 
@@ -56,9 +66,10 @@ def run(argv, stdout_path=None) -> None:
         stdout_path.write_text(out.getvalue(), encoding="utf-8")
 
 
-def write_inputs(root: Path):
-    """The corpus, vector file and held-out lines; returns their paths."""
-    pairs = synthdata.trigger_bigram_pairs(300, seed=5)
+def write_inputs(root: Path, make_pairs=synthdata.trigger_bigram_pairs):
+    """The corpus, vector file and held-out lines of `make_pairs`; returns
+    their paths."""
+    pairs = make_pairs(300, seed=5)
     data = root / "data.tsv"
     synthdata.write_tsv(data, pairs)
     vocab = corpus.build_vocabulary(corpus.tokenize_corpus(pairs)[0])
@@ -67,7 +78,7 @@ def write_inputs(root: Path):
     vectors = root / "vectors.bin"
     with open(vectors, "wb") as fh:
         embed.write_word2vec_binary(fh, [vocab.id_to_word[i] for i in kept], planted[kept])
-    lines = [text for _, text in synthdata.trigger_bigram_pairs(40, seed=6)]
+    lines = [text for _, text in make_pairs(40, seed=6)]
     held_out = root / "held-out.txt"
     held_out.write_text("\n".join(lines + ["", "unseen words only"]) + "\n", encoding="utf-8")
     return data, vectors, held_out
@@ -78,9 +89,12 @@ def main(outdir) -> int:
     out.mkdir(parents=True, exist_ok=True)
     inputs = out / "inputs"
     inputs.mkdir(exist_ok=True)
-    data, vectors, held_out = write_inputs(inputs)
+    binary = write_inputs(inputs)
+    (inputs / "six-class").mkdir(exist_ok=True)
+    six_class = write_inputs(inputs / "six-class", synthdata.six_class_pairs)
     query = synthdata.TRIGGER_WORDS[0]
     for name, extra in CONFIGS.items():
+        data, vectors, held_out = six_class if name == "six-class" else binary
         config = inputs / f"{name}.cfg"
         config.write_text(BASE + extra, encoding="utf-8")
         for variant in embed.VARIANTS:

@@ -1,10 +1,11 @@
 """Deterministic synthetic corpora shared across the test suite.
 
 The classification task: a sentence is positive iff it contains one of five
-trigger bigrams.  Negative sentences may contain a single isolated trigger
-word, so unigram shortcuts do not solve the task.  `planted_vectors` builds
-an informative "pre-trained" matrix with all trigger words clustered around
-one direction, which a static-channel model can exploit immediately.
+trigger bigrams; `six_class_pairs` asks which of the five, if any.  Negative
+sentences may contain a single isolated trigger word, so unigram shortcuts
+do not solve the task.  `planted_vectors` builds an informative
+"pre-trained" matrix with all trigger words clustered around one direction,
+which a static-channel model can exploit immediately.
 """
 
 import numpy as np
@@ -29,6 +30,25 @@ def trigger_bigram_pairs(n, seed, n_filler=200):
             first, second = TRIGGER_BIGRAMS[rng.integers(0, len(TRIGGER_BIGRAMS))]
             pos = int(rng.integers(0, len(sent) - 1))
             sent[pos:pos + 2] = [first, second]
+        elif rng.random() < 0.5:
+            sent[int(rng.integers(0, len(sent)))] = TRIGGER_WORDS[rng.integers(0, N_TRIGGERS)]
+        rows.append((label, " ".join(sent)))
+    return rows
+
+
+def six_class_pairs(n, seed, n_filler=200):
+    """(label, sentence) pairs over six classes: a sentence of class c < 5
+    holds trigger bigram c, and one of class 5 holds none, only perhaps a
+    lone trigger word."""
+    rng = np.random.default_rng(seed)
+    fillers = [f"w{i:03d}" for i in range(n_filler)]
+    rows = []
+    for _ in range(n):
+        sent = list(rng.choice(fillers, int(rng.integers(7, 15))))
+        label = int(rng.integers(0, 6))
+        if label < len(TRIGGER_BIGRAMS):
+            pos = int(rng.integers(0, len(sent) - 1))
+            sent[pos:pos + 2] = TRIGGER_BIGRAMS[label]
         elif rng.random() < 0.5:
             sent[int(rng.integers(0, len(sent)))] = TRIGGER_WORDS[rng.integers(0, N_TRIGGERS)]
         rows.append((label, " ".join(sent)))

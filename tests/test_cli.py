@@ -1,16 +1,20 @@
 """Command-line behavior: exit codes, output formats, checkpoint round trips."""
 
+import hashlib
 import io
 import math
+import os
+import stat
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import synthdata
-from sentconv import cli, corpus, embed, evaluate, net, optim
+from sentconv import checkpoint, cli, corpus, embed, evaluate, net, optim
 from sentconv.checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from sentconv.cli import EXIT_CORRUPT, EXIT_OK, EXIT_QUERY, EXIT_USAGE, EXIT_VALIDATION, main
 
@@ -313,6 +317,33 @@ class TestPredictCommand:
         assert code == EXIT_OK
         assert len(capsys.readouterr().out.splitlines()) == 1
 
+    def test_three_classes_formatted_row_by_row(self, workdir, capsys, tmp_path):
+        rng = np.random.default_rng(4)
+        config = optim.TrainConfig(variant="rand", widths=(2, 3), maps_per_width=4, dim=8,
+                                   init_scale=1.0)
+        base = rng.normal(size=(len(workdir["vocab"]), 8))
+        base[corpus.PAD_ID] = 0.0
+        params = evaluate.initial_params(config, base, 3)
+        params.output.weights[:] = rng.normal(scale=3.0, size=params.output.weights.shape)
+        path = tmp_path / "three.ckpt"
+        save_checkpoint(path, params, workdir["vocab"], config)
+        lines = [" ".join(rng.choice(workdir["vocab"].id_to_word[1:], 6)) for _ in range(30)]
+        inp = tmp_path / "in.txt"
+        inp.write_text("\n".join(lines + [""]) + "\n", encoding="utf-8")
+        assert main(["predict", "--checkpoint", str(path), "--input", str(inp)]) == EXIT_OK
+        out = capsys.readouterr().out
+
+        ckpt = load_checkpoint(path)
+        sentences = [corpus.encode_and_pad(corpus.clean_and_tokenize(line), ckpt.vocab, 3)
+                     for line in lines + [""]]
+        probs, _ = net.loss_and_probs(net.predict_logits(ckpt.params, sentences),
+                                      np.zeros(len(sentences), dtype=np.int64))
+        assert set(np.argmax(probs, axis=1)) == {0, 1, 2}
+        # The reference: each row formatted on its own.
+        expected = "".join(f"{int(np.argmax(row))}\t" + " ".join(f"{p:.10f}" for p in row) + "\n"
+                           for row in probs)
+        assert out == expected
+
     def test_corrupt_checkpoint_exit_code(self, workdir, tmp_path, capsys):
         corrupt = tmp_path / "corrupt.ckpt"
         corrupt.write_bytes(workdir["ckpt"].read_bytes()[:-8])
@@ -504,6 +535,88 @@ class TestCheckpointRoundTrip:
             assert path.stat().st_size == header + 8 * values, variant
 
 
+class TestCheckpointMapping:
+    """Loaded tensors are copy-on-write views of the mapped file, and a save
+    replaces a file instead of rewriting it."""
+
+    @pytest.fixture
+    def copied(self, workdir, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(workdir["ckpt"].read_bytes())
+        return path
+
+    def test_load_copies_no_table(self, tmp_path):
+        vocab = corpus.Vocabulary([f"w{i}" for i in range(3500)])
+        config = optim.TrainConfig(variant="multichannel", widths=(2,), maps_per_width=2)
+        base = np.random.default_rng(1).uniform(-0.25, 0.25, (len(vocab), config.dim))
+        base[corpus.PAD_ID] = 0.0
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(path, evaluate.initial_params(config, base, 2), vocab, config)
+        table = base.nbytes
+        assert table >= 8 * 2**20
+        tracemalloc.start()
+        try:
+            ckpt = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table / 4, (peak, table)
+        assert all(np.array_equal(ch.matrix, base) for ch in ckpt.params.channels)
+
+    def test_write_to_a_loaded_table_never_reaches_the_file(self, copied):
+        before = hashlib.sha256(copied.read_bytes()).hexdigest()
+        tuned = load_checkpoint(copied).params.channels[1]  # multichannel
+        assert tuned.trainable and tuned.matrix.flags.writeable
+        tuned.matrix += 1.0
+        assert hashlib.sha256(copied.read_bytes()).hexdigest() == before
+        assert np.array_equal(load_checkpoint(copied).params.channels[1].matrix + 1.0,
+                              tuned.matrix)
+
+    def test_save_over_the_loaded_file(self, copied):
+        # In a child process: a save that truncated the mapped file would
+        # fault there, killing the child and not the test run.
+        script = f"""
+import numpy as np
+from sentconv import net
+from sentconv.checkpoint import load_checkpoint, save_checkpoint
+path = {str(copied)!r}
+before = open(path, "rb").read()
+ckpt = load_checkpoint(path)
+kept = [np.array(t) for _, t in net.all_tensors(ckpt.params)]
+save_checkpoint(path, ckpt.params, ckpt.vocab, ckpt.config, ckpt.history_csv)
+assert all(np.array_equal(t, k) for (_, t), k in zip(net.all_tensors(ckpt.params), kept))
+again = load_checkpoint(path)
+assert all(np.array_equal(t, k) for (_, t), k in zip(net.all_tensors(again.params), kept))
+assert open(path, "rb").read() == before
+print("ok")
+"""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(checkpoint.__file__)))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
+        assert os.listdir(copied.parent) == [copied.name]
+
+    def test_failed_save_leaves_the_old_file(self, workdir, copied):
+        before = copied.read_bytes()
+        ckpt = load_checkpoint(workdir["ckpt"])
+        ckpt.params.output.biases = np.array(["not a number"] * 2, dtype=object)
+        with pytest.raises(ValueError):  # raised after the earlier tensors were written
+            save_checkpoint(copied, ckpt.params, ckpt.vocab, ckpt.config)
+        assert copied.read_bytes() == before
+        assert os.listdir(copied.parent) == [copied.name]
+
+    def test_save_gives_the_mode_open_gives(self, workdir, tmp_path):
+        ckpt = load_checkpoint(workdir["ckpt"])
+        with open(tmp_path / "opened", "wb"):
+            pass
+        fresh = tmp_path / "fresh.ckpt"
+        save_checkpoint(fresh, ckpt.params, ckpt.vocab, ckpt.config)
+        assert fresh.stat().st_mode == (tmp_path / "opened").stat().st_mode
+        fresh.chmod(0o640)
+        save_checkpoint(fresh, ckpt.params, ckpt.vocab, ckpt.config)
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o640
+
+
 def _resaved(workdir, tmp_path, mutate, history_csv=""):
     """The trained checkpoint, changed by `mutate(params)` and saved again."""
     ckpt = load_checkpoint(workdir["ckpt"])
@@ -590,7 +703,7 @@ class TestCheckpointRejections:
     def test_impossible_dims(self, workdir, tmp_path, capsys, monkeypatch, field):
         # The embedded config and the class count size every tensor.  Sizes
         # that need more bytes than the file holds are refused before any
-        # array is allocated for them.
+        # array is allocated or any view of the mapped file is made for them.
         ckpt = load_checkpoint(workdir["ckpt"])
         path = tmp_path / "huge.ckpt"
         if field == "dim":
@@ -603,13 +716,18 @@ class TestCheckpointRejections:
             blob[at:at + 4] = struct.pack("<I", 2**32 - 1)
             path.write_bytes(bytes(blob))
         size = path.stat().st_size
-        empty = np.empty
+        empty, frombuffer = np.empty, np.frombuffer
 
         def bounded_empty(shape, dtype=float):
             assert np.dtype(dtype).itemsize * math.prod(shape) <= size, shape
             return empty(shape, dtype)
 
+        def bounded_frombuffer(buffer, dtype=float, count=-1, offset=0):
+            assert np.dtype(dtype).itemsize * count <= size, count
+            return frombuffer(buffer, dtype, count, offset)
+
         monkeypatch.setattr(np, "empty", bounded_empty)
+        monkeypatch.setattr(np, "frombuffer", bounded_frombuffer)
         code, captured = self._predict(path, capsys)
         assert code == EXIT_CORRUPT
         assert captured.out == ""

@@ -47,6 +47,29 @@ def caught_up(state):
     return state.acc_grad_sq * decay, state.acc_update_sq * decay
 
 
+def unit_decay_adadelta_step(param, grad, state, rows=None):
+    """`adadelta_step` as written before it skipped a decay of exactly 1.0:
+    every row stepped multiplies both accumulators by `rho ** gap`, gap 0
+    included."""
+    grad = np.asarray(grad, dtype=np.float64)
+    rho, eps = state.rho, state.eps
+    state.steps += 1
+    rows = slice(None) if rows is None else rows
+    decay = rho ** (state.steps - 1 - state.last[rows])
+    decay = decay.reshape(decay.shape + (1,) * (param.ndim - 1))
+    acc_g, acc_u = state.acc_grad_sq[rows], state.acc_update_sq[rows]
+    acc_g *= decay
+    acc_u *= decay
+    acc_g *= rho
+    acc_g += (1.0 - rho) * grad * grad
+    step = -np.sqrt(acc_u + eps) / np.sqrt(acc_g + eps) * grad
+    acc_u *= rho
+    acc_u += (1.0 - rho) * step * step
+    state.acc_grad_sq[rows], state.acc_update_sq[rows] = acc_g, acc_u
+    param[rows] += step
+    state.last[rows] = state.steps
+
+
 class TestAdadeltaStep:
     def test_zero_gradient_is_a_no_op(self):
         param = np.array([1.0, -2.0])
@@ -132,6 +155,30 @@ class TestAdadeltaStep:
                     assert got_t.tobytes() == want_t.tobytes()
         assert lazy[never].tobytes() == want[never].tobytes()
         assert np.all(state.acc_grad_sq[never] == 0.0)
+
+    def test_skipping_the_unit_decay_changes_no_bit(self):
+        # The 8 dense tensors of the MR-shaped model (3 x 100 filters, k=300,
+        # two classes), stepped whole, and a table stepped on random rows.
+        shapes = [(100, h, 300) for h in (3, 4, 5)] + [(100,)] * 3 + [(2, 300), (2,)]
+        shapes.append((400, 300))
+        rng = np.random.default_rng(9)
+        got = [rng.normal(size=shape) for shape in shapes]
+        want = [t.copy() for t in got]
+        got_states = [init_state(t, 0.95, 1e-6) for t in got]
+        want_states = [init_state(t, 0.95, 1e-6) for t in want]
+        dense_grads = [[rng.normal(size=shape) for shape in shapes[:-1]] for _ in range(3)]
+        for step in range(300):
+            rows = np.unique(rng.integers(0, 400, size=30))
+            grads = dense_grads[step % 3] + [rng.normal(size=(len(rows), 300))]
+            for i, grad in enumerate(grads):
+                table_rows = rows if i == len(shapes) - 1 else None
+                adadelta_step(got[i], grad, got_states[i], table_rows)
+                unit_decay_adadelta_step(want[i], grad, want_states[i], table_rows)
+        for g, w, gs, ws in zip(got, want, got_states, want_states):
+            assert g.tobytes() == w.tobytes()
+            assert gs.acc_grad_sq.tobytes() == ws.acc_grad_sq.tobytes()
+            assert gs.acc_update_sq.tobytes() == ws.acc_update_sq.tobytes()
+            assert np.array_equal(gs.last, ws.last)
 
     def test_scale_freeness_at_first_step(self):
         # The ratio-normalized update grows sublinearly in the gradient.

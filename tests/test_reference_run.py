@@ -1,24 +1,29 @@
-"""The reference run's `learning` config is a run that learns: every variant's
-dev accuracy beats its dev split's majority share by MARGIN.  The check reads
-no bits, so it holds on any BLAS."""
+"""The reference run's `learning` and `six-class` configs are runs that learn:
+every variant's dev accuracy beats its dev split's majority share by the
+config's margin.  The check reads no bits, so it holds on any BLAS."""
 
 import numpy as np
 import pytest
 import reference_run
+import synthdata
 
 from sentconv import cli, corpus, embed, optim
 from sentconv._seeds import DEV_SPLIT, derive_seed
 
 MARGIN = 0.25  # measured: 0.97-1.00 against a majority share of 0.60
+# Measured: static 0.50, the other variants 0.87-0.93, against a majority
+# share of 0.23.  The planted vectors put every trigger word near one
+# direction, so a static channel tells the five bigrams apart poorly.
+SIX_CLASS_MARGIN = 0.15
 
 
-@pytest.fixture(scope="module")
-def inputs(tmp_path_factory):
-    root = tmp_path_factory.mktemp("reference")
-    text = reference_run.BASE + reference_run.CONFIGS["learning"]
-    config = root / "learning.cfg"
+def _inputs(root, name, make_pairs, margin):
+    """The config file, corpus and vector file of config `name`, and the dev
+    accuracy a variant must reach on them."""
+    text = reference_run.BASE + reference_run.CONFIGS[name]
+    config = root / f"{name}.cfg"
     config.write_text(text, encoding="utf-8")
-    data, vectors, _ = reference_run.write_inputs(root)
+    data, vectors, _ = reference_run.write_inputs(root, make_pairs)
     settings = optim.parse_config(text)
     token_lists, labels = corpus.tokenize_corpus(corpus.load_tsv(data))
     dataset = corpus.encode_corpus(token_lists, labels, corpus.build_vocabulary(token_lists),
@@ -26,15 +31,36 @@ def inputs(tmp_path_factory):
     _, dev = corpus.select_dev_split(dataset, settings.dev_fraction,
                                      derive_seed(settings.seed, DEV_SPLIT, 0))
     share = np.bincount([ex.label for ex in dev.examples]).max() / len(dev)
-    return config, data, vectors, share
+    return config, data, vectors, share + margin
 
 
-@pytest.mark.parametrize("variant", embed.VARIANTS)
-def test_learning_config_beats_the_majority_share(inputs, variant, capsys):
-    config, data, vectors, share = inputs
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    return _inputs(tmp_path_factory.mktemp("reference"), "learning",
+                   synthdata.trigger_bigram_pairs, MARGIN)
+
+
+@pytest.fixture(scope="module")
+def six_class_inputs(tmp_path_factory):
+    return _inputs(tmp_path_factory.mktemp("six-class"), "six-class",
+                   synthdata.six_class_pairs, SIX_CLASS_MARGIN)
+
+
+def _dev_accuracy(config, data, vectors, variant, capsys) -> float:
     code = cli.main(["train", "--config", str(config), "--data", str(data),
                      "--vectors", str(vectors), "--variant", variant])
     out = capsys.readouterr().out
     assert code == cli.EXIT_OK
-    report = dict(line.split("\t") for line in out.splitlines())
-    assert float(report["dev_accuracy"]) >= share + MARGIN
+    return float(dict(line.split("\t") for line in out.splitlines())["dev_accuracy"])
+
+
+@pytest.mark.parametrize("variant", embed.VARIANTS)
+def test_learning_config_beats_the_majority_share(inputs, variant, capsys):
+    *paths, floor = inputs
+    assert _dev_accuracy(*paths, variant, capsys) >= floor
+
+
+@pytest.mark.parametrize("variant", embed.VARIANTS)
+def test_six_class_config_beats_the_majority_share(six_class_inputs, variant, capsys):
+    *paths, floor = six_class_inputs
+    assert _dev_accuracy(*paths, variant, capsys) >= floor
