@@ -34,12 +34,12 @@ print(f"  out-of-vocabulary tokens map to the pad id: {unseen.tolist()}")
 
 print("\n== cross-validation fold plan ==")
 plan = corpus.assign_folds(n_examples=103, n_folds=10, seed=7)
-sizes = np.bincount(plan.fold_of, minlength=plan.n_folds)
+sizes = np.bincount(plan, minlength=10)
 print(f"  fold sizes: {sizes.tolist()}  (always within 1 of each other)")
 print("  same seed gives the identical plan:",
-      np.array_equal(plan.fold_of, corpus.assign_folds(103, 10, seed=7).fold_of))
+      np.array_equal(plan, corpus.assign_folds(103, 10, seed=7)))
 print("  audit export, first lines:")
-for i, fold in enumerate(plan.fold_of[:3]):
+for i, fold in enumerate(plan[:3]):
     print(f"    {i}\t{fold}")
 
 print("\n== dev split ==")

@@ -85,7 +85,7 @@ for variant in embed.VARIANTS:
 
 # --- how fine-tuning moved the trigger words --------------------------------
 print("\nnearest neighbors of trigger word 't0' in the multichannel model:")
-report = evaluate.neighbor_report(results["multichannel"].params, vocab, "t0", count=4)
+static, tuned = evaluate.neighbor_report(results["multichannel"].params, vocab, "t0", count=4)
 print(f"  {'static channel':24s} fine-tuned channel")
-for (sw, ss), (tw, ts) in zip(report.channels[0], report.channels[1]):
+for (sw, ss), (tw, ts) in zip(static, tuned):
     print(f"  {sw:12s} {ss:6.3f}      {tw:12s} {ts:6.3f}")

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage, 2 validation, 3 corrupt artifact, 4 query error.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 
 import numpy as np
@@ -90,9 +91,11 @@ def cmd_train(args) -> int:
         if args.checkpoint:
             sys.stderr.write("sentconv: --cv trains one throwaway model per fold; "
                              "--checkpoint is ignored\n")
-        report = evaluate.run_cross_validation(dataset, config, params)
-        text = (f"# seed={report.seed} variant={config.variant} "
-                f"config={report.config_fingerprint}\n") + report.to_csv()
+        accuracies = evaluate.run_cross_validation(dataset, config, params)
+        text = (f"# seed={config.seed} variant={config.variant} "
+                f"config={evaluate.config_fingerprint(config)}\nfold,accuracy\n"
+                + "".join(f"{i},{acc:.6f}\n" for i, acc in enumerate(accuracies))
+                + f"mean,{np.mean(accuracies):.6f}\n")
         sys.stdout.write(text)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -116,11 +119,11 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     h_max = max(ckpt.config.widths)
-    if args.input == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        with open(args.input, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+    # Lines end at \n, \r\n or \r only, as in `corpus.load_tsv`: `str.splitlines`
+    # would also break them at form feeds, U+2028 and the like.
+    with (open(args.input, encoding="utf-8") if args.input != "-"
+          else io.StringIO(sys.stdin.read(), newline=None)) as fh:
+        lines = [line.rstrip("\n") for line in fh]
     sentences = [corpus.encode_and_pad(corpus.clean_and_tokenize(line), ckpt.vocab, h_max)
                  for line in lines]
     probs, _ = net.loss_and_probs(net.predict_logits(ckpt.params, sentences),
@@ -136,8 +139,9 @@ def cmd_neighbors(args) -> int:
     if args.query not in ckpt.vocab:
         sys.stderr.write(f"sentconv: unknown word {args.query!r}\n")
         return EXIT_QUERY
-    report = evaluate.neighbor_report(ckpt.params, ckpt.vocab, args.query, args.count)
-    sys.stdout.write(report.to_tsv())
+    ranked = evaluate.neighbor_report(ckpt.params, ckpt.vocab, args.query, args.count)
+    sys.stdout.write("".join("\t".join(f"{word}\t{sim:.3f}" for word, sim in row) + "\n"
+                             for row in zip(*ranked)))
     return EXIT_OK
 
 

@@ -129,17 +129,9 @@ class Dataset:
         return Dataset([self.examples[i] for i in indices], self.num_classes)
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    fold_of: np.ndarray
-    n_folds: int
-
-    def indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_of == fold)
-
-
-def assign_folds(n_examples: int, n_folds: int, seed: int) -> FoldPlan:
-    """Shuffled round-robin fold assignment; fold sizes differ by at most 1."""
+def assign_folds(n_examples: int, n_folds: int, seed: int) -> np.ndarray:
+    """The (N,) int64 fold index of each example: a shuffled round-robin
+    assignment, so fold sizes differ by at most 1."""
     if n_folds < 2:
         raise ValueError("need at least 2 folds")
     if n_examples < n_folds:
@@ -147,7 +139,7 @@ def assign_folds(n_examples: int, n_folds: int, seed: int) -> FoldPlan:
     perm = np.random.default_rng(seed).permutation(n_examples)
     fold_of = np.empty(n_examples, dtype=np.int64)
     fold_of[perm] = np.arange(n_examples) % n_folds
-    return FoldPlan(fold_of, n_folds)
+    return fold_of
 
 
 def select_dev_split(dataset: Dataset, fraction: float = 0.10, seed: int = 0):

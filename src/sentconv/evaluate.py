@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,27 +12,13 @@ from .corpus import Dataset, Vocabulary
 from .net import accuracy
 
 
-@dataclass
-class CvReport:
-    accuracies: list[float]
-    mean: float
-    config_fingerprint: str
-    seed: int
-
-    def to_csv(self) -> str:
-        lines = ["fold,accuracy"]
-        lines += [f"{i},{acc:.6f}" for i, acc in enumerate(self.accuracies)]
-        lines.append(f"mean,{self.mean:.6f}")
-        return "\n".join(lines) + "\n"
-
-
 def config_fingerprint(config: optim.TrainConfig) -> str:
     return hashlib.sha256(optim.config_to_text(config).encode("utf-8")).hexdigest()[:12]
 
 
 def cv_fold_plan(n_examples: int, config: optim.TrainConfig,
-                 n_folds: int = 10) -> corpus.FoldPlan:
-    """The fold plan for a dataset: a function of the seed only, so every
+                 n_folds: int = 10) -> np.ndarray:
+    """Each example's fold index: a function of the seed only, so every
     model variant run with the same seed shares it."""
     return corpus.assign_folds(n_examples, n_folds, derive_seed(config.seed, FOLDS))
 
@@ -59,21 +44,20 @@ def fit_with_dev_split(params: net.ModelParams, dataset: Dataset, config: optim.
 
 
 def run_cross_validation(dataset: Dataset, config: optim.TrainConfig,
-                         params0: net.ModelParams, n_folds: int = 10) -> CvReport:
+                         params0: net.ModelParams, n_folds: int = 10) -> list[float]:
     """Train a clone of `params0` on 9 folds (with an inner dev split for early
-    stopping) and score the held-out fold, for each fold in a seed-fixed plan."""
+    stopping) and score the held-out fold, for each fold in a seed-fixed plan;
+    returns the held-out accuracies in fold order."""
     config.validate()
     plan = cv_fold_plan(len(dataset), config, n_folds)
 
     accuracies = []
     for fold in range(n_folds):
-        test_idx = plan.indices(fold)
-        train_idx = np.flatnonzero(plan.fold_of != fold)
-        result = fit_with_dev_split(net.clone_params(params0), dataset.subset(train_idx),
-                                    config, fold)
-        accuracies.append(accuracy(result.params, dataset.subset(test_idx).examples))
-    return CvReport(accuracies, float(np.mean(accuracies)),
-                    config_fingerprint(config), config.seed)
+        result = fit_with_dev_split(net.clone_params(params0),
+                                    dataset.subset(np.flatnonzero(plan != fold)), config, fold)
+        accuracies.append(accuracy(result.params,
+                                   dataset.subset(np.flatnonzero(plan == fold)).examples))
+    return accuracies
 
 
 def nearest_neighbors(channel_matrix, vocab: Vocabulary, query: str,
@@ -104,23 +88,7 @@ def nearest_neighbors(channel_matrix, vocab: Vocabulary, query: str,
     return [(vocab.id_to_word[candidates[i]], float(sims[i])) for i in order]
 
 
-@dataclass
-class NeighborReport:
-    query: str
-    channels: list[list[tuple[str, float]]]
-
-    def to_tsv(self) -> str:
-        lines = []
-        for rank in range(len(self.channels[0])):
-            cells = []
-            for channel in self.channels:
-                word, sim = channel[rank]
-                cells.append(f"{word}\t{sim:.3f}")
-            lines.append("\t".join(cells))
-        return "\n".join(lines) + "\n"
-
-
 def neighbor_report(params: net.ModelParams, vocab: Vocabulary, query: str,
-                    count: int = 4) -> NeighborReport:
-    ranked = [nearest_neighbors(ch.matrix, vocab, query, count) for ch in params.channels]
-    return NeighborReport(query, ranked)
+                    count: int = 4) -> list[list[tuple[str, float]]]:
+    """`nearest_neighbors` of the query in each channel, in channel order."""
+    return [nearest_neighbors(ch.matrix, vocab, query, count) for ch in params.channels]

@@ -166,19 +166,6 @@ def _window_preacts(table: np.ndarray, bank: FilterBank, inverse: np.ndarray) ->
     return pre
 
 
-def _conv(params: ModelParams, token_ids: np.ndarray):
-    """Per filter width h, the (n - h + 1, F) preactivations of every window
-    of the n tokens `token_ids`; needs n >= h.  Returns (distinct, inverse,
-    rows, preacts): the sorted distinct tokens, each position's index into
-    them, their rows summed over channels, and the preactivations, from one
-    `_score_table` per width.  `backward` runs the transpose of its GEMM."""
-    distinct, inverse = np.unique(token_ids, return_inverse=True)
-    rows = summed_embedding(params.channels, distinct)
-    preacts = [_window_preacts(_score_table(rows, bank), bank, inverse)
-               for bank in params.filters]
-    return distinct, inverse, rows, preacts
-
-
 def _sentences(params: ModelParams, sentences) -> tuple[list[np.ndarray], np.ndarray]:
     """The sentences as int64 arrays and their lengths; each must hold a
     window of the widest filter."""
@@ -231,12 +218,16 @@ def _logits(params: ModelParams, z: np.ndarray, masks: np.ndarray | None) -> np.
 def forward_batch(params: ModelParams, sentences, masks):
     """Training forward pass of a minibatch: the (B, classes) logits and the
     trace `backward` takes whole.  `masks` is the (B, m) stack of 0/1 dropout
-    masks.  The sentences are concatenated without padding and convolved once."""
+    masks.  The sentences are concatenated without padding, and their distinct
+    tokens are found once and scored by one `_score_table` per width."""
     sentences, lengths = _sentences(params, sentences)
-    distinct, inverse, rows, preacts = _conv(params, np.concatenate(sentences))
-    pooled, argmax = [], []
-    for bank, pre in zip(params.filters, preacts):
+    distinct, inverse = np.unique(np.concatenate(sentences), return_inverse=True)
+    rows = summed_embedding(params.channels, distinct)
+    preacts, pooled, argmax = [], [], []
+    for bank in params.filters:
+        pre = _window_preacts(_score_table(rows, bank), bank, inverse)
         best, act = _ragged_pool(pre, bank.width, lengths, params.activation)
+        preacts.append(pre)
         pooled.append(best)
         argmax.append(_first_argmax(act, best, lengths))
     z = np.concatenate(pooled, axis=1)
@@ -277,7 +268,7 @@ def backward(params: ModelParams, trace: ForwardTrace,
     gradient flows only through its argmax window and only where the
     activation derivative is nonzero.
 
-    Per width this is the transpose of `_conv`'s distinct-token GEMM.  One
+    Per width this is the transpose of `forward_batch`'s distinct-token GEMM.  One
     bincount puts example b's preactivation gradient dpre[b, f] at cell
     (token at its argmax window + j, f, j) of a (U, F·h) matrix S for every
     offset j.  The weight gradient is then S.T @ rows, and the distinct

@@ -8,7 +8,8 @@ depend on the machine's core count.
 
 The corpus is `synthdata.trigger_bigram_pairs(300, seed=5)`; a word2vec
 binary file holds `synthdata.planted_vectors` for three of every four
-vocabulary words.  Five configs (k=16, widths 2,3,4, 10 maps, seed 11):
+vocabulary words.  Six configs (k=16, widths 2,3,4 unless stated, 10 maps,
+seed 11):
 
 * `reference`: batch 50, 15 epochs, the config earlier identity checks used
   (its models barely train: six batches an epoch);
@@ -19,7 +20,11 @@ vocabulary words.  Five configs (k=16, widths 2,3,4, 10 maps, seed 11):
   early stopping ends the run before its last epoch;
 * `six-class`: `learning` on `synthdata.six_class_pairs(300, seed=5)` and
   its own vector file, written under `inputs/six-class/`, so the checks
-  cover an output layer of more than two classes.
+  cover an output layer of more than two classes;
+* `short`: `learning` with widths 3,4,5 on `synthdata.short_pairs(300,
+  seed=5)`, sentences of 1-4 tokens, and its own vector file, written under
+  `inputs/short/`, so every sentence is right-padded and the checks cover
+  windows that hold pad rows.
 
 Per config and variant it writes the `train` stdout, history CSV and
 checkpoint, the `predict` output on held-out lines, the `neighbors` output
@@ -52,7 +57,20 @@ CONFIGS = {
     "tanh": "batch_size = 10\nmax_epochs = 15\nactivation = tanh\n",
     "early-stop": "batch_size = 20\nmax_epochs = 30\npatience = 4\ninit_scale = 0.1\n",
     "six-class": "batch_size = 10\nmax_epochs = 15\n",
+    "short": "batch_size = 10\nmax_epochs = 15\nwidths = 3,4,5\n",
 }
+# Configs with a corpus of their own, written under inputs/<name>/; the
+# others share the trigger-bigram corpus in inputs/.
+OWN_CORPUS = {"six-class": synthdata.six_class_pairs, "short": synthdata.short_pairs}
+
+
+def config_text(name: str) -> str:
+    """The config file of `name`: BASE, less the keys CONFIGS[name] sets,
+    then CONFIGS[name] (a config file may not set a key twice)."""
+    extra = CONFIGS[name]
+    own = {line.split("=")[0].strip() for line in extra.splitlines()}
+    kept = [line for line in BASE.splitlines(True) if line.split("=")[0].strip() not in own]
+    return "".join(kept) + extra
 
 
 def run(argv, stdout_path=None) -> None:
@@ -89,14 +107,15 @@ def main(outdir) -> int:
     out.mkdir(parents=True, exist_ok=True)
     inputs = out / "inputs"
     inputs.mkdir(exist_ok=True)
-    binary = write_inputs(inputs)
-    (inputs / "six-class").mkdir(exist_ok=True)
-    six_class = write_inputs(inputs / "six-class", synthdata.six_class_pairs)
+    paths = {None: write_inputs(inputs)}
+    for name, make_pairs in OWN_CORPUS.items():
+        (inputs / name).mkdir(exist_ok=True)
+        paths[name] = write_inputs(inputs / name, make_pairs)
     query = synthdata.TRIGGER_WORDS[0]
-    for name, extra in CONFIGS.items():
-        data, vectors, held_out = six_class if name == "six-class" else binary
+    for name in CONFIGS:
+        data, vectors, held_out = paths.get(name, paths[None])
         config = inputs / f"{name}.cfg"
-        config.write_text(BASE + extra, encoding="utf-8")
+        config.write_text(config_text(name), encoding="utf-8")
         for variant in embed.VARIANTS:
             stem = f"{name}-{variant}"
             train = ["train", "--config", config, "--data", data, "--variant", variant]

@@ -1,7 +1,8 @@
 """Deterministic synthetic corpora shared across the test suite.
 
 The classification task: a sentence is positive iff it contains one of five
-trigger bigrams; `six_class_pairs` asks which of the five, if any.  Negative
+trigger bigrams; `six_class_pairs` asks which of the five, if any, and
+`short_pairs` poses the binary task on sentences of 1-4 tokens.  Negative
 sentences may contain a single isolated trigger word, so unigram shortcuts
 do not solve the task.  `planted_vectors` builds an informative
 "pre-trained" matrix with all trigger words clustered around one direction,
@@ -49,6 +50,25 @@ def six_class_pairs(n, seed, n_filler=200):
         if label < len(TRIGGER_BIGRAMS):
             pos = int(rng.integers(0, len(sent) - 1))
             sent[pos:pos + 2] = TRIGGER_BIGRAMS[label]
+        elif rng.random() < 0.5:
+            sent[int(rng.integers(0, len(sent)))] = TRIGGER_WORDS[rng.integers(0, N_TRIGGERS)]
+        rows.append((label, " ".join(sent)))
+    return rows
+
+
+def short_pairs(n, seed, n_filler=200):
+    """(label, sentence) pairs of 1-4 tokens, shorter than a width-5 filter:
+    label 1 iff a trigger bigram is present.  A negative sentence may hold a
+    lone trigger word, as in `trigger_bigram_pairs`."""
+    rng = np.random.default_rng(seed)
+    fillers = [f"w{i:03d}" for i in range(n_filler)]
+    rows = []
+    for _ in range(n):
+        label = int(rng.random() < 0.5)
+        sent = list(rng.choice(fillers, int(rng.integers(2 if label else 1, 5))))
+        if label:
+            pos = int(rng.integers(0, len(sent) - 1))
+            sent[pos:pos + 2] = TRIGGER_BIGRAMS[rng.integers(0, len(TRIGGER_BIGRAMS))]
         elif rng.random() < 0.5:
             sent[int(rng.integers(0, len(sent)))] = TRIGGER_WORDS[rng.integers(0, N_TRIGGERS)]
         rows.append((label, " ".join(sent)))

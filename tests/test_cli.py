@@ -84,6 +84,20 @@ class TestTrainCommand:
         assert lines[-1].startswith("mean,")
         assert out_file.read_text(encoding="utf-8") == captured
 
+    def test_cv_report_bytes(self, workdir, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(evaluate, "run_cross_validation", lambda *args: [0.5, 0.75])
+        out_file = tmp_path / "report.csv"
+        code = main(["train", "--data", str(workdir["data"]), "--variant", "rand",
+                     "--seed", "7", "--cv", "--out", str(out_file),
+                     "--config", str(workdir["config"])])
+        config = optim.load_config(workdir["config"])
+        config.variant = "rand"
+        expected = (f"# seed=7 variant=rand config={evaluate.config_fingerprint(config)}\n"
+                    "fold,accuracy\n0,0.500000\n1,0.750000\nmean,0.625000\n")
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == expected
+        assert out_file.read_text(encoding="utf-8") == expected
+
     def test_cv_rerun_is_byte_identical(self, workdir, capsys):
         args = ["train", "--data", str(workdir["data"]), "--variant", "rand",
                 "--seed", "7", "--cv", "--config", str(workdir["config"])]
@@ -316,6 +330,25 @@ class TestPredictCommand:
         code = main(["predict", "--checkpoint", str(workdir["ckpt"])])
         assert code == EXIT_OK
         assert len(capsys.readouterr().out.splitlines()) == 1
+
+    def test_one_row_per_line(self, workdir, capsys, tmp_path, monkeypatch):
+        # U+2028 and a form feed are line breaks to `str.splitlines`, not to
+        # the dataset reader; here they separate tokens within one line.
+        text = "plainly goodish\u2028utterly dreadful\r\n\nf1\x0cf2 dreadful\n"
+        spaced = tmp_path / "spaced.txt"
+        spaced.write_text("plainly goodish utterly dreadful\n\nf1 f2 dreadful\n",
+                          encoding="utf-8")
+        main(["predict", "--checkpoint", str(workdir["ckpt"]), "--input", str(spaced)])
+        expected = capsys.readouterr().out
+        assert len(expected.splitlines()) == 3
+        inp = tmp_path / "in.txt"
+        inp.write_bytes(text.encode("utf-8"))
+        assert main(["predict", "--checkpoint", str(workdir["ckpt"]),
+                     "--input", str(inp)]) == EXIT_OK
+        assert capsys.readouterr().out == expected
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["predict", "--checkpoint", str(workdir["ckpt"])]) == EXIT_OK
+        assert capsys.readouterr().out == expected
 
     def test_three_classes_formatted_row_by_row(self, workdir, capsys, tmp_path):
         rng = np.random.default_rng(4)

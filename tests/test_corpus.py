@@ -227,11 +227,12 @@ class TestEncodeCorpus:
 class TestAssignFolds:
     def test_each_fold_size_one(self):
         plan = assign_folds(10, 10, seed=5)
-        assert np.bincount(plan.fold_of, minlength=plan.n_folds).tolist() == [1] * 10
+        assert plan.dtype == np.int64 and plan.shape == (10,)
+        assert np.bincount(plan, minlength=10).tolist() == [1] * 10
 
     def test_pigeonhole_sizes(self):
         plan = assign_folds(10662, 10, seed=5)
-        sizes = np.bincount(plan.fold_of, minlength=plan.n_folds)
+        sizes = np.bincount(plan, minlength=10)
         assert sorted(set(sizes.tolist())) == [1066, 1067]
         assert sizes.sum() == 10662
         assert sizes.max() - sizes.min() <= 1
@@ -239,11 +240,11 @@ class TestAssignFolds:
     def test_deterministic(self):
         a = assign_folds(100, 10, seed=9)
         b = assign_folds(100, 10, seed=9)
-        assert np.array_equal(a.fold_of, b.fold_of)
+        assert np.array_equal(a, b)
 
     def test_every_example_assigned_once(self):
         plan = assign_folds(53, 10, seed=2)
-        seen = np.concatenate([plan.indices(f) for f in range(10)])
+        seen = np.concatenate([np.flatnonzero(plan == f) for f in range(10)])
         assert sorted(seen.tolist()) == list(range(53))
 
     def test_errors(self):

@@ -76,31 +76,22 @@ class TestCrossValidation:
     def test_ten_fold_report(self):
         dataset, config, base, _ = cv_setup()
         params0 = evaluate.initial_params(config, base, dataset.num_classes)
-        report = run_cross_validation(dataset, config, params0)
-        assert len(report.accuracies) == 10
-        assert np.isclose(report.mean, np.mean(report.accuracies))
-        assert all(0.0 <= a <= 1.0 for a in report.accuracies)
-        assert report.seed == config.seed
+        accuracies = run_cross_validation(dataset, config, params0)
+        assert len(accuracies) == 10
+        assert all(isinstance(a, float) and 0.0 <= a <= 1.0 for a in accuracies)
 
     def test_fold_plan_uniform_across_variants(self):
         dataset, config_rand, _, _ = cv_setup("rand")
         _, config_static, _, _ = cv_setup("static")
         plan_a = cv_fold_plan(len(dataset), config_rand)
         plan_b = cv_fold_plan(len(dataset), config_static)
-        assert np.array_equal(plan_a.fold_of, plan_b.fold_of)
+        assert np.array_equal(plan_a, plan_b)
 
     def test_every_example_tested_exactly_once(self):
         dataset, config, _, _ = cv_setup()
         plan = cv_fold_plan(len(dataset), config)
-        tested = np.concatenate([plan.indices(f) for f in range(10)])
+        tested = np.concatenate([np.flatnonzero(plan == f) for f in range(10)])
         assert sorted(tested.tolist()) == list(range(len(dataset)))
-
-    def test_report_serializations(self):
-        report = evaluate.CvReport([0.5, 0.75], 0.625, "abc123", seed=9)
-        csv_lines = report.to_csv().splitlines()
-        assert csv_lines[0] == "fold,accuracy"
-        assert csv_lines[1] == "0,0.500000"
-        assert csv_lines[-1] == "mean,0.625000"
 
     @pytest.mark.parametrize("variant", ["static", "multichannel"])
     def test_folds_share_only_the_frozen_channel(self, variant, monkeypatch):
@@ -130,9 +121,8 @@ class TestCrossValidation:
     def test_deterministic_report(self):
         dataset, config, base, _ = cv_setup()
         params0 = evaluate.initial_params(config, base, dataset.num_classes)
-        r1 = run_cross_validation(dataset, config, params0)
-        r2 = run_cross_validation(dataset, config, params0)
-        assert r1.accuracies == r2.accuracies
+        assert run_cross_validation(dataset, config, params0) == \
+            run_cross_validation(dataset, config, params0)
 
 
 class TestFrozenChannels:
@@ -249,10 +239,9 @@ class TestNeighborReport:
             [embed.EmbeddingChannel(matrix, False), embed.EmbeddingChannel(matrix, True)],
             [net.FilterBank(2, np.zeros((1, 2, 2)), np.zeros(1))],
             net.OutputLayer(np.zeros((2, 1)), np.zeros(2)))
-        report = neighbor_report(params, vocab, "a", count=2)
-        lines = report.to_tsv().splitlines()
-        assert len(lines) == 2
-        assert len(lines[0].split("\t")) == 4  # word, cosine for both channels
+        ranked = neighbor_report(params, vocab, "a", count=2)
+        assert ranked == [nearest_neighbors(matrix, vocab, "a", 2)] * 2
+        assert [w for w, _ in ranked[0]] == ["b", "c"]
 
     def test_fine_tuned_channel_diverges_from_static(self):
         # After multichannel training on the trigger task, the trainable
@@ -271,7 +260,7 @@ class TestNeighborReport:
         train_ds, dev_ds = corpus.select_dev_split(dataset, 0.10, seed=4)
         result = optim.fit(params, train_ds.examples, dev_ds.examples, config)
 
-        report = neighbor_report(result.params, vocab, synthdata.TRIGGER_WORDS[0], count=4)
-        static_words = {w for w, _ in report.channels[0]}
-        tuned_words = {w for w, _ in report.channels[1]}
+        static, tuned = neighbor_report(result.params, vocab, synthdata.TRIGGER_WORDS[0], 4)
+        static_words = {w for w, _ in static}
+        tuned_words = {w for w, _ in tuned}
         assert static_words != tuned_words

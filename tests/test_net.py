@@ -71,11 +71,15 @@ def sentence_of(trace):
 def reference_forward(params, token_ids, mask=None):
     """The per-sentence forward that pools each feature map through
     `np.argmax`, kept as the oracle of the engine's batched pooling: it shares
-    only `net._conv` with it.  Returns (logits, trace), a trace with B = 1."""
+    only the convolution, `net._score_table` and `net._window_preacts`, with
+    it.  Returns (logits, trace), a trace with B = 1."""
     token_ids = np.asarray(token_ids, dtype=np.int64)
     if token_ids.shape[0] < params.max_width:
         raise ValueError("sentence shorter than the widest filter; pad it first")
-    distinct, inverse, rows, preacts = net._conv(params, token_ids)
+    distinct, inverse = np.unique(token_ids, return_inverse=True)
+    rows = net.summed_embedding(params.channels, distinct)
+    preacts = [net._window_preacts(net._score_table(rows, bank), bank, inverse)
+               for bank in params.filters]
     argmaxes, pooled = [], []
     for pre in preacts:
         act = net._activate(pre, params.activation)
@@ -610,7 +614,7 @@ class TestLiveFilterBackward:
 class TestWindows:
     @pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
     def test_preactivations_match_the_sliding_window_stack(self, h):
-        # `_conv` adds each window offset's dot products separately, so it
+        # `_window_preacts` adds each window offset's dot products separately, so it
         # agrees with one GEMM over the window stack up to summation order.
         rng = np.random.default_rng(23 + h)
         channels = random_channels(rng, 2, 30, 13)  # the lookup is a two-channel sum
