@@ -10,6 +10,8 @@ filter offset, and `_window_preacts` sums a window's scores from that
 table.  Training runs `forward_batch`, one table per width for the whole
 minibatch, whose trace `backward` replays; inference runs `predict_logits`,
 with no trace, one table per block of sentences and slab of filters.
+When BLAS leaves a core idle, a helper thread runs those GEMMs, and
+`backward`'s, beside the caller (`_helper_on`); every output keeps its bytes.
 The backward pass is written by hand: gradient flows only through each
 feature map's argmax window, only where the activation was live, only
 through unmasked pooled units, and only into trainable channels.
@@ -17,6 +19,10 @@ through unmasked pooled units, and only into trainable channels.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +41,84 @@ ACTIVATIONS = ("relu", "tanh")
 _CHUNK_ROWS = 1024
 _BLOCK_ROWS = 8 * _CHUNK_ROWS
 _SLAB_MAPS = 50
+
+
+def _blas_leaves_a_core() -> bool:
+    """Whether the usable cores outnumber the BLAS threads, counted as
+    OpenBLAS counts them: OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, a
+    missing, malformed or non-positive value counting as unset, and unset
+    meaning every core.  Where the usable cores are unknown, it says no."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+            return len(usable) > threads
+    return False
+
+
+# The GEMM helper: one thread, kept between calls, that runs `np.matmul` into
+# arrays the caller allocates, in the caller's context (numpy's errstate is a
+# context variable).  It runs only when BLAS leaves a core idle: with BLAS
+# unpinned on 2 cores it slowed an MR-shaped fit from 118-130 to 145-153 ms.
+# A call whose products hold fewer than _HELPER_MIN_MACS multiply-adds runs
+# them inline: a hand-over and back took 45-90 us, the time of a one-thread
+# float64 GEMM of about a million multiply-adds.  Tests set `_helper_on`.
+_helper_on = _blas_leaves_a_core()
+_HELPER_MIN_MACS = 1 << 22
+
+
+def _new_helper() -> None:
+    """A helper whose thread starts with its first job: at import, and in a
+    forked child, which has no copy of its parent's helper thread."""
+    global _helper
+    _helper = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="sentconv-gemm")
+
+
+_new_helper()
+os.register_at_fork(after_in_child=_new_helper)
+
+
+def _offload(macs: int) -> bool:
+    return _helper_on and macs >= _HELPER_MIN_MACS
+
+
+def _submit(fn, *args, **kwargs) -> futures.Future:
+    return _helper.submit(contextvars.copy_context().run, fn, *args, **kwargs)
+
+
+def _start_matmul(a: np.ndarray, b: np.ndarray) -> futures.Future:
+    """The helper computes a @ b from now on, into an array allocated here."""
+    return _submit(np.matmul, a, b, out=np.empty((a.shape[0], b.shape[1])))
+
+
+def _matmuls(pairs) -> list[np.ndarray]:
+    """[a @ b for a, b in pairs], each product the same GEMM.  With the
+    helper on, it and the caller each take the next product not yet taken,
+    into arrays allocated here, and the call returns when both are done."""
+    if not _offload(sum(a.shape[0] * a.shape[1] * b.shape[1] for a, b in pairs)):
+        return [a @ b for a, b in pairs]
+    outs = [np.empty((a.shape[0], b.shape[1])) for a, b in pairs]
+    jobs, lock = iter(zip(pairs, outs)), threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                job = next(jobs, None)
+            if job is None:
+                return
+            (a, b), out = job
+            np.matmul(a, b, out=out)
+
+    helper = _submit(work)
+    try:
+        work()
+    finally:
+        futures.wait([helper])
+    helper.result()
+    return outs
 
 
 def _activate(pre: np.ndarray, kind: str) -> np.ndarray:
@@ -142,14 +226,35 @@ def summed_embedding(channels, token_ids: np.ndarray) -> np.ndarray:
     return total
 
 
+def _offset_major(bank: FilterBank) -> np.ndarray:
+    """The bank's (h·F, k) weights, row j·F + f holding filter f's offset j."""
+    n_maps, h, k = bank.weights.shape
+    return bank.weights.transpose(1, 0, 2).reshape(h * n_maps, k)
+
+
 def _score_table(rows: np.ndarray, bank: FilterBank) -> np.ndarray:
     """The (U·h, F) table whose row u·h + j holds token u's scores against
     every filter's offset-j slice, from U tokens' (U, k) summed `rows`: one
-    GEMM against the offset-major (h·F, k) weight view, reshaped for free.
-    A score depends only on the token, so each token is scored once however
-    often it occurs."""
-    n_maps, h, k = bank.weights.shape
-    return (rows @ bank.weights.transpose(1, 0, 2).reshape(h * n_maps, k).T).reshape(-1, n_maps)
+    GEMM against the offset-major weights, reshaped for free.  A score
+    depends only on the token, so each token is scored once however often
+    it occurs."""
+    return (rows @ _offset_major(bank).T).reshape(-1, bank.weights.shape[0])
+
+
+def _score_tables(rows: np.ndarray, banks: list[FilterBank]):
+    """Yield each bank with its `_score_table` of `rows`, in order.  With the
+    helper on, it computes the next bank's table while the caller uses this
+    one, so two tables are held at once; otherwise each table is computed
+    when the caller asks for it, and a caller that drops a table before
+    asking for the next holds one."""
+    offload = _offload(rows.size * sum(bank.weights.shape[0] * bank.width for bank in banks))
+    ahead = None  # the caller computes the first table while the helper starts the second
+    for i, bank in enumerate(banks):
+        current = ahead  # drops the last table before the next one is allocated
+        ahead = (_start_matmul(rows, _offset_major(banks[i + 1]).T)
+                 if offload and i + 1 < len(banks) else None)
+        yield bank, (_score_table(rows, bank) if current is None
+                     else current.result().reshape(-1, bank.weights.shape[0]))
 
 
 def _window_preacts(table: np.ndarray, bank: FilterBank, inverse: np.ndarray) -> np.ndarray:
@@ -224,8 +329,8 @@ def forward_batch(params: ModelParams, sentences, masks):
     distinct, inverse = np.unique(np.concatenate(sentences), return_inverse=True)
     rows = summed_embedding(params.channels, distinct)
     preacts, pooled, argmax = [], [], []
-    for bank in params.filters:
-        pre = _window_preacts(_score_table(rows, bank), bank, inverse)
+    for bank, table in _score_tables(rows, params.filters):
+        pre = _window_preacts(table, bank, inverse)
         best, act = _ragged_pool(pre, bank.width, lengths, params.activation)
         preacts.append(pre)
         pooled.append(best)
@@ -272,7 +377,9 @@ def backward(params: ModelParams, trace: ForwardTrace,
     bincount puts example b's preactivation gradient dpre[b, f] at cell
     (token at its argmax window + j, f, j) of a (U, F·h) matrix S for every
     offset j.  The weight gradient is then S.T @ rows, and the distinct
-    tokens' row gradient is S @ W over the (F·h, k) weight view.
+    tokens' row gradient is S @ W over the (F·h, k) weight view.  Every
+    width's S is built first; `_matmuls` then runs the products, and the row
+    gradients are added in width order.
     """
     if len(trace.preacts) != len(params.filters) or \
             trace.z.shape[1] != params.output.weights.shape[1] or \
@@ -289,9 +396,8 @@ def backward(params: ModelParams, trace: ForwardTrace,
     dz = (dlogits @ params.output.weights) * trace.masks
 
     tuned = [name for name, _ in trainable_tensors(params) if name.startswith("channel")]
-    d_rows = np.zeros_like(trace.rows) if tuned else None
     n_distinct = trace.distinct.shape[0]
-    offset = 0
+    offset, pairs = 0, []
     for bank, pre, arg in zip(params.filters, trace.preacts, trace.argmax):
         n_maps, h, k = bank.weights.shape
         dpre = dz[:, offset:offset + n_maps] * \
@@ -302,9 +408,15 @@ def backward(params: ModelParams, trace: ForwardTrace,
             np.arange(n_maps * h).reshape(n_maps, h)
         scores = np.bincount(cells.ravel(), np.repeat(dpre.ravel(), h),
                              n_distinct * n_maps * h).reshape(n_distinct, n_maps * h)
-        grads[f"conv{h}.weights"] = (scores.T @ trace.rows).reshape(n_maps, h, k)
+        pairs.append((scores.T, trace.rows))
         if tuned:
-            d_rows += scores @ bank.weights.reshape(n_maps * h, k)
+            pairs.append((scores, bank.weights.reshape(n_maps * h, k)))
+    products = iter(_matmuls(pairs))
+    d_rows = np.zeros_like(trace.rows) if tuned else None
+    for bank in params.filters:
+        grads[f"conv{bank.width}.weights"] = next(products).reshape(bank.weights.shape)
+        if tuned:
+            d_rows += next(products)
     if tuned:
         grads.update(dict.fromkeys(tuned, d_rows[trace.distinct != PAD_ID]))
     return losses, grads
@@ -341,8 +453,7 @@ def _pool_block(params: ModelParams, slabs: list[FilterBank], sentences: list[np
     row_at = np.concatenate([[0], np.cumsum(lengths)])
     chunks = _runs(lengths, _CHUNK_ROWS)
     col = 0
-    for slab in slabs:
-        table = _score_table(rows, slab)
+    for slab, table in _score_tables(rows, slabs):
         cols = slice(col, col + slab.biases.shape[0])
         for lo, hi in zip(chunks, chunks[1:]):
             pre = _window_preacts(table, slab, inverse[row_at[lo]:row_at[hi]])
@@ -371,7 +482,9 @@ def predict_logits(params: ModelParams, sentences) -> np.ndarray:
     (twice while channels are summed), one slab's weight view and table, the
     block's index arrays and one chunk's gathered and activated scores.  On
     the MR shape (k = 300, h = 5) that is 71 MB when every token of a block
-    is distinct, whatever B.
+    is distinct, whatever B.  While the GEMM helper runs, the next slab's
+    weight view and table are held too: 8·(2·U·k + 2·h·S·(U + k) +
+    (24 + 4·S)·R) bytes, 88 MB on the MR shape.
 
     Every copy of a token in a block reads the same table row, so a row does
     not depend on where its sentence sits in the block; its last bits can

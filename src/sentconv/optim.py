@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -12,6 +13,9 @@ from ._seeds import DROPOUT, SHUFFLE, derive_seed
 # Comparison slack that keeps the projection exactly idempotent: a row already
 # rescaled to norm s can land a few ulps above s and must not be touched again.
 _RENORM_SLACK = 1e-12
+# Adadelta's update runs over blocks of whole rows, about this many values,
+# so its two temporaries stay in cache between the chain's passes.
+_STEP_BLOCK = 16384
 
 
 @dataclass
@@ -175,20 +179,42 @@ def adadelta_step(param: np.ndarray, grad: np.ndarray, state: AdadeltaState,
     if not np.all(np.isfinite(grad)):
         raise ValueError("diverged: non-finite gradient")
     rho, eps = state.rho, state.eps
-    state.steps += 1
     rows = slice(None) if rows is None else rows
-    gap = state.steps - 1 - state.last[rows]
+    gap = state.steps - state.last[rows]  # the steps each row missed before this one
+    if grad.shape != gap.shape + param.shape[1:]:  # the blocks below would not broadcast it
+        raise ValueError(f"gradient of shape {grad.shape} for rows of shape "
+                         f"{gap.shape + param.shape[1:]}")
+    state.steps += 1
     # Views for a slice, gathered copies for an index array: written back below.
     acc_g, acc_u = state.acc_grad_sq[rows], state.acc_update_sq[rows]
     if gap.any():  # with no gap the decay is 1.0, and multiplying by it changes no bit
         decay = (rho ** gap).reshape(gap.shape + (1,) * (param.ndim - 1))
         acc_g *= decay
         acc_u *= decay
-    acc_g *= rho
-    acc_g += (1.0 - rho) * grad * grad
-    step = -np.sqrt(acc_u + eps) / np.sqrt(acc_g + eps) * grad
-    acc_u *= rho
-    acc_u += (1.0 - rho) * step * step
+    # The update as one in-place chain per block, each operation in the order
+    # of `acc_g = rho·acc_g + (1-rho)·g·g; step = -sqrt(acc_u + eps) /
+    # sqrt(acc_g + eps)·g; acc_u = rho·acc_u + (1-rho)·step·step`.
+    step = np.empty_like(acc_g)
+    per_block = max(1, _STEP_BLOCK // max(1, math.prod(grad.shape[1:])))
+    scratch = np.empty_like(acc_g[:per_block])
+    for lo in range(0, step.shape[0], per_block):
+        g, ag, au, s = (a[lo:lo + per_block] for a in (grad, acc_g, acc_u, step))
+        t = scratch[:g.shape[0]]
+        ag *= rho
+        np.multiply(1.0 - rho, g, out=t)
+        t *= g
+        ag += t
+        np.add(au, eps, out=s)
+        np.sqrt(s, out=s)
+        np.negative(s, out=s)
+        np.add(ag, eps, out=t)
+        np.sqrt(t, out=t)
+        s /= t
+        s *= g
+        au *= rho
+        np.multiply(1.0 - rho, s, out=t)
+        t *= s
+        au += t
     state.acc_grad_sq[rows], state.acc_update_sq[rows] = acc_g, acc_u
     param[rows] += step
     state.last[rows] = state.steps

@@ -1,10 +1,12 @@
 """Forward/backward correctness against independent oracles."""
 
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -757,11 +759,14 @@ class TestPredictLogits:
                               capture_output=True, text=True)
         assert (proc.returncode, proc.stdout) == (0, "1\n"), proc.stderr
 
-    def test_memory_stays_under_the_stated_bound(self):
-        # The docstring's bound, 8·(2·U·k + h·S·(U + k) + (24 + 4·S)·R) bytes
-        # besides the returned features and logits, in its worst case: ten
-        # blocks whose every token is distinct, two channels.  tracemalloc
-        # sees numpy's buffers, not BLAS's own workspace.
+    @staticmethod
+    def _peak_beyond_the_returned_arrays(monkeypatch, helper_on):
+        """tracemalloc's peak over one `predict_logits` call in the
+        docstring's worst case, ten blocks whose every token is distinct and
+        two channels, less the features and logits it returns; with the bound
+        of a call that holds one slab table (helper off) or two (helper on).
+        tracemalloc sees numpy's buffers, not BLAS's own workspace."""
+        monkeypatch.setattr(net, "_helper_on", helper_on)
         rng = np.random.default_rng(49)
         vocab, k = 20000, 16
         params = toy_params(rng, random_channels(rng, 2, vocab, k), num_classes=2,
@@ -770,7 +775,8 @@ class TestPredictLogits:
         sentences = np.split(ids, len(ids) // 32)
         assert block_count(sentences) == 10
         rows, h, slab = net._BLOCK_ROWS, params.max_width, net._SLAB_MAPS
-        bound = 8 * (2 * rows * k + h * slab * (rows + k) + (24 + 4 * slab) * rows)
+        tables = 2 if helper_on else 1
+        bound = 8 * (2 * rows * k + tables * h * slab * (rows + k) + (24 + 4 * slab) * rows)
         returned = 8 * len(sentences) * (params.num_filters + 2 * params.num_classes)
         tracemalloc.start()
         try:
@@ -778,7 +784,20 @@ class TestPredictLogits:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - returned <= bound
+        return peak - returned, bound
+
+    def test_memory_stays_under_the_stated_bound(self, monkeypatch):
+        # The docstring's bound with the helper off,
+        # 8·(2·U·k + h·S·(U + k) + (24 + 4·S)·R) bytes: each slab's table is
+        # freed before the next one's GEMM.
+        peak, bound = self._peak_beyond_the_returned_arrays(monkeypatch, False)
+        assert peak <= bound
+
+    def test_memory_with_the_helper_stays_under_its_stated_bound(self, monkeypatch):
+        # With the helper on, the next slab's table and weight view are held
+        # beside this one's: 8·(2·U·k + 2·h·S·(U + k) + (24 + 4·S)·R) bytes.
+        peak, bound = self._peak_beyond_the_returned_arrays(monkeypatch, True)
+        assert peak <= bound
 
     def test_empty_list_and_short_sentence(self):
         rng = np.random.default_rng(45)
@@ -1056,3 +1075,113 @@ class TestStructuralInvariants:
                     argmax.append(int(np.argmax(fmap)))
             assert np.max(np.abs(trace.z[0] - np.array(pooled))) <= 1e-12
             assert np.concatenate(trace.argmax, axis=1)[0].tolist() == argmax
+
+
+class TestGemmHelper:
+    """The helper thread that runs the engine's GEMMs beside the caller: every
+    output is byte-identical with it on and off, it runs in the caller's
+    numpy error state, and a forked child gets its own."""
+
+    @staticmethod
+    def _setup(variant, activation="relu", seed=70):
+        # Sizes above the inline cut-over: each call's products hold far more
+        # than net._HELPER_MIN_MACS multiply-adds.  Several slabs per width.
+        rng = np.random.default_rng(seed)
+        trainable = {"static": [False], "nonstatic": [True], "multichannel": [False, True]}
+        channels = [EmbeddingChannel(ch.matrix, flag) for ch, flag in
+                    zip(random_channels(rng, 2, 400, 64), trainable[variant])]
+        params = toy_params(rng, channels, num_classes=3, widths=(3, 4, 5), maps=60,
+                            activation=activation, init_scale=0.1)
+        for bank in params.filters:
+            bank.biases[:] = rng.normal(scale=0.1, size=bank.biases.shape)
+        sentences = [rng.integers(0, 400, size=rng.integers(5, 40)) for _ in range(50)]
+        masks = (rng.random((len(sentences), params.num_filters)) < 0.5).astype(np.float64)
+        labels = rng.integers(0, params.num_classes, size=len(sentences))
+        return params, sentences, masks, labels
+
+    @staticmethod
+    def _outputs(params, sentences, masks, labels):
+        """The bytes of a forward trace, its gradients and inference logits."""
+        logits, trace = net.forward_batch(params, sentences, masks)
+        losses, grads = backward(params, trace, labels)
+        arrays = [logits, trace.rows, *trace.preacts, *trace.argmax, trace.z, losses]
+        arrays += [grads[name] for name in sorted(grads)]
+        arrays.append(net.predict_logits(params, sentences * 30))
+        return [array.tobytes() for array in arrays]
+
+    @pytest.mark.parametrize("variant, activation", [
+        ("static", "relu"), ("nonstatic", "relu"), ("multichannel", "relu"),
+        ("multichannel", "tanh")])
+    def test_outputs_are_byte_identical_with_the_helper_on_and_off(
+            self, monkeypatch, variant, activation):
+        params, sentences, masks, labels = self._setup(variant, activation)
+        monkeypatch.setattr(net, "_helper_on", False)
+        serial = self._outputs(params, sentences, masks, labels)
+        jobs = []
+        submit = net._submit
+        monkeypatch.setattr(net, "_submit", lambda *a, **kw: jobs.append(a[0]) or submit(*a, **kw))
+        monkeypatch.setattr(net, "_helper_on", True)
+        assert self._outputs(params, sentences, masks, labels) == serial
+        # The helper ran forward_batch's and predict_logits' tables and
+        # backward's products.
+        assert jobs.count(np.matmul) >= 2 + 5 and len(jobs) > jobs.count(np.matmul)
+
+    @pytest.mark.parametrize("env, cores, expected", [
+        ({}, {0, 1}, False),  # unset: OpenBLAS takes every core
+        ({"OPENBLAS_NUM_THREADS": "1"}, {0, 1}, True),
+        ({"OPENBLAS_NUM_THREADS": "1"}, {0}, False),
+        ({"OPENBLAS_NUM_THREADS": "2"}, {0, 1}, False),
+        ({"OMP_NUM_THREADS": "1"}, {0, 1}, True),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, {0, 1}, True),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, {0, 1}, False),
+        ({"OPENBLAS_NUM_THREADS": "one"}, {0, 1}, False)])
+    def test_the_helper_runs_when_blas_leaves_a_core_idle(self, monkeypatch, env, cores,
+                                                          expected):
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+        assert net._blas_leaves_a_core() is expected
+
+    @staticmethod
+    def _infinite_frozen_row():
+        params, sentences, masks, labels = TestGemmHelper._setup("multichannel", seed=71)
+        frozen = params.channels[0].matrix.copy()
+        frozen[5] = np.inf  # its weights have both signs: inf - inf in the GEMM
+        params.channels[0] = EmbeddingChannel(frozen, trainable=False)
+        sentences[0][0] = 5
+        return params, sentences, masks, labels
+
+    def test_the_helper_runs_in_the_callers_error_state(self, monkeypatch):
+        monkeypatch.setattr(net, "_helper_on", True)
+        params, sentences, masks, labels = self._infinite_frozen_row()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(invalid="ignore"):
+                logits, trace = net.forward_batch(params, sentences, masks)
+                backward(params, trace, labels)
+                net.predict_logits(params, sentences)
+        assert np.isnan(trace.z).any()
+        with np.errstate(invalid="raise"):
+            with pytest.raises(FloatingPointError, match="invalid value encountered in matmul"):
+                net.forward_batch(params, sentences, masks)
+            with pytest.raises(FloatingPointError, match="invalid value encountered in matmul"):
+                net.predict_logits(params, sentences)
+
+    def test_a_forked_child_starts_its_own_helper(self, monkeypatch):
+        # The parent's helper thread is not copied into a forked child; a
+        # child that queued its GEMMs for it would wait for ever.
+        monkeypatch.setattr(net, "_helper_on", True)
+        params, sentences, masks, labels = self._setup("nonstatic")
+        expected = net.predict_logits(params, sentences).tobytes()
+        context = multiprocessing.get_context("fork")
+        parent_end, child_end = context.Pipe()
+        child = context.Process(target=lambda: child_end.send(
+            net.predict_logits(params, sentences).tobytes()))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+        assert child.exitcode == 0
+        assert parent_end.poll(0) and parent_end.recv() == expected

@@ -103,6 +103,14 @@ class TestAdadeltaStep:
         with pytest.raises(ValueError, match="diverged"):
             adadelta_step(param, np.array([np.nan, 0.0]), state)
 
+    def test_gradient_of_another_shape_raises(self):
+        param = np.zeros((3, 2))
+        state = init_state(param, 0.95, 1e-6)
+        for grad, rows in ((np.ones(2), None), (np.ones((3, 2)), np.array([0, 2]))):
+            with pytest.raises(ValueError, match="gradient of shape"):
+                adadelta_step(param, grad, state, rows)
+        assert state.steps == 0 and not param.any()
+
     def test_whole_tensor_step_equals_the_oracle_bit_for_bit(self):
         rng = np.random.default_rng(3)
         param = rng.normal(size=(4, 3, 5))
