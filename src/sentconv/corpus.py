@@ -63,7 +63,7 @@ class Vocabulary:
         if PAD_TOKEN in distinct:
             raise ValueError(f"{PAD_TOKEN!r} is reserved and may not appear in text")
         self.id_to_word: list[str] = [PAD_TOKEN, *distinct]
-        self.word_to_id: dict[str, int] = {w: i for i, w in enumerate(self.id_to_word)}
+        self.word_to_id: dict[str, int] = dict(zip(self.id_to_word, range(len(self.id_to_word))))
 
     def __len__(self) -> int:
         return len(self.id_to_word)

@@ -10,8 +10,9 @@ filter offset, and `_window_preacts` sums a window's scores from that
 table.  Training runs `forward_batch`, one table per width for the whole
 minibatch, whose trace `backward` replays; inference runs `predict_logits`,
 with no trace, one table per block of sentences and slab of filters.
-When BLAS leaves a core idle, a helper thread runs those GEMMs, and
-`backward`'s, beside the caller (`_helper_on`); every output keeps its bytes.
+When BLAS leaves a core idle (`_helper_on`), a helper thread and the caller
+work through one bounded queue of each call's GEMMs (`_products`), and every
+output keeps its bytes.
 The backward pass is written by hand: gradient flows only through each
 feature map's argmax window, only where the activation was live, only
 through unmasked pooled units, and only into trainable channels.
@@ -19,7 +20,9 @@ through unmasked pooled units, and only into trainable channels.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
+import itertools
 import os
 import threading
 from concurrent import futures
@@ -68,6 +71,10 @@ def _blas_leaves_a_core() -> bool:
 # float64 GEMM of about a million multiply-adds.  Tests set `_helper_on`.
 _helper_on = _blas_leaves_a_core()
 _HELPER_MIN_MACS = 1 << 22
+# Score tables a forward or inference call holds with the helper on: the one
+# being pooled and two ahead.  Static predict gained 0-9% with two, 8-28% with
+# three; every table gained no more and cost 12-28 MB of non-static peak RSS.
+_TABLES_HELD = 3
 
 
 def _new_helper() -> None:
@@ -85,40 +92,64 @@ def _offload(macs: int) -> bool:
     return _helper_on and macs >= _HELPER_MIN_MACS
 
 
-def _submit(fn, *args, **kwargs) -> futures.Future:
-    return _helper.submit(contextvars.copy_context().run, fn, *args, **kwargs)
+def _products(pairs, macs: int, held: int):
+    """Yield a @ b for each (a, b) of the iterable `pairs`, in order, each the
+    same np.matmul of the same operands; unless `_offload(macs)`, each is
+    computed when it is asked for.  Otherwise the helper and the caller work
+    through one queue, each taking the next product not yet taken, the
+    caller whenever the one it asks for is not done.  The caller draws the
+    operands and allocates the outputs, at most `held` products ahead of the
+    last one handed out.  A failed product raises when it is asked for;
+    closing the generator drops the untaken ones and waits for the helper."""
+    if not _offload(macs):
+        for a, b in pairs:
+            yield a @ b
+        return
+    pairs, jobs, results, lock = iter(pairs), {}, {}, threading.Condition()
+    drawn = taken = 0  # products drawn from `pairs`; of them, taken
+    helper, idle = None, True  # the helper's latest run, and whether it has ended
 
-
-def _start_matmul(a: np.ndarray, b: np.ndarray) -> futures.Future:
-    """The helper computes a @ b from now on, into an array allocated here."""
-    return _submit(np.matmul, a, b, out=np.empty((a.shape[0], b.shape[1])))
-
-
-def _matmuls(pairs) -> list[np.ndarray]:
-    """[a @ b for a, b in pairs], each product the same GEMM.  With the
-    helper on, it and the caller each take the next product not yet taken,
-    into arrays allocated here, and the call returns when both are done."""
-    if not _offload(sum(a.shape[0] * a.shape[1] * b.shape[1] for a, b in pairs)):
-        return [a @ b for a, b in pairs]
-    outs = [np.empty((a.shape[0], b.shape[1])) for a, b in pairs]
-    jobs, lock = iter(zip(pairs, outs)), threading.Lock()
-
-    def work():
-        while True:
+    def work(until=None) -> None:
+        """Compute untaken products: on the helper (`until` None) while any
+        is left, in the caller until product `until` is done."""
+        nonlocal taken, idle
+        while until not in results:
             with lock:
-                job = next(jobs, None)
-            if job is None:
-                return
-            (a, b), out = job
-            np.matmul(a, b, out=out)
+                if taken == drawn:
+                    idle |= until is None
+                    return
+                j, taken = taken, taken + 1
+                a, b, out = jobs.pop(j)
+            try:
+                np.matmul(a, b, out=out)
+            except Exception as exc:  # raised where the product is asked for
+                out = exc
+            with lock:
+                results[j] = out
+                lock.notify_all()
 
-    helper = _submit(work)
     try:
-        work()
+        for i in itertools.count():
+            new = {drawn + j: (a, b, np.empty((a.shape[0], b.shape[1])))
+                   for j, (a, b) in enumerate(itertools.islice(pairs, i + held - drawn))}
+            with lock:
+                jobs.update(new)
+                drawn += len(new)
+                if i == drawn:
+                    return
+                if idle and taken < drawn:  # numpy's errstate is a context variable
+                    idle, helper = False, _helper.submit(contextvars.copy_context().run, work)
+            work(until=i)
+            with lock:
+                lock.wait_for(lambda: i in results)
+            if isinstance(results[i], Exception):
+                raise results.pop(i)
+            yield results.pop(i)  # held by no local here, so the caller's drop frees it
     finally:
-        futures.wait([helper])
-    helper.result()
-    return outs
+        with lock:
+            taken = drawn
+        if helper is not None:
+            helper.result()  # waits for the helper's last run, which raises nothing
 
 
 def _activate(pre: np.ndarray, kind: str) -> np.ndarray:
@@ -242,19 +273,18 @@ def _score_table(rows: np.ndarray, bank: FilterBank) -> np.ndarray:
 
 
 def _score_tables(rows: np.ndarray, banks: list[FilterBank]):
-    """Yield each bank with its `_score_table` of `rows`, in order.  With the
-    helper on, it computes the next bank's table while the caller uses this
-    one, so two tables are held at once; otherwise each table is computed
-    when the caller asks for it, and a caller that drops a table before
-    asking for the next holds one."""
-    offload = _offload(rows.size * sum(bank.weights.shape[0] * bank.width for bank in banks))
-    ahead = None  # the caller computes the first table while the helper starts the second
-    for i, bank in enumerate(banks):
-        current = ahead  # drops the last table before the next one is allocated
-        ahead = (_start_matmul(rows, _offset_major(banks[i + 1]).T)
-                 if offload and i + 1 < len(banks) else None)
-        yield bank, (_score_table(rows, bank) if current is None
-                     else current.result().reshape(-1, bank.weights.shape[0]))
+    """Yield each bank with its `_score_table` of `rows`, in order, from one
+    `_products` queue.  A caller that drops each table before asking for the
+    next holds one at a time with the helper off, and with it on at most
+    _TABLES_HELD: the one it uses and the next ones the queue computes.  The
+    caller closes the generator when it stops early."""
+    macs = rows.size * sum(bank.weights.shape[0] * bank.width for bank in banks)
+    tables = _products(((rows, _offset_major(bank).T) for bank in banks), macs, _TABLES_HELD)
+    try:
+        for bank in banks:
+            yield bank, next(tables).reshape(-1, bank.weights.shape[0])
+    finally:
+        tables.close()
 
 
 def _window_preacts(table: np.ndarray, bank: FilterBank, inverse: np.ndarray) -> np.ndarray:
@@ -329,12 +359,14 @@ def forward_batch(params: ModelParams, sentences, masks):
     distinct, inverse = np.unique(np.concatenate(sentences), return_inverse=True)
     rows = summed_embedding(params.channels, distinct)
     preacts, pooled, argmax = [], [], []
-    for bank, table in _score_tables(rows, params.filters):
-        pre = _window_preacts(table, bank, inverse)
-        best, act = _ragged_pool(pre, bank.width, lengths, params.activation)
-        preacts.append(pre)
-        pooled.append(best)
-        argmax.append(_first_argmax(act, best, lengths))
+    with contextlib.closing(_score_tables(rows, params.filters)) as tables:
+        for bank, table in tables:
+            pre = _window_preacts(table, bank, inverse)
+            del table
+            best, act = _ragged_pool(pre, bank.width, lengths, params.activation)
+            preacts.append(pre)
+            pooled.append(best)
+            argmax.append(_first_argmax(act, best, lengths))
     z = np.concatenate(pooled, axis=1)
     masks = np.asarray(masks, dtype=np.float64)
     logits = _logits(params, z, masks)
@@ -378,8 +410,8 @@ def backward(params: ModelParams, trace: ForwardTrace,
     (token at its argmax window + j, f, j) of a (U, F·h) matrix S for every
     offset j.  The weight gradient is then S.T @ rows, and the distinct
     tokens' row gradient is S @ W over the (F·h, k) weight view.  Every
-    width's S is built first; `_matmuls` then runs the products, and the row
-    gradients are added in width order.
+    width's S is built first; one `_products` queue holding them all then
+    runs the products, and the row gradients are added in width order.
     """
     if len(trace.preacts) != len(params.filters) or \
             trace.z.shape[1] != params.output.weights.shape[1] or \
@@ -411,7 +443,8 @@ def backward(params: ModelParams, trace: ForwardTrace,
         pairs.append((scores.T, trace.rows))
         if tuned:
             pairs.append((scores, bank.weights.reshape(n_maps * h, k)))
-    products = iter(_matmuls(pairs))
+    macs = sum(a.shape[0] * a.shape[1] * b.shape[1] for a, b in pairs)
+    products = iter(list(_products(pairs, macs, len(pairs))))
     d_rows = np.zeros_like(trace.rows) if tuned else None
     for bank in params.filters:
         grads[f"conv{bank.width}.weights"] = next(products).reshape(bank.weights.shape)
@@ -453,13 +486,15 @@ def _pool_block(params: ModelParams, slabs: list[FilterBank], sentences: list[np
     row_at = np.concatenate([[0], np.cumsum(lengths)])
     chunks = _runs(lengths, _CHUNK_ROWS)
     col = 0
-    for slab, table in _score_tables(rows, slabs):
-        cols = slice(col, col + slab.biases.shape[0])
-        for lo, hi in zip(chunks, chunks[1:]):
-            pre = _window_preacts(table, slab, inverse[row_at[lo]:row_at[hi]])
-            out[lo:hi, cols], _ = _ragged_pool(pre, slab.width, lengths[lo:hi], params.activation)
-        col = cols.stop
-        del table, pre
+    with contextlib.closing(_score_tables(rows, slabs)) as tables:
+        for slab, table in tables:
+            cols = slice(col, col + slab.biases.shape[0])
+            for lo, hi in zip(chunks, chunks[1:]):
+                pre = _window_preacts(table, slab, inverse[row_at[lo]:row_at[hi]])
+                out[lo:hi, cols], _ = _ragged_pool(pre, slab.width, lengths[lo:hi],
+                                                   params.activation)
+            col = cols.stop
+            del table, pre
 
 
 def predict_logits(params: ModelParams, sentences) -> np.ndarray:
@@ -482,9 +517,9 @@ def predict_logits(params: ModelParams, sentences) -> np.ndarray:
     (twice while channels are summed), one slab's weight view and table, the
     block's index arrays and one chunk's gathered and activated scores.  On
     the MR shape (k = 300, h = 5) that is 71 MB when every token of a block
-    is distinct, whatever B.  While the GEMM helper runs, the next slab's
-    weight view and table are held too: 8·(2·U·k + 2·h·S·(U + k) +
-    (24 + 4·S)·R) bytes, 88 MB on the MR shape.
+    is distinct, whatever B.  While the GEMM helper runs, the next two
+    slabs' weight views and tables are held too (_TABLES_HELD): 8·(2·U·k +
+    3·h·S·(U + k) + (24 + 4·S)·R) bytes, 105 MB on the MR shape.
 
     Every copy of a token in a block reads the same table row, so a row does
     not depend on where its sentence sits in the block; its last bits can

@@ -192,8 +192,10 @@ def adadelta_step(param: np.ndarray, grad: np.ndarray, state: AdadeltaState,
         acc_g *= decay
         acc_u *= decay
     # The update as one in-place chain per block, each operation in the order
-    # of `acc_g = rho·acc_g + (1-rho)·g·g; step = -sqrt(acc_u + eps) /
-    # sqrt(acc_g + eps)·g; acc_u = rho·acc_u + (1-rho)·step·step`.
+    # of `acc_g = rho·acc_g + (1-rho)·g·g; step = sqrt(acc_u + eps) /
+    # sqrt(acc_g + eps)·g; acc_u = rho·acc_u + (1-rho)·step·step`, then
+    # param -= step.  Negation is exact, so this equals adding the negated
+    # step bit for bit, and squaring either sign gives the same bits.
     step = np.empty_like(acc_g)
     per_block = max(1, _STEP_BLOCK // max(1, math.prod(grad.shape[1:])))
     scratch = np.empty_like(acc_g[:per_block])
@@ -206,7 +208,6 @@ def adadelta_step(param: np.ndarray, grad: np.ndarray, state: AdadeltaState,
         ag += t
         np.add(au, eps, out=s)
         np.sqrt(s, out=s)
-        np.negative(s, out=s)
         np.add(ag, eps, out=t)
         np.sqrt(t, out=t)
         s /= t
@@ -216,7 +217,7 @@ def adadelta_step(param: np.ndarray, grad: np.ndarray, state: AdadeltaState,
         t *= s
         au += t
     state.acc_grad_sq[rows], state.acc_update_sq[rows] = acc_g, acc_u
-    param[rows] += step
+    param[rows] -= step
     state.last[rows] = state.steps
     return param
 

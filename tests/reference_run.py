@@ -8,8 +8,8 @@ depend on the machine's core count.
 
 The corpus is `synthdata.trigger_bigram_pairs(300, seed=5)`; a word2vec
 binary file holds `synthdata.planted_vectors` for three of every four
-vocabulary words.  Six configs (k=16, widths 2,3,4 unless stated, 10 maps,
-seed 11):
+vocabulary words.  Seven configs (k=16, widths 2,3,4 unless stated, 10
+maps, seed 11):
 
 * `reference`: batch 50, 15 epochs, the config earlier identity checks used
   (its models barely train: six batches an epoch);
@@ -24,7 +24,11 @@ seed 11):
 * `short`: `learning` with widths 3,4,5 on `synthdata.short_pairs(300,
   seed=5)`, sentences of 1-4 tokens, and its own vector file, written under
   `inputs/short/`, so every sentence is right-padded and the checks cover
-  windows that hold pad rows.
+  windows that hold pad rows;
+* `wide`: k=300, 100 maps, widths 3,4,5, batch 50 and 3 epochs, with its
+  own 300-wide vector file for the trigger-bigram corpus, written under
+  `inputs/wide/`: its calls' products cross `net._HELPER_MIN_MACS`, so
+  where BLAS leaves a core idle the checks cover the GEMM helper too.
 
 Per config and variant it writes the `train` stdout, history CSV and
 checkpoint, the `predict` output on held-out lines, the `neighbors` output
@@ -48,7 +52,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import synthdata  # noqa: E402
-from sentconv import cli, corpus, embed  # noqa: E402
+from sentconv import cli, corpus, embed, optim  # noqa: E402
 
 BASE = "widths = 2,3,4\nmaps_per_width = 10\ndim = 16\nseed = 11\n"
 CONFIGS = {
@@ -58,10 +62,13 @@ CONFIGS = {
     "early-stop": "batch_size = 20\nmax_epochs = 30\npatience = 4\ninit_scale = 0.1\n",
     "six-class": "batch_size = 10\nmax_epochs = 15\n",
     "short": "batch_size = 10\nmax_epochs = 15\nwidths = 3,4,5\n",
+    "wide": "batch_size = 50\nmax_epochs = 3\nwidths = 3,4,5\nmaps_per_width = 100\n"
+            "dim = 300\n",
 }
-# Configs with a corpus of their own, written under inputs/<name>/; the
-# others share the trigger-bigram corpus in inputs/.
-OWN_CORPUS = {"six-class": synthdata.six_class_pairs, "short": synthdata.short_pairs}
+# Configs with inputs of their own, written under inputs/<name>/; the others
+# share the trigger-bigram corpus and 16-wide vectors in inputs/.
+OWN_CORPUS = {"six-class": synthdata.six_class_pairs, "short": synthdata.short_pairs,
+              "wide": synthdata.trigger_bigram_pairs}
 
 
 def config_text(name: str) -> str:
@@ -84,14 +91,14 @@ def run(argv, stdout_path=None) -> None:
         stdout_path.write_text(out.getvalue(), encoding="utf-8")
 
 
-def write_inputs(root: Path, make_pairs=synthdata.trigger_bigram_pairs):
-    """The corpus, vector file and held-out lines of `make_pairs`; returns
-    their paths."""
+def write_inputs(root: Path, make_pairs=synthdata.trigger_bigram_pairs, dim=16):
+    """The corpus, `dim`-wide vector file and held-out lines of `make_pairs`;
+    returns their paths."""
     pairs = make_pairs(300, seed=5)
     data = root / "data.tsv"
     synthdata.write_tsv(data, pairs)
     vocab = corpus.build_vocabulary(corpus.tokenize_corpus(pairs)[0])
-    planted = synthdata.planted_vectors(vocab, 16, seed=5)
+    planted = synthdata.planted_vectors(vocab, dim, seed=5)
     kept = [i for i in range(1, len(vocab)) if i % 4 != 0]
     vectors = root / "vectors.bin"
     with open(vectors, "wb") as fh:
@@ -110,7 +117,8 @@ def main(outdir) -> int:
     paths = {None: write_inputs(inputs)}
     for name, make_pairs in OWN_CORPUS.items():
         (inputs / name).mkdir(exist_ok=True)
-        paths[name] = write_inputs(inputs / name, make_pairs)
+        paths[name] = write_inputs(inputs / name, make_pairs,
+                                   optim.parse_config(config_text(name)).dim)
     query = synthdata.TRIGGER_WORDS[0]
     for name in CONFIGS:
         data, vectors, held_out = paths.get(name, paths[None])

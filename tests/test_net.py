@@ -5,6 +5,8 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -764,7 +766,7 @@ class TestPredictLogits:
         """tracemalloc's peak over one `predict_logits` call in the
         docstring's worst case, ten blocks whose every token is distinct and
         two channels, less the features and logits it returns; with the bound
-        of a call that holds one slab table (helper off) or two (helper on).
+        of a call that holds one slab table (helper off) or three (helper on).
         tracemalloc sees numpy's buffers, not BLAS's own workspace."""
         monkeypatch.setattr(net, "_helper_on", helper_on)
         rng = np.random.default_rng(49)
@@ -775,7 +777,7 @@ class TestPredictLogits:
         sentences = np.split(ids, len(ids) // 32)
         assert block_count(sentences) == 10
         rows, h, slab = net._BLOCK_ROWS, params.max_width, net._SLAB_MAPS
-        tables = 2 if helper_on else 1
+        tables = 3 if helper_on else 1
         bound = 8 * (2 * rows * k + tables * h * slab * (rows + k) + (24 + 4 * slab) * rows)
         returned = 8 * len(sentences) * (params.num_filters + 2 * params.num_classes)
         tracemalloc.start()
@@ -794,8 +796,8 @@ class TestPredictLogits:
         assert peak <= bound
 
     def test_memory_with_the_helper_stays_under_its_stated_bound(self, monkeypatch):
-        # With the helper on, the next slab's table and weight view are held
-        # beside this one's: 8·(2·U·k + 2·h·S·(U + k) + (24 + 4·S)·R) bytes.
+        # With the helper on, the next two slabs' tables and weight views are
+        # held beside this one's: 8·(2·U·k + 3·h·S·(U + k) + (24 + 4·S)·R) bytes.
         peak, bound = self._peak_beyond_the_returned_arrays(monkeypatch, True)
         assert peak <= bound
 
@@ -1078,9 +1080,11 @@ class TestStructuralInvariants:
 
 
 class TestGemmHelper:
-    """The helper thread that runs the engine's GEMMs beside the caller: every
-    output is byte-identical with it on and off, it runs in the caller's
-    numpy error state, and a forked child gets its own."""
+    """The queue of GEMMs that the helper thread and the caller both work
+    through: every output is byte-identical with the helper on and off, the
+    helper computes products in every call, a failure on either thread
+    reaches the caller and leaves no job running, it runs in the caller's
+    numpy error state, and a forked child gets its own helper."""
 
     @staticmethod
     def _setup(variant, activation="relu", seed=70):
@@ -1100,14 +1104,39 @@ class TestGemmHelper:
         return params, sentences, masks, labels
 
     @staticmethod
-    def _outputs(params, sentences, masks, labels):
-        """The bytes of a forward trace, its gradients and inference logits."""
+    def _outputs(params, sentences, masks, labels, helper_ran=None):
+        """The bytes of a forward trace, its gradients and inference logits.
+        With `helper_ran`, a callable, its value after each of the three calls
+        is appended to the list it returns after the bytes."""
+        ran = []
         logits, trace = net.forward_batch(params, sentences, masks)
+        ran.append(helper_ran and helper_ran())
         losses, grads = backward(params, trace, labels)
+        ran.append(helper_ran and helper_ran())
         arrays = [logits, trace.rows, *trace.preacts, *trace.argmax, trace.z, losses]
         arrays += [grads[name] for name in sorted(grads)]
         arrays.append(net.predict_logits(params, sentences * 30))
-        return [array.tobytes() for array in arrays]
+        ran.append(helper_ran and helper_ran())
+        return [array.tobytes() for array in arrays], ran
+
+    @staticmethod
+    def _patch_matmul(monkeypatch, on_caller=0.0, on_helper=None):
+        """Replace np.matmul: the caller's products first sleep `on_caller`
+        seconds, so that the helper takes some meanwhile, and the helper's
+        call `on_helper()` first.  Returns the names of the threads that ran
+        each product."""
+        names, matmul = [], np.matmul
+
+        def patched(*args, **kwargs):
+            names.append(threading.current_thread().name)
+            if threading.current_thread() is threading.main_thread():
+                time.sleep(on_caller)
+            elif on_helper is not None:
+                on_helper()
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", patched)
+        return names
 
     @pytest.mark.parametrize("variant, activation", [
         ("static", "relu"), ("nonstatic", "relu"), ("multichannel", "relu"),
@@ -1116,15 +1145,100 @@ class TestGemmHelper:
             self, monkeypatch, variant, activation):
         params, sentences, masks, labels = self._setup(variant, activation)
         monkeypatch.setattr(net, "_helper_on", False)
-        serial = self._outputs(params, sentences, masks, labels)
-        jobs = []
-        submit = net._submit
-        monkeypatch.setattr(net, "_submit", lambda *a, **kw: jobs.append(a[0]) or submit(*a, **kw))
+        serial, _ = self._outputs(params, sentences, masks, labels)
         monkeypatch.setattr(net, "_helper_on", True)
-        assert self._outputs(params, sentences, masks, labels) == serial
-        # The helper ran forward_batch's and predict_logits' tables and
-        # backward's products.
-        assert jobs.count(np.matmul) >= 2 + 5 and len(jobs) > jobs.count(np.matmul)
+        assert self._outputs(params, sentences, masks, labels)[0] == serial
+        # The helper thread computed products in forward_batch, backward and
+        # predict_logits.
+        names = self._patch_matmul(monkeypatch, on_caller=0.02)
+
+        def helper_ran():
+            ran = any(name.startswith("sentconv-gemm") for name in names)
+            names.clear()
+            return ran
+
+        assert self._outputs(params, sentences, masks, labels, helper_ran) == (
+            serial, [True, True, True])
+
+    def test_an_exception_while_pooling_leaves_no_helper_job(self, monkeypatch):
+        # The caller raises while it pools a slab and the helper computes the
+        # next ones, each product held there for 50 ms: the call waits for the
+        # helper's product and drops the untaken ones, so no product runs or
+        # starts after it, and the next call gives the same bytes.
+        params, sentences, _, _ = self._setup("nonstatic")
+        sentences = sentences * 30
+        monkeypatch.setattr(net, "_helper_on", False)
+        expected = net.predict_logits(params, sentences).tobytes()
+        monkeypatch.setattr(net, "_helper_on", True)
+        started, finished, pool = [], [], net._ragged_pool
+        names = self._patch_matmul(monkeypatch, on_helper=lambda: (
+            started.append(1), time.sleep(0.05), finished.append(1)))
+
+        def failing_pool(*args):
+            if len(started) >= 2:
+                raise RuntimeError("pooling failed")
+            return pool(*args)
+
+        monkeypatch.setattr(net, "_ragged_pool", failing_pool)
+        with pytest.raises(RuntimeError, match="pooling failed"):
+            try:
+                net.predict_logits(params, sentences)
+            finally:
+                done, running = len(started), len(started) - len(finished)
+        assert done >= 2 and running == 0
+        time.sleep(0.2)
+        assert len(started) == done and len(finished) == done
+        monkeypatch.setattr(net, "_ragged_pool", pool)
+        names.clear()
+        assert net.predict_logits(params, sentences).tobytes() == expected
+        assert len(names) > 0
+
+    def test_a_product_that_fails_on_the_helper_raises_in_the_caller(self, monkeypatch):
+        params, sentences, masks, labels = self._setup("multichannel")
+        monkeypatch.setattr(net, "_helper_on", True)
+        _, trace = net.forward_batch(params, sentences, masks)
+        expected = net.predict_logits(params, sentences).tobytes()
+
+        def fail():
+            raise MemoryError("helper out of memory")
+
+        self._patch_matmul(monkeypatch, on_caller=0.02, on_helper=fail)
+        for call in (lambda: net.forward_batch(params, sentences, masks),
+                     lambda: backward(params, trace, labels),
+                     lambda: net.predict_logits(params, sentences)):
+            with pytest.raises(MemoryError, match="helper out of memory"):
+                call()
+        monkeypatch.undo()
+        monkeypatch.setattr(net, "_helper_on", True)
+        assert net.predict_logits(params, sentences).tobytes() == expected
+
+    def test_every_product_is_handed_out_once_in_order_under_frequent_switches(
+            self, monkeypatch):
+        # Many short queues of small products, with a thread switch every
+        # microsecond: each product is equal to its serial bytes and handed
+        # out once, in order.  A lost update of the queue's counters would
+        # skip or repeat a product, or hang, so the run is time-bounded.
+        monkeypatch.setattr(net, "_helper_on", True)
+        rng = np.random.default_rng(72)
+        pairs = [(rng.normal(size=(8, 6)), rng.normal(size=(6, 5))) for _ in range(12)]
+        expected = [(a @ b).tobytes() for a, b in pairs]
+        results = []
+
+        def run():
+            for held in (1, 2, 3, len(pairs)) * 50:
+                products = net._products(pairs, net._HELPER_MIN_MACS, held)
+                results.append([product.tobytes() for product in products])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=run, daemon=True)
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert results == [expected] * 200
 
     @pytest.mark.parametrize("env, cores, expected", [
         ({}, {0, 1}, False),  # unset: OpenBLAS takes every core

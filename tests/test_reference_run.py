@@ -1,13 +1,16 @@
 """The reference run's `learning`, `six-class` and `short` configs are runs
 that learn: every variant's dev accuracy beats its dev split's majority
-share by the config's margin.  The check reads no bits, so it holds on any BLAS."""
+share by the config's margin.  The check reads no bits, so it holds on any
+BLAS.  Its `wide` config reaches the GEMM helper."""
+
+import threading
 
 import numpy as np
 import pytest
 import reference_run
 import synthdata
 
-from sentconv import cli, corpus, embed, optim
+from sentconv import cli, corpus, embed, net, optim
 from sentconv._seeds import DEV_SPLIT, derive_seed
 
 MARGIN = 0.25  # measured: 0.97-1.00 against a majority share of 0.60
@@ -26,8 +29,8 @@ def _inputs(root, name, make_pairs, margin):
     text = reference_run.config_text(name)
     config = root / f"{name}.cfg"
     config.write_text(text, encoding="utf-8")
-    data, vectors, _ = reference_run.write_inputs(root, make_pairs)
     settings = optim.parse_config(text)
+    data, vectors, _ = reference_run.write_inputs(root, make_pairs, settings.dim)
     token_lists, labels = corpus.tokenize_corpus(corpus.load_tsv(data))
     dataset = corpus.encode_corpus(token_lists, labels, corpus.build_vocabulary(token_lists),
                                    max(settings.widths))
@@ -79,3 +82,25 @@ def test_six_class_config_beats_the_majority_share(six_class_inputs, variant, ca
 def test_short_config_beats_the_majority_share(short_inputs, variant, capsys):
     *paths, floor = short_inputs
     assert _dev_accuracy(*paths, variant, capsys) >= floor
+
+
+def test_wide_config_reaches_the_gemm_helper(tmp_path, monkeypatch, capsys):
+    # Its calls' products cross net._HELPER_MIN_MACS, so with the helper on
+    # (as where BLAS leaves a core idle) a run hands it GEMMs; the k=16
+    # configs' calls all stay below the cut-over.
+    *paths, _ = _inputs(tmp_path, "wide", synthdata.trigger_bigram_pairs, 0.0)
+    offload, matmul, counts = net._offload, np.matmul, {"queues": 0, "helper": 0}
+
+    def counted_offload(macs):
+        counts["queues"] += offload(macs)
+        return offload(macs)
+
+    def counted_matmul(*args, **kwargs):
+        counts["helper"] += threading.current_thread().name.startswith("sentconv-gemm")
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(net, "_helper_on", True)
+    monkeypatch.setattr(net, "_offload", counted_offload)
+    monkeypatch.setattr(np, "matmul", counted_matmul)
+    _dev_accuracy(*paths, "non-static", capsys)
+    assert counts["queues"] > 0 and counts["helper"] > 0, counts
