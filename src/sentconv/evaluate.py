@@ -71,19 +71,17 @@ def nearest_neighbors(channel_matrix, vocab: Vocabulary, query: str,
         raise ValueError(f"unknown word {query!r}")
     matrix = np.asarray(channel_matrix, dtype=np.float64)
     qid = vocab.id(query)
-    candidates = np.array([i for i in range(1, len(vocab)) if i != qid], dtype=np.int64)
     if count < 1:
         raise ValueError(f"requested {count} neighbors; the count must be at least 1")
-    if count > candidates.size:
-        raise ValueError(f"requested {count} neighbors but only {candidates.size} candidates exist")
-    q = matrix[qid]
-    q_norm = np.linalg.norm(q)
-    rows = matrix[candidates]
-    norms = np.linalg.norm(rows, axis=1)
-    sims = np.full(candidates.size, -1.0)
-    if q_norm > 0.0:
+    if count > len(vocab) - 2:
+        raise ValueError(f"requested {count} neighbors but only {len(vocab) - 2} candidates exist")
+    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+    sims = np.full(len(matrix), -1.0)
+    if norms[qid] > 0.0:
         ok = norms > 0.0
-        sims[ok] = rows[ok] @ q / (norms[ok] * q_norm)
+        sims[ok] = (matrix @ matrix[qid])[ok] / (norms[ok] * norms[qid])
+    candidates = np.delete(np.arange(len(vocab)), [corpus.PAD_ID, qid])
+    sims = sims[candidates]
     order = np.lexsort((candidates, -sims))[:count]
     return [(vocab.id_to_word[candidates[i]], float(sims[i])) for i in order]
 

@@ -10,9 +10,9 @@ filter offset, and `_window_preacts` sums a window's scores from that
 table.  Training runs `forward_batch`, one table per width for the whole
 minibatch, whose trace `backward` replays; inference runs `predict_logits`,
 with no trace, one table per block of sentences and slab of filters.
-When BLAS leaves a core idle (`_helper_on`), a helper thread and the caller
-work through one bounded queue of each call's GEMMs (`_products`), and every
-output keeps its bytes.
+Each call's GEMMs go through one bounded queue (`_products`) that the caller
+works through, and a helper thread too when BLAS leaves a core idle
+(`_helper_on`); every output keeps its bytes.
 The backward pass is written by hand: gradient flows only through each
 feature map's argmax window, only where the activation was live, only
 through unmasked pooled units, and only into trainable channels.
@@ -20,6 +20,7 @@ through unmasked pooled units, and only into trainable channels.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import contextvars
 import itertools
@@ -66,8 +67,8 @@ def _blas_leaves_a_core() -> bool:
 # arrays the caller allocates, in the caller's context (numpy's errstate is a
 # context variable).  It runs only when BLAS leaves a core idle: with BLAS
 # unpinned on 2 cores it slowed an MR-shaped fit from 118-130 to 145-153 ms.
-# A call whose products hold fewer than _HELPER_MIN_MACS multiply-adds runs
-# them inline: a hand-over and back took 45-90 us, the time of a one-thread
+# A call whose products hold fewer than _HELPER_MIN_MACS multiply-adds never
+# reaches it: a hand-over and back took 45-90 us, the time of a one-thread
 # float64 GEMM of about a million multiply-adds.  Tests set `_helper_on`.
 _helper_on = _blas_leaves_a_core()
 _HELPER_MIN_MACS = 1 << 22
@@ -94,60 +95,45 @@ def _offload(macs: int) -> bool:
 
 def _products(pairs, macs: int, held: int):
     """Yield a @ b for each (a, b) of the iterable `pairs`, in order, each the
-    same np.matmul of the same operands; unless `_offload(macs)`, each is
-    computed when it is asked for.  Otherwise the helper and the caller work
-    through one queue, each taking the next product not yet taken, the
-    caller whenever the one it asks for is not done.  The caller draws the
-    operands and allocates the outputs, at most `held` products ahead of the
-    last one handed out.  A failed product raises when it is asked for;
-    closing the generator drops the untaken ones and waits for the helper."""
-    if not _offload(macs):
-        for a, b in pairs:
-            yield a @ b
-        return
-    pairs, jobs, results, lock = iter(pairs), {}, {}, threading.Condition()
-    drawn = taken = 0  # products drawn from `pairs`; of them, taken
-    helper, idle = None, True  # the helper's latest run, and whether it has ended
+    same np.matmul into an output the caller allocates as it draws the pair,
+    at most `held` products ahead of the last one handed out (one unless
+    `_offload(macs)`, when the helper takes untaken products too).  The
+    caller takes the oldest untaken one while the one it asks for is not
+    done.  A failed product raises when it is asked for; closing the
+    generator drops the untaken ones and waits for the helper."""
+    offload, lock = _offload(macs), threading.Lock()
+    pairs, jobs, order = iter(pairs), collections.deque(), collections.deque()
+    held, helper = held if offload else 1, None  # helper: its latest run
 
     def work(until=None) -> None:
-        """Compute untaken products: on the helper (`until` None) while any
-        is left, in the caller until product `until` is done."""
-        nonlocal taken, idle
-        while until not in results:
+        """Compute untaken products: on the helper while any is left, else until `until` is done."""
+        while until is None or not until.done():
             with lock:
-                if taken == drawn:
-                    idle |= until is None
+                if not jobs:
                     return
-                j, taken = taken, taken + 1
-                a, b, out = jobs.pop(j)
+                a, b, out, future = jobs.popleft()
             try:
-                np.matmul(a, b, out=out)
+                future.set_result(np.matmul(a, b, out=out))
             except Exception as exc:  # raised where the product is asked for
-                out = exc
-            with lock:
-                results[j] = out
-                lock.notify_all()
+                future.set_exception(exc)
 
     try:
-        for i in itertools.count():
-            new = {drawn + j: (a, b, np.empty((a.shape[0], b.shape[1])))
-                   for j, (a, b) in enumerate(itertools.islice(pairs, i + held - drawn))}
+        while True:
+            new = [(a, b, np.empty((a.shape[0], b.shape[1])), futures.Future())
+                   for a, b in itertools.islice(pairs, held - len(order))]
+            order.extend(job[3] for job in new)
             with lock:
-                jobs.update(new)
-                drawn += len(new)
-                if i == drawn:
-                    return
-                if idle and taken < drawn:  # numpy's errstate is a context variable
-                    idle, helper = False, _helper.submit(contextvars.copy_context().run, work)
-            work(until=i)
-            with lock:
-                lock.wait_for(lambda: i in results)
-            if isinstance(results[i], Exception):
-                raise results.pop(i)
-            yield results.pop(i)  # held by no local here, so the caller's drop frees it
+                jobs.extend(new)
+                if offload and jobs and (helper is None or helper.done()):
+                    helper = _helper.submit(contextvars.copy_context().run, work)
+            del new  # it would hold the drawn operands and products
+            if not order:
+                return
+            work(until=order[0])
+            yield order.popleft().result()  # held by no local, so the caller's drop frees it
     finally:
         with lock:
-            taken = drawn
+            jobs.clear()
         if helper is not None:
             helper.result()  # waits for the helper's last run, which raises nothing
 
@@ -275,16 +261,13 @@ def _score_table(rows: np.ndarray, bank: FilterBank) -> np.ndarray:
 def _score_tables(rows: np.ndarray, banks: list[FilterBank]):
     """Yield each bank with its `_score_table` of `rows`, in order, from one
     `_products` queue.  A caller that drops each table before asking for the
-    next holds one at a time with the helper off, and with it on at most
-    _TABLES_HELD: the one it uses and the next ones the queue computes.  The
-    caller closes the generator when it stops early."""
+    next holds one at a time with the helper off, else at most _TABLES_HELD;
+    it closes the generator when it stops early."""
     macs = rows.size * sum(bank.weights.shape[0] * bank.width for bank in banks)
-    tables = _products(((rows, _offset_major(bank).T) for bank in banks), macs, _TABLES_HELD)
-    try:
+    with contextlib.closing(_products(((rows, _offset_major(bank).T) for bank in banks), macs,
+                                      _TABLES_HELD)) as tables:
         for bank in banks:
             yield bank, next(tables).reshape(-1, bank.weights.shape[0])
-    finally:
-        tables.close()
 
 
 def _window_preacts(table: np.ndarray, bank: FilterBank, inverse: np.ndarray) -> np.ndarray:
@@ -342,14 +325,6 @@ def _first_argmax(act: np.ndarray, best: np.ndarray, lengths: np.ndarray) -> np.
                                np.cumsum(lengths) - lengths, axis=0)
 
 
-def _logits(params: ModelParams, z: np.ndarray, masks: np.ndarray | None) -> np.ndarray:
-    """The output layer over (B, m) pooled features: dropout `masks` in
-    training; for inference (None) the weights are scaled by keep_prob."""
-    if masks is None:
-        return z @ (params.keep_prob * params.output.weights).T + params.output.biases
-    return (z * masks) @ params.output.weights.T + params.output.biases
-
-
 def forward_batch(params: ModelParams, sentences, masks):
     """Training forward pass of a minibatch: the (B, classes) logits and the
     trace `backward` takes whole.  `masks` is the (B, m) stack of 0/1 dropout
@@ -369,7 +344,7 @@ def forward_batch(params: ModelParams, sentences, masks):
             argmax.append(_first_argmax(act, best, lengths))
     z = np.concatenate(pooled, axis=1)
     masks = np.asarray(masks, dtype=np.float64)
-    logits = _logits(params, z, masks)
+    logits = (z * masks) @ params.output.weights.T + params.output.biases
     return logits, ForwardTrace(distinct, inverse, rows, preacts, argmax, z, masks, logits)
 
 
@@ -476,25 +451,26 @@ def _runs(sizes, limit: int) -> list[int]:
 
 
 def _pool_block(params: ModelParams, slabs: list[FilterBank], sentences: list[np.ndarray],
-                lengths: np.ndarray, out: np.ndarray) -> None:
-    """Write a block's (b, m) pooled features into `out`.  The block's
-    distinct tokens are found once; per slab of filters, one score table of
-    them is gathered, activated and pooled chunk by chunk, runs of sentences
-    of about _CHUNK_ROWS rows, and freed before the next slab's."""
+                lengths: np.ndarray) -> np.ndarray:
+    """A block's (b, m) pooled features.  The block's distinct tokens are
+    found once; per slab of filters, one score table of them is gathered,
+    activated and pooled chunk by chunk, runs of sentences of about
+    _CHUNK_ROWS rows, and freed before the next slab's."""
     distinct, inverse = np.unique(np.concatenate(sentences), return_inverse=True)
     rows = summed_embedding(params.channels, distinct)
     row_at = np.concatenate([[0], np.cumsum(lengths)])
     chunks = _runs(lengths, _CHUNK_ROWS)
-    col = 0
+    z, col = np.empty((len(sentences), params.num_filters)), 0
     with contextlib.closing(_score_tables(rows, slabs)) as tables:
         for slab, table in tables:
             cols = slice(col, col + slab.biases.shape[0])
             for lo, hi in zip(chunks, chunks[1:]):
                 pre = _window_preacts(table, slab, inverse[row_at[lo]:row_at[hi]])
-                out[lo:hi, cols], _ = _ragged_pool(pre, slab.width, lengths[lo:hi],
-                                                   params.activation)
+                z[lo:hi, cols], _ = _ragged_pool(pre, slab.width, lengths[lo:hi],
+                                                 params.activation)
             col = cols.stop
             del table, pre
+    return z
 
 
 def predict_logits(params: ModelParams, sentences) -> np.ndarray:
@@ -507,19 +483,21 @@ def predict_logits(params: ModelParams, sentences) -> np.ndarray:
     finds a block's distinct tokens once; per width, and per slab of
     _SLAB_MAPS filters in it, it builds one score table of those tokens, and
     gathers, activates and pools each chunk, its sentences concatenated
-    without padding, with `_ragged_pool`, no trace and no argmax.
+    without padding, with `_ragged_pool`, no trace and no argmax.  The
+    output layer then turns the block's features into its logits.
 
-    Memory: with R = max(_BLOCK_ROWS, longest sentence) rows in a block,
-    U <= R distinct tokens in it, k the embedding size, h the widest filter
-    and S = _SLAB_MAPS, a call holds at once, besides its int64 sentences
-    and the (B, m) features and (B, classes) logits it returns, at most
-    8·(2·U·k + h·S·(U + k) + (24 + 4·S)·R) bytes: one block's summed rows
-    (twice while channels are summed), one slab's weight view and table, the
-    block's index arrays and one chunk's gathered and activated scores.  On
-    the MR shape (k = 300, h = 5) that is 71 MB when every token of a block
-    is distinct, whatever B.  While the GEMM helper runs, the next two
-    slabs' weight views and tables are held too (_TABLES_HELD): 8·(2·U·k +
-    3·h·S·(U + k) + (24 + 4·S)·R) bytes, 105 MB on the MR shape.
+    Memory: with R = max(_BLOCK_ROWS, longest sentence) rows and b <= R/h
+    sentences in a block, C = max(_CHUNK_ROWS, longest sentence) rows in a
+    chunk, U <= R distinct tokens in a block, k the embedding size, h the
+    widest filter, m filters, c classes and S = _SLAB_MAPS, a call holds at
+    once, besides its int64 sentences and the (B, c) logits it returns, at
+    most 8·(2·U·k + T·h·S·(U + k) + 24·R + 4·S·C + b·(m + 2·c)) bytes: one
+    block's summed rows (twice while channels are summed), T slabs' weight
+    views and tables, the block's index arrays, one chunk's gathered and
+    activated scores, and the block's features and logits.  T is 1, or
+    _TABLES_HELD while the GEMM helper runs.  On the MR shape (k = 300,
+    h = 5, m = 300, c = 2) that is 64 MB, or 97 MB with the helper, when
+    every token of a block is distinct, whatever B.
 
     Every copy of a token in a block reads the same table row, so a row does
     not depend on where its sentence sits in the block; its last bits can
@@ -531,10 +509,12 @@ def predict_logits(params: ModelParams, sentences) -> np.ndarray:
     blocks = _runs(lengths, _BLOCK_ROWS)
     slabs = [FilterBank(bank.width, bank.weights[f:f + _SLAB_MAPS], bank.biases[f:f + _SLAB_MAPS])
              for bank in params.filters for f in range(0, bank.biases.shape[0], _SLAB_MAPS)]
-    z = np.empty((len(sentences), params.num_filters))
+    weights = (params.keep_prob * params.output.weights).T
+    logits = np.empty((len(sentences), params.num_classes))
     for lo, hi in zip(blocks, blocks[1:]):
-        _pool_block(params, slabs, sentences[lo:hi], lengths[lo:hi], z[lo:hi])
-    return _logits(params, z, None)
+        logits[lo:hi] = _pool_block(params, slabs, sentences[lo:hi], lengths[lo:hi]) @ weights \
+            + params.output.biases
+    return logits
 
 
 def accuracy(params: ModelParams, examples) -> float:

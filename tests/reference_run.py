@@ -1,10 +1,13 @@
 """Reference run: train, score and cross-validate every variant on a fixed
 synthetic corpus, write every output to OUTDIR and print a sha256 manifest.
 
-    PYTHONPATH=src python3 tests/reference_run.py OUTDIR
+    PYTHONPATH=src python3 tests/reference_run.py OUTDIR [--cv STEM ...]
 
 It pins one BLAS thread before numpy is imported, so the manifest does not
-depend on the machine's core count.
+depend on the machine's core count.  The manifest's first line names the
+numpy version and the BLAS library, the scope of its bytes;
+`tests/reference_manifest.txt` is the full run's manifest.  With --cv, only
+the named config-variant stems (`wide-non-static`) run `train --cv`.
 
 The corpus is `synthdata.trigger_bigram_pairs(300, seed=5)`; a word2vec
 binary file holds `synthdata.planted_vectors` for three of every four
@@ -39,6 +42,7 @@ bytes, so `diff` of two manifests names every output a change moves.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -51,6 +55,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+import numpy as np  # noqa: E402
 import synthdata  # noqa: E402
 from sentconv import cli, corpus, embed, optim  # noqa: E402
 
@@ -109,7 +114,13 @@ def write_inputs(root: Path, make_pairs=synthdata.trigger_bigram_pairs, dim=16):
     return data, vectors, held_out
 
 
-def main(outdir) -> int:
+def header() -> str:
+    """The manifest's first line: this numpy's version and BLAS library."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return f"# numpy {np.__version__}, blas {blas.get('name')} {blas.get('version')}"
+
+
+def main(outdir, cv=None) -> int:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     inputs = out / "inputs"
@@ -135,8 +146,10 @@ def main(outdir) -> int:
             run(["predict", "--checkpoint", ckpt, "--input", held_out],
                 out / f"{stem}-predict.txt")
             run(["neighbors", "--checkpoint", ckpt, query], out / f"{stem}-neighbors.txt")
-            run(train + ["--cv", "--out", out / f"{stem}-cv-report.txt"],
-                out / f"{stem}-cv.txt")
+            if cv is None or stem in cv:
+                run(train + ["--cv", "--out", out / f"{stem}-cv-report.txt"],
+                    out / f"{stem}-cv.txt")
+    print(header())
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(out).as_posix()}")
@@ -144,6 +157,8 @@ def main(outdir) -> int:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit(__doc__.split("\n\n")[1].strip())
-    sys.exit(main(sys.argv[1]))
+    parser = argparse.ArgumentParser(usage=__doc__.split("\n\n")[1].strip())
+    parser.add_argument("outdir")
+    parser.add_argument("--cv", nargs="+", metavar="STEM")
+    args = parser.parse_args()
+    sys.exit(main(args.outdir, args.cv))

@@ -765,8 +765,8 @@ class TestPredictLogits:
     def _peak_beyond_the_returned_arrays(monkeypatch, helper_on):
         """tracemalloc's peak over one `predict_logits` call in the
         docstring's worst case, ten blocks whose every token is distinct and
-        two channels, less the features and logits it returns; with the bound
-        of a call that holds one slab table (helper off) or three (helper on).
+        two channels, less the logits it returns; with the bound of a call
+        that holds one slab table (helper off) or three (helper on).
         tracemalloc sees numpy's buffers, not BLAS's own workspace."""
         monkeypatch.setattr(net, "_helper_on", helper_on)
         rng = np.random.default_rng(49)
@@ -777,9 +777,11 @@ class TestPredictLogits:
         sentences = np.split(ids, len(ids) // 32)
         assert block_count(sentences) == 10
         rows, h, slab = net._BLOCK_ROWS, params.max_width, net._SLAB_MAPS
+        chunk = max(net._CHUNK_ROWS, max(map(len, sentences)))
         tables = 3 if helper_on else 1
-        bound = 8 * (2 * rows * k + tables * h * slab * (rows + k) + (24 + 4 * slab) * rows)
-        returned = 8 * len(sentences) * (params.num_filters + 2 * params.num_classes)
+        bound = 8 * (2 * rows * k + tables * h * slab * (rows + k) + 24 * rows + 4 * slab * chunk
+                     + rows // h * (params.num_filters + 2 * params.num_classes))
+        returned = 8 * len(sentences) * params.num_classes
         tracemalloc.start()
         try:
             net.predict_logits(params, sentences)
@@ -789,15 +791,16 @@ class TestPredictLogits:
         return peak - returned, bound
 
     def test_memory_stays_under_the_stated_bound(self, monkeypatch):
-        # The docstring's bound with the helper off,
-        # 8·(2·U·k + h·S·(U + k) + (24 + 4·S)·R) bytes: each slab's table is
-        # freed before the next one's GEMM.
+        # The docstring's bound with the helper off, 8·(2·U·k + h·S·(U + k) +
+        # 24·R + 4·S·C + b·(m + 2·c)) bytes: each slab's table is freed before
+        # the next one's GEMM.
         peak, bound = self._peak_beyond_the_returned_arrays(monkeypatch, False)
         assert peak <= bound
 
     def test_memory_with_the_helper_stays_under_its_stated_bound(self, monkeypatch):
         # With the helper on, the next two slabs' tables and weight views are
-        # held beside this one's: 8·(2·U·k + 3·h·S·(U + k) + (24 + 4·S)·R) bytes.
+        # held beside this one's: 8·(2·U·k + 3·h·S·(U + k) + 24·R + 4·S·C +
+        # b·(m + 2·c)) bytes.  A fourth table would not fit.
         peak, bound = self._peak_beyond_the_returned_arrays(monkeypatch, True)
         assert peak <= bound
 
@@ -1212,13 +1215,14 @@ class TestGemmHelper:
         monkeypatch.setattr(net, "_helper_on", True)
         assert net.predict_logits(params, sentences).tobytes() == expected
 
+    @pytest.mark.parametrize("helper_on", [True, False])
     def test_every_product_is_handed_out_once_in_order_under_frequent_switches(
-            self, monkeypatch):
+            self, monkeypatch, helper_on):
         # Many short queues of small products, with a thread switch every
         # microsecond: each product is equal to its serial bytes and handed
-        # out once, in order.  A lost update of the queue's counters would
-        # skip or repeat a product, or hang, so the run is time-bounded.
-        monkeypatch.setattr(net, "_helper_on", True)
+        # out once, in order.  A lost update of the queue would skip or
+        # repeat a product, or hang, so the run is time-bounded.
+        monkeypatch.setattr(net, "_helper_on", helper_on)
         rng = np.random.default_rng(72)
         pairs = [(rng.normal(size=(8, 6)), rng.normal(size=(6, 5))) for _ in range(12)]
         expected = [(a @ b).tobytes() for a, b in pairs]
@@ -1239,6 +1243,17 @@ class TestGemmHelper:
             sys.setswitchinterval(interval)
         assert not worker.is_alive()
         assert results == [expected] * 200
+
+    def test_a_queue_closed_after_its_first_product_computes_no_more(self, monkeypatch):
+        monkeypatch.setattr(net, "_helper_on", False)
+        rng = np.random.default_rng(73)
+        pairs = [(rng.normal(size=(8, 6)), rng.normal(size=(6, 5))) for _ in range(4)]
+        expected = (pairs[0][0] @ pairs[0][1]).tobytes()
+        names = self._patch_matmul(monkeypatch)
+        products = net._products(pairs, net._HELPER_MIN_MACS, len(pairs))
+        assert next(products).tobytes() == expected
+        products.close()
+        assert names == ["MainThread"]
 
     @pytest.mark.parametrize("env, cores, expected", [
         ({}, {0, 1}, False),  # unset: OpenBLAS takes every core

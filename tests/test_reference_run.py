@@ -1,9 +1,15 @@
 """The reference run's `learning`, `six-class` and `short` configs are runs
 that learn: every variant's dev accuracy beats its dev split's majority
 share by the config's margin.  The check reads no bits, so it holds on any
-BLAS.  Its `wide` config reaches the GEMM helper."""
+BLAS.  Its `wide` config reaches the GEMM helper.  The run's outputs keep
+the bytes `reference_manifest.txt` names, on its numpy and BLAS library."""
 
+import os
+import re
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +18,8 @@ import synthdata
 
 from sentconv import cli, corpus, embed, net, optim
 from sentconv._seeds import DEV_SPLIT, derive_seed
+
+HERE = Path(__file__).parent
 
 MARGIN = 0.25  # measured: 0.97-1.00 against a majority share of 0.60
 # Measured: static 0.50, the other variants 0.87-0.93, against a majority
@@ -104,3 +112,29 @@ def test_wide_config_reaches_the_gemm_helper(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(np, "matmul", counted_matmul)
     _dev_accuracy(*paths, "non-static", capsys)
     assert counts["queues"] > 0 and counts["helper"] > 0, counts
+
+
+def _manifest(text):
+    """The header line and the {path: sha256} of a manifest's text."""
+    header, *lines = text.splitlines()
+    return header, {path: digest for digest, path in (line.split("  ", 1) for line in lines)}
+
+
+def test_outputs_keep_the_committed_bytes(tmp_path):
+    # The run without CV, plus the `wide` non-static CV, whose calls reach
+    # the GEMM helper where BLAS leaves a core idle: every output has the
+    # bytes the committed manifest of the full run names.  Bytes are pinned
+    # for one numpy and BLAS library only, which the manifest's header names.
+    header, committed = _manifest((HERE / "reference_manifest.txt").read_text(encoding="utf-8"))
+    if header != reference_run.header():
+        pytest.skip(f"the manifest holds the bytes of {header[2:]}; this is "
+                    f"{reference_run.header()[2:]}")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(net.__file__)))
+    proc = subprocess.run([sys.executable, str(HERE / "reference_run.py"), str(tmp_path),
+                           "--cv", "wide-non-static"], env=env, capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    cv_output = re.compile(r"-cv(-report)?\.txt$")
+    assert _manifest(proc.stdout) == (header, {
+        path: digest for path, digest in committed.items()
+        if not cv_output.search(path) or path.startswith("wide-non-static-")})
