@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage, 2 validation, 3 corrupt artifact, 4 query error.
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 
 import numpy as np
@@ -119,18 +118,18 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     h_max = max(ckpt.config.widths)
-    # Lines end at \n, \r\n or \r only, as in `corpus.load_tsv`: `str.splitlines`
-    # would also break them at form feeds, U+2028 and the like.
-    with (open(args.input, encoding="utf-8") if args.input != "-"
-          else io.StringIO(sys.stdin.read(), newline=None)) as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    sentences = [corpus.encode_and_pad(corpus.clean_and_tokenize(line), ckpt.vocab, h_max)
-                 for line in lines]
+    # Stdin (fd 0) is decoded as strictly as a file.  Lines end at \n, \r\n or \r
+    # only, as in `corpus.load_tsv`: `str.splitlines` would also break them at
+    # form feeds, U+2028 and the like.
+    stdin = args.input == "-"
+    with open(0 if stdin else args.input, encoding="utf-8", closefd=not stdin) as fh:
+        sentences = [corpus.encode_and_pad(corpus.clean_and_tokenize(line.rstrip("\n")),
+                                           ckpt.vocab, h_max) for line in fh]
     probs, _ = net.loss_and_probs(net.predict_logits(ckpt.params, sentences),
                                   np.zeros(len(sentences), dtype=np.int64))
     row = "{}\t" + " ".join(["{:.10f}"] * probs.shape[1]) + "\n"
-    sys.stdout.write("".join(row.format(best, *dist) for best, dist in
-                             zip(probs.argmax(axis=1).tolist(), probs.tolist())))
+    sys.stdout.writelines(row.format(best, *dist) for best, dist in
+                          zip(probs.argmax(axis=1).tolist(), probs.tolist()))
     return EXIT_OK
 
 

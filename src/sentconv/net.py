@@ -5,7 +5,7 @@ filters are shared across channels).  Each filter of width h produces one
 feature per window, the feature map is max-pooled over positions, the
 pooled vector is dropout-masked during training, and a linear layer plus
 softmax yields class probabilities.  One convolution engine serves both
-passes: `_score_table` scores each distinct token once against every
+passes: `_score_tables` scores each distinct token once against every
 filter offset, and `_window_preacts` sums a window's scores from that
 table.  Training runs `forward_batch`, one table per width for the whole
 minibatch, whose trace `backward` replays; inference runs `predict_logits`,
@@ -249,20 +249,15 @@ def _offset_major(bank: FilterBank) -> np.ndarray:
     return bank.weights.transpose(1, 0, 2).reshape(h * n_maps, k)
 
 
-def _score_table(rows: np.ndarray, bank: FilterBank) -> np.ndarray:
-    """The (U·h, F) table whose row u·h + j holds token u's scores against
-    every filter's offset-j slice, from U tokens' (U, k) summed `rows`: one
-    GEMM against the offset-major weights, reshaped for free.  A score
-    depends only on the token, so each token is scored once however often
-    it occurs."""
-    return (rows @ _offset_major(bank).T).reshape(-1, bank.weights.shape[0])
-
-
 def _score_tables(rows: np.ndarray, banks: list[FilterBank]):
-    """Yield each bank with its `_score_table` of `rows`, in order, from one
-    `_products` queue.  A caller that drops each table before asking for the
-    next holds one at a time with the helper off, else at most _TABLES_HELD;
-    it closes the generator when it stops early."""
+    """Yield each bank with its score table of U tokens' (U, k) summed `rows`,
+    in order, from one `_products` queue.  A bank's table is one GEMM against
+    its offset-major weights, reshaped for free to (U·h, F): row u·h + j holds
+    token u's scores against every filter's offset-j slice.  A score depends
+    only on the token, so each token is scored once however often it occurs.
+    A caller that drops each table before asking for the next holds one at a
+    time with the helper off, else at most _TABLES_HELD; it closes the
+    generator when it stops early."""
     macs = rows.size * sum(bank.weights.shape[0] * bank.width for bank in banks)
     with contextlib.closing(_products(((rows, _offset_major(bank).T) for bank in banks), macs,
                                       _TABLES_HELD)) as tables:
@@ -329,7 +324,7 @@ def forward_batch(params: ModelParams, sentences, masks):
     """Training forward pass of a minibatch: the (B, classes) logits and the
     trace `backward` takes whole.  `masks` is the (B, m) stack of 0/1 dropout
     masks.  The sentences are concatenated without padding, and their distinct
-    tokens are found once and scored by one `_score_table` per width."""
+    tokens are found once and scored by one `_score_tables` table per width."""
     sentences, lengths = _sentences(params, sentences)
     distinct, inverse = np.unique(np.concatenate(sentences), return_inverse=True)
     rows = summed_embedding(params.channels, distinct)

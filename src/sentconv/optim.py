@@ -99,12 +99,13 @@ def config_to_text(config: TrainConfig) -> str:
 
 
 def parse_config(text: str) -> TrainConfig:
-    """Parse flat `key = value` lines; `#` starts a comment, unknown or
-    repeated keys reject."""
+    """Parse flat `key = value` lines, which only a newline ends (a form feed
+    or U+2028 does not); `#` starts a comment, unknown or repeated keys
+    reject."""
     defaults = TrainConfig()
     kinds = {f.name: type(getattr(defaults, f.name)) for f in fields(TrainConfig)}
     overrides = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

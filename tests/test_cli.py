@@ -1,7 +1,6 @@
 """Command-line behavior: exit codes, output formats, checkpoint round trips."""
 
 import hashlib
-import io
 import math
 import os
 import stat
@@ -288,6 +287,14 @@ class TestTrainCommand:
         assert main(["no-such-command"]) == EXIT_USAGE
 
 
+def _predict_process(ckpt, stdin: bytes, source="-"):
+    """`python -m sentconv predict` on `source`, fed `stdin`, under the C
+    locale, whose stdin would pass undecodable bytes through."""
+    return subprocess.run([sys.executable, "-m", "sentconv", "predict", "--checkpoint",
+                           str(ckpt), "--input", source], input=stdin, capture_output=True,
+                          env={**os.environ, "LC_ALL": "C"})
+
+
 class TestPredictCommand:
     def test_probabilities_sum_to_one(self, workdir, capsys, tmp_path):
         inp = tmp_path / "in.txt"
@@ -325,13 +332,12 @@ class TestPredictCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == lines[1]
 
-    def test_stdin_input(self, workdir, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("plainly goodish\n"))
-        code = main(["predict", "--checkpoint", str(workdir["ckpt"])])
-        assert code == EXIT_OK
-        assert len(capsys.readouterr().out.splitlines()) == 1
+    def test_stdin_input(self, workdir):
+        proc = _predict_process(workdir["ckpt"], b"plainly goodish\n")
+        assert proc.returncode == EXIT_OK
+        assert len(proc.stdout.splitlines()) == 1
 
-    def test_one_row_per_line(self, workdir, capsys, tmp_path, monkeypatch):
+    def test_one_row_per_line(self, workdir, capsys, tmp_path):
         # U+2028 and a form feed are line breaks to `str.splitlines`, not to
         # the dataset reader; here they separate tokens within one line.
         text = "plainly goodish\u2028utterly dreadful\r\n\nf1\x0cf2 dreadful\n"
@@ -346,9 +352,39 @@ class TestPredictCommand:
         assert main(["predict", "--checkpoint", str(workdir["ckpt"]),
                      "--input", str(inp)]) == EXIT_OK
         assert capsys.readouterr().out == expected
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
-        assert main(["predict", "--checkpoint", str(workdir["ckpt"])]) == EXIT_OK
-        assert capsys.readouterr().out == expected
+        proc = _predict_process(workdir["ckpt"], text.encode("utf-8"))
+        assert proc.returncode == EXIT_OK
+        assert proc.stdout.decode("utf-8") == expected
+
+    def test_file_and_stdin_give_the_same_bytes(self, workdir, tmp_path):
+        text = "a\rplainly goodish\r\nf1\x0cf2 dreadful\u2028caf\u00e9 \u00fcber\n\n"
+        data = text.encode("utf-8")
+        inp = tmp_path / "in.bin"
+        inp.write_bytes(data)
+        via_file = _predict_process(workdir["ckpt"], b"", str(inp))
+        via_stdin = _predict_process(workdir["ckpt"], data)
+        assert via_file.returncode == via_stdin.returncode == EXIT_OK
+        assert len(via_file.stdout.splitlines()) == 4
+        assert via_stdin.stdout == via_file.stdout
+
+    def test_invalid_utf8_exits_validation_by_either_route(self, workdir, tmp_path):
+        data = b"plainly goodish\ngood \xff line\n"
+        inp = tmp_path / "in.bin"
+        inp.write_bytes(data)
+        for proc in (_predict_process(workdir["ckpt"], b"", str(inp)),
+                     _predict_process(workdir["ckpt"], data)):
+            assert proc.returncode == EXIT_VALIDATION
+            assert proc.stdout == b""
+            assert b"utf-8" in proc.stderr and b"Traceback" not in proc.stderr
+
+    def test_closed_stdin_exits_validation(self, workdir):
+        # The shell starts the command with no file descriptor 0 at all.
+        proc = subprocess.run(["sh", "-c", 'exec "$@" <&-', "sh", sys.executable, "-m",
+                               "sentconv", "predict", "--checkpoint", str(workdir["ckpt"])],
+                              capture_output=True)
+        assert proc.returncode == EXIT_VALIDATION
+        assert proc.stdout == b""
+        assert b"Bad file descriptor" in proc.stderr and b"Traceback" not in proc.stderr
 
     def test_three_classes_formatted_row_by_row(self, workdir, capsys, tmp_path):
         rng = np.random.default_rng(4)
@@ -661,11 +697,12 @@ def _resaved(workdir, tmp_path, mutate, history_csv=""):
 
 class TestCheckpointRejections:
     @pytest.fixture(autouse=True)
-    def one_line_stdin(self, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("plainly goodish\n"))
+    def one_line_input(self, tmp_path):
+        self.input = tmp_path / "in.txt"
+        self.input.write_text("plainly goodish\n", encoding="utf-8")
 
     def _predict(self, path, capsys):
-        code = main(["predict", "--checkpoint", str(path), "--input", "-"])
+        code = main(["predict", "--checkpoint", str(path), "--input", str(self.input)])
         return code, capsys.readouterr()
 
     # The writer stores no shapes, so tensors smaller than the config says
@@ -801,9 +838,10 @@ class TestCheckpointRejections:
 
 
 class TestModuleInvocation:
-    @pytest.mark.parametrize("command", [["predict", "--input", "-"], ["neighbors", "goodish"]])
+    @pytest.mark.parametrize("command", [["predict", "--input", "in.txt"],
+                                         ["neighbors", "goodish"]])
     def test_checkpoint_loaded_through_the_cli_module(self, workdir, monkeypatch, capsys,
-                                                      command):
+                                                      tmp_path, command):
         # The benchmark times `cli.load_checkpoint` by wrapping the module attribute.
         calls = []
 
@@ -812,7 +850,8 @@ class TestModuleInvocation:
             return load_checkpoint(path)
 
         monkeypatch.setattr(cli, "load_checkpoint", recording_load)
-        monkeypatch.setattr("sys.stdin", io.StringIO("plainly goodish\n"))
+        (tmp_path / "in.txt").write_text("plainly goodish\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
         code = main([command[0], "--checkpoint", str(workdir["ckpt"]), *command[1:]])
         assert code == EXIT_OK
         assert calls == [str(workdir["ckpt"])]

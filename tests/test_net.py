@@ -75,15 +75,18 @@ def sentence_of(trace):
 def reference_forward(params, token_ids, mask=None):
     """The per-sentence forward that pools each feature map through
     `np.argmax`, kept as the oracle of the engine's batched pooling: it shares
-    only the convolution, `net._score_table` and `net._window_preacts`, with
-    it.  Returns (logits, trace), a trace with B = 1."""
+    only `net._offset_major` and `net._window_preacts` with it, and scores
+    each width's table with one plain GEMM, not through the `_products`
+    queue.  Returns (logits, trace), a trace with B = 1."""
     token_ids = np.asarray(token_ids, dtype=np.int64)
     if token_ids.shape[0] < params.max_width:
         raise ValueError("sentence shorter than the widest filter; pad it first")
     distinct, inverse = np.unique(token_ids, return_inverse=True)
     rows = net.summed_embedding(params.channels, distinct)
-    preacts = [net._window_preacts(net._score_table(rows, bank), bank, inverse)
-               for bank in params.filters]
+    tables = [(rows @ net._offset_major(bank).T).reshape(-1, bank.weights.shape[0])
+              for bank in params.filters]
+    preacts = [net._window_preacts(table, bank, inverse)
+               for table, bank in zip(tables, params.filters)]
     argmaxes, pooled = [], []
     for pre in preacts:
         act = net._activate(pre, params.activation)

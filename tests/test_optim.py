@@ -645,6 +645,12 @@ class TestConfigText:
         config = parse_config(text)
         assert config.seed == 4 and config.widths == (2, 3)
 
+    @pytest.mark.parametrize("brk", ["\x0c", "\u2028", "\x1e", "\x85"])
+    def test_only_a_newline_ends_a_comment(self, brk):
+        # `str.splitlines` would end the comment at `brk` and read its key.
+        assert parse_config(f"# note{brk}seed = 9\n").seed == TrainConfig().seed
+        assert parse_config(f"seed = 9{brk}\n").seed == 9
+
     def test_unknown_key_rejected_with_line(self):
         with pytest.raises(ValueError, match="line 2.*momentum"):
             parse_config("seed = 1\nmomentum = 0.9\n")
