@@ -123,13 +123,12 @@ def cmd_predict(args) -> int:
     # form feeds, U+2028 and the like.
     stdin = args.input == "-"
     with open(0 if stdin else args.input, encoding="utf-8", closefd=not stdin) as fh:
-        sentences = [corpus.encode_and_pad(corpus.clean_and_tokenize(line.rstrip("\n")),
-                                           ckpt.vocab, h_max) for line in fh]
-    probs, _ = net.loss_and_probs(net.predict_logits(ckpt.params, sentences),
-                                  np.zeros(len(sentences), dtype=np.int64))
+        logits = net.predict_logits(ckpt.params, (corpus.encode_and_pad(
+            corpus.clean_and_tokenize(line.rstrip("\n")), ckpt.vocab, h_max) for line in fh))
+    probs, _ = net.loss_and_probs(logits, np.zeros(len(logits), dtype=np.int64))
     row = "{}\t" + " ".join(["{:.10f}"] * probs.shape[1]) + "\n"
     sys.stdout.writelines(row.format(best, *dist) for best, dist in
-                          zip(probs.argmax(axis=1).tolist(), probs.tolist()))
+                          zip(probs.argmax(axis=1).tolist(), map(np.ndarray.tolist, probs)))
     return EXIT_OK
 
 

@@ -49,10 +49,10 @@ _SLAB_MAPS = 50
 
 def _blas_leaves_a_core() -> bool:
     """Whether the usable cores outnumber the BLAS threads, counted as
-    OpenBLAS counts them: OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, a
-    missing, malformed or non-positive value counting as unset, and unset
-    meaning every core.  Where the usable cores are unknown, it says no."""
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    OpenBLAS counts them: the first positive integer of OPENBLAS_NUM_THREADS,
+    GOTO_NUM_THREADS and OMP_NUM_THREADS, else every core.  Where the usable
+    cores are unknown, it says no."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         try:
             threads = int(os.environ.get(name, ""))
         except ValueError:
@@ -433,28 +433,30 @@ def predict_class(params: ModelParams, token_ids) -> int:
     return int(np.argmax(predict_logits(params, [token_ids])[0]))
 
 
-def _runs(sizes, limit: int) -> list[int]:
-    """Bounds [0, ..., len(sizes)] of greedy runs of consecutive items whose
-    sizes sum to at most `limit`; an item larger than that is a run alone."""
-    bounds, total = [0], 0
-    for i, size in enumerate(sizes):
-        if i > bounds[-1] and total + size > limit:
-            bounds.append(i)
-            total = 0
-        total += size
-    return bounds + [len(sizes)] if len(sizes) else bounds
+def _runs(items, limit: int):
+    """Greedy runs of consecutive items whose lengths sum to at most `limit`
+    (or of one longer item), each a list yielded once the next item is drawn."""
+    run, total = [], 0
+    for item in items:
+        if run and total + len(item) > limit:
+            yield run
+            run, total = [], 0
+        run.append(item)
+        total += len(item)
+    if run:
+        yield run
 
 
-def _pool_block(params: ModelParams, slabs: list[FilterBank], sentences: list[np.ndarray],
-                lengths: np.ndarray) -> np.ndarray:
+def _pool_block(params: ModelParams, slabs: list[FilterBank], block: list) -> np.ndarray:
     """A block's (b, m) pooled features.  The block's distinct tokens are
     found once; per slab of filters, one score table of them is gathered,
     activated and pooled chunk by chunk, runs of sentences of about
     _CHUNK_ROWS rows, and freed before the next slab's."""
+    sentences, lengths = _sentences(params, block)
     distinct, inverse = np.unique(np.concatenate(sentences), return_inverse=True)
     rows = summed_embedding(params.channels, distinct)
     row_at = np.concatenate([[0], np.cumsum(lengths)])
-    chunks = _runs(lengths, _CHUNK_ROWS)
+    chunks = list(itertools.accumulate(map(len, _runs(sentences, _CHUNK_ROWS)), initial=0))
     z, col = np.empty((len(sentences), params.num_filters)), 0
     with contextlib.closing(_score_tables(rows, slabs)) as tables:
         for slab, table in tables:
@@ -469,30 +471,32 @@ def _pool_block(params: ModelParams, slabs: list[FilterBank], sentences: list[np
 
 
 def predict_logits(params: ModelParams, sentences) -> np.ndarray:
-    """Inference logits of many sentences at once: (B, classes), row i for
+    """Inference logits of any iterable of sentences: (B, classes), row i for
     sentence i, with the output weights scaled by keep_prob.
 
-    The sentences are split into blocks of about _BLOCK_ROWS rows and each
-    block into chunks of about _CHUNK_ROWS, both runs of whole sentences; a
-    sentence longer than a block or a chunk is one alone.  `_pool_block`
-    finds a block's distinct tokens once; per width, and per slab of
-    _SLAB_MAPS filters in it, it builds one score table of those tokens, and
-    gathers, activates and pools each chunk, its sentences concatenated
-    without padding, with `_ragged_pool`, no trace and no argmax.  The
-    output layer then turns the block's features into its logits.
+    The sentences are read one block at a time, a run of about _BLOCK_ROWS
+    rows, and each block is split into chunks of about _CHUNK_ROWS, both runs
+    of whole sentences; a sentence longer than a block or a chunk is one
+    alone, and one shorter than the widest filter raises ValueError when its
+    block is read.  `_pool_block` finds a block's distinct tokens once; per
+    width, and per slab of _SLAB_MAPS filters in it, it builds one score
+    table of those tokens, and gathers, activates and pools each chunk, its
+    sentences concatenated without padding, with `_ragged_pool`, no trace
+    and no argmax.  The output layer turns each block's features into its
+    logits, and the blocks' logits are joined at the end.
 
     Memory: with R = max(_BLOCK_ROWS, longest sentence) rows and b <= R/h
     sentences in a block, C = max(_CHUNK_ROWS, longest sentence) rows in a
     chunk, U <= R distinct tokens in a block, k the embedding size, h the
     widest filter, m filters, c classes and S = _SLAB_MAPS, a call holds at
-    once, besides its int64 sentences and the (B, c) logits it returns, at
-    most 8·(2·U·k + T·h·S·(U + k) + 24·R + 4·S·C + b·(m + 2·c)) bytes: one
-    block's summed rows (twice while channels are summed), T slabs' weight
-    views and tables, the block's index arrays, one chunk's gathered and
-    activated scores, and the block's features and logits.  T is 1, or
-    _TABLES_HELD while the GEMM helper runs.  On the MR shape (k = 300,
-    h = 5, m = 300, c = 2) that is 64 MB, or 97 MB with the helper, when
-    every token of a block is distinct, whatever B.
+    once, besides the block it reads as int64 arrays and 8·B·c bytes of
+    logits, twice while they are joined, at most 8·(2·U·k + T·h·S·(U + k) +
+    24·R + 4·S·C + b·(m + 2·c)) bytes: one block's summed rows (twice while
+    channels are summed), T slabs' weight views and tables, the block's index
+    arrays, one chunk's gathered and activated scores, and the block's
+    features and logits.  T is 1, or _TABLES_HELD while the GEMM helper runs.
+    On the MR shape (k = 300, h = 5, m = 300, c = 2) that is 64 MB, or 97 MB
+    with the helper, whatever B, when every token of a block is distinct.
 
     Every copy of a token in a block reads the same table row, so a row does
     not depend on where its sentence sits in the block; its last bits can
@@ -500,16 +504,12 @@ def predict_logits(params: ModelParams, sentences) -> np.ndarray:
     size of the score GEMM and so the BLAS kernels it runs: a row agrees
     with scoring its sentence alone within 1e-12, not byte for byte.
     """
-    sentences, lengths = _sentences(params, sentences)
-    blocks = _runs(lengths, _BLOCK_ROWS)
     slabs = [FilterBank(bank.width, bank.weights[f:f + _SLAB_MAPS], bank.biases[f:f + _SLAB_MAPS])
              for bank in params.filters for f in range(0, bank.biases.shape[0], _SLAB_MAPS)]
     weights = (params.keep_prob * params.output.weights).T
-    logits = np.empty((len(sentences), params.num_classes))
-    for lo, hi in zip(blocks, blocks[1:]):
-        logits[lo:hi] = _pool_block(params, slabs, sentences[lo:hi], lengths[lo:hi]) @ weights \
-            + params.output.biases
-    return logits
+    return np.concatenate([np.empty((0, params.num_classes))] + [
+        _pool_block(params, slabs, block) @ weights + params.output.biases
+        for block in _runs(sentences, _BLOCK_ROWS)])
 
 
 def accuracy(params: ModelParams, examples) -> float:

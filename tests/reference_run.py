@@ -34,8 +34,10 @@ maps, seed 11):
   where BLAS leaves a core idle the checks cover the GEMM helper too.
 
 Per config and variant it writes the `train` stdout, history CSV and
-checkpoint, the `predict` output on held-out lines, the `neighbors` output
-for one trigger word, and the `train --cv` report and stdout.  Two builds
+checkpoint, the `predict` output on 42 held-out lines and on 2,000 more
+(`held-out-long.txt`, longer than one `predict` block of `net._BLOCK_ROWS`
+rows on every corpus), the `neighbors` output for one trigger word, and the
+`train --cv` report and stdout.  Two builds
 produce the same manifest iff every one of those outputs has the same
 bytes, so `diff` of two manifests names every output a change moves.
 """
@@ -58,6 +60,8 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import numpy as np  # noqa: E402
 import synthdata  # noqa: E402
 from sentconv import cli, corpus, embed, optim  # noqa: E402
+
+LONG_LINES = 2000  # 10,000 rows or more at widths up to 5: more than one block
 
 BASE = "widths = 2,3,4\nmaps_per_width = 10\ndim = 16\nseed = 11\n"
 CONFIGS = {
@@ -97,8 +101,8 @@ def run(argv, stdout_path=None) -> None:
 
 
 def write_inputs(root: Path, make_pairs=synthdata.trigger_bigram_pairs, dim=16):
-    """The corpus, `dim`-wide vector file and held-out lines of `make_pairs`;
-    returns their paths."""
+    """The corpus, `dim`-wide vector file, held-out lines and long held-out
+    file of `make_pairs`; returns their paths."""
     pairs = make_pairs(300, seed=5)
     data = root / "data.tsv"
     synthdata.write_tsv(data, pairs)
@@ -111,7 +115,10 @@ def write_inputs(root: Path, make_pairs=synthdata.trigger_bigram_pairs, dim=16):
     lines = [text for _, text in make_pairs(40, seed=6)]
     held_out = root / "held-out.txt"
     held_out.write_text("\n".join(lines + ["", "unseen words only"]) + "\n", encoding="utf-8")
-    return data, vectors, held_out
+    long = root / "held-out-long.txt"
+    long.write_text("".join(text + "\n" for _, text in make_pairs(LONG_LINES, seed=7)),
+                    encoding="utf-8")
+    return data, vectors, held_out, long
 
 
 def header() -> str:
@@ -132,7 +139,7 @@ def main(outdir, cv=None) -> int:
                                    optim.parse_config(config_text(name)).dim)
     query = synthdata.TRIGGER_WORDS[0]
     for name in CONFIGS:
-        data, vectors, held_out = paths.get(name, paths[None])
+        data, vectors, held_out, long = paths.get(name, paths[None])
         config = inputs / f"{name}.cfg"
         config.write_text(config_text(name), encoding="utf-8")
         for variant in embed.VARIANTS:
@@ -145,6 +152,8 @@ def main(outdir, cv=None) -> int:
                 out / f"{stem}-train.txt")
             run(["predict", "--checkpoint", ckpt, "--input", held_out],
                 out / f"{stem}-predict.txt")
+            run(["predict", "--checkpoint", ckpt, "--input", long],
+                out / f"{stem}-predict-long.txt")
             run(["neighbors", "--checkpoint", ckpt, query], out / f"{stem}-neighbors.txt")
             if cv is None or stem in cv:
                 run(train + ["--cv", "--out", out / f"{stem}-cv-report.txt"],

@@ -386,6 +386,36 @@ class TestPredictCommand:
         assert proc.stdout == b""
         assert b"Bad file descriptor" in proc.stderr and b"Traceback" not in proc.stderr
 
+    def test_lines_are_encoded_one_block_at_a_time(self, workdir, capsys, tmp_path,
+                                                    monkeypatch):
+        # On an input of three blocks or more, only the first block's lines
+        # and the line that ended it are encoded before the first score table.
+        ckpt = load_checkpoint(workdir["ckpt"])
+        lines = ["plainly goodish stuff here", "utterly dreadful thing"] * 3000
+        encoded = [corpus.encode_and_pad(corpus.clean_and_tokenize(line), ckpt.vocab,
+                                         max(ckpt.config.widths)) for line in lines]
+        ends = np.cumsum([len(ids) for ids in encoded])
+        assert ends[-1] > 2 * net._BLOCK_ROWS
+        first = np.searchsorted(ends, net._BLOCK_ROWS, side="right")  # the first block's lines
+        inp = tmp_path / "in.txt"
+        inp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        encode, score_tables, calls, at_tables = corpus.encode_and_pad, net._score_tables, [0], []
+
+        def counted_encode(*args):
+            calls[0] += 1
+            return encode(*args)
+
+        def recorded(rows, banks):
+            at_tables.append(calls[0])
+            return score_tables(rows, banks)
+
+        monkeypatch.setattr(corpus, "encode_and_pad", counted_encode)
+        monkeypatch.setattr(net, "_score_tables", recorded)
+        assert main(["predict", "--checkpoint", str(workdir["ckpt"]),
+                     "--input", str(inp)]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == calls[0] == len(lines)
+        assert at_tables[0] <= first + 1
+
     def test_three_classes_formatted_row_by_row(self, workdir, capsys, tmp_path):
         rng = np.random.default_rng(4)
         config = optim.TrainConfig(variant="rand", widths=(2, 3), maps_per_width=4, dim=8,

@@ -656,7 +656,7 @@ def repeated_sentence_rows():
 
 def block_count(sentences):
     """How many blocks `predict_logits` splits the sentences into."""
-    return len(net._runs([len(ids) for ids in sentences], net._BLOCK_ROWS)) - 1
+    return sum(1 for _ in net._runs(sentences, net._BLOCK_ROWS))
 
 
 class TestPredictLogits:
@@ -813,6 +813,37 @@ class TestPredictLogits:
         assert net.predict_logits(params, []).shape == (0, params.num_classes)
         with pytest.raises(ValueError, match="shorter than the widest filter"):
             net.predict_logits(params, [[1, 2, 3, 4], [1, 2, 3]])
+
+    def test_a_stream_is_read_one_block_at_a_time(self, monkeypatch):
+        # At the first score table, a generator has yielded the first block
+        # and the sentence that ended it, no more; the rows are those of the
+        # same sentences in a list, and a short sentence in a later block
+        # raises when its block is read.
+        rng = np.random.default_rng(50)
+        params = toy_params(rng, random_channels(rng, 1, 30, 4), widths=(2, 3), maps=5)
+        sentences = [rng.integers(0, 30, size=rng.integers(3, 60)) for _ in range(800)]
+        ends = np.cumsum([len(ids) for ids in sentences])
+        assert ends[-1] > 2 * net._BLOCK_ROWS  # three blocks or more
+        first = np.searchsorted(ends, net._BLOCK_ROWS, side="right")  # the first block's count
+        expected = net.predict_logits(params, sentences).tobytes()
+        drawn, at_tables, score_tables = [], [], net._score_tables
+
+        def stream(sentences):
+            for ids in sentences:
+                drawn.append(ids)
+                yield ids
+
+        def recorded(rows, banks):
+            at_tables.append(len(drawn))
+            return score_tables(rows, banks)
+
+        monkeypatch.setattr(net, "_score_tables", recorded)
+        assert net.predict_logits(params, stream(sentences)).tobytes() == expected
+        assert at_tables[0] <= first + 1
+        drawn.clear()
+        with pytest.raises(ValueError, match="shorter than the widest filter"):
+            net.predict_logits(params, stream(sentences + [[1, 2]]))
+        assert len(drawn) == len(sentences) + 1
 
     def test_accuracy_is_the_per_example_hit_rate(self):
         rng = np.random.default_rng(46)
@@ -1266,10 +1297,13 @@ class TestGemmHelper:
         ({"OMP_NUM_THREADS": "1"}, {0, 1}, True),
         ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, {0, 1}, True),
         ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, {0, 1}, False),
-        ({"OPENBLAS_NUM_THREADS": "one"}, {0, 1}, False)])
+        ({"OPENBLAS_NUM_THREADS": "one"}, {0, 1}, False),
+        ({"GOTO_NUM_THREADS": "1"}, {0, 1}, True),  # OpenBLAS reads it before OMP_NUM_THREADS
+        ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, {0, 1}, False),
+        ({"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": "2"}, {0, 1}, True)])
     def test_the_helper_runs_when_blas_leaves_a_core_idle(self, monkeypatch, env, cores,
                                                           expected):
-        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(name, raising=False)
         for name, value in env.items():
             monkeypatch.setenv(name, value)

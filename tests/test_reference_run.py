@@ -38,7 +38,7 @@ def _inputs(root, name, make_pairs, margin):
     config = root / f"{name}.cfg"
     config.write_text(text, encoding="utf-8")
     settings = optim.parse_config(text)
-    data, vectors, _ = reference_run.write_inputs(root, make_pairs, settings.dim)
+    data, vectors, *_ = reference_run.write_inputs(root, make_pairs, settings.dim)
     token_lists, labels = corpus.tokenize_corpus(corpus.load_tsv(data))
     dataset = corpus.encode_corpus(token_lists, labels, corpus.build_vocabulary(token_lists),
                                    max(settings.widths))
@@ -112,6 +112,17 @@ def test_wide_config_reaches_the_gemm_helper(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(np, "matmul", counted_matmul)
     _dev_accuracy(*paths, "non-static", capsys)
     assert counts["queues"] > 0 and counts["helper"] > 0, counts
+
+
+@pytest.mark.parametrize("name", list(reference_run.CONFIGS))
+def test_long_held_out_file_spans_more_than_one_block(tmp_path, name):
+    # Each line is padded to the widest filter, so it holds that many rows at least.
+    settings = optim.parse_config(reference_run.config_text(name))
+    make_pairs = reference_run.OWN_CORPUS.get(name, synthdata.trigger_bigram_pairs)
+    *_, long = reference_run.write_inputs(tmp_path, make_pairs, settings.dim)
+    lines = long.read_text(encoding="utf-8").splitlines()
+    rows = sum(max(len(corpus.clean_and_tokenize(line)), max(settings.widths)) for line in lines)
+    assert rows > net._BLOCK_ROWS
 
 
 def _manifest(text):
