@@ -5,8 +5,9 @@ filters are shared across channels).  Each filter of width h produces one
 feature per window, the feature map is max-pooled over positions, the
 pooled vector is dropout-masked during training, and a linear layer plus
 softmax yields class probabilities.  One convolution engine serves both
-passes: `_score_tables` scores each distinct token once against every
-filter offset, and `_window_preacts` sums a window's scores from that
+passes: `_lookup` checks a run of sentences and finds its distinct tokens
+and their rows once, `_score_tables` scores each distinct token against
+every filter offset, and `_window_preacts` sums a window's scores from that
 table.  Training runs `forward_batch`, one table per width for the whole
 minibatch, whose trace `backward` replays; inference runs `predict_logits`,
 with no trace, one table per block of sentences and slab of filters.
@@ -25,6 +26,7 @@ import contextlib
 import contextvars
 import itertools
 import os
+import re
 import threading
 from concurrent import futures
 from dataclasses import dataclass
@@ -49,17 +51,14 @@ _SLAB_MAPS = 50
 
 def _blas_leaves_a_core() -> bool:
     """Whether the usable cores outnumber the BLAS threads, counted as
-    OpenBLAS counts them: the first positive integer of OPENBLAS_NUM_THREADS,
-    GOTO_NUM_THREADS and OMP_NUM_THREADS, else every core.  Where the usable
-    cores are unknown, it says no."""
+    OpenBLAS counts them: the first positive leading integer, read as atoi
+    reads it, of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS,
+    else every core.  Where the usable cores are unknown, it says no."""
     for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            threads = int(os.environ.get(name, ""))
-        except ValueError:
-            continue
-        if threads > 0:
+        leading = re.match(r"\s*\+?\d+", os.environ.get(name, ""), re.ASCII)
+        if leading and int(leading[0]) > 0:
             usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-            return len(usable) > threads
+            return len(usable) > int(leading[0])
     return False
 
 
@@ -211,8 +210,9 @@ class ForwardTrace:
 
     @property
     def table_rows(self) -> np.ndarray:
-        """(U',) the distinct non-pad token ids: the pad row gets no gradient."""
-        return self.distinct[self.distinct != PAD_ID]
+        """(U',) the distinct non-pad token ids, the last U' of `distinct`: ids
+        are >= 0, so the pad id 0 can only come first.  The pad row gets no gradient."""
+        return self.distinct[int(self.distinct[0] == PAD_ID):]
 
 
 def init_params(channels: list[EmbeddingChannel], num_classes: int, widths,
@@ -279,14 +279,19 @@ def _window_preacts(table: np.ndarray, bank: FilterBank, inverse: np.ndarray) ->
     return pre
 
 
-def _sentences(params: ModelParams, sentences) -> tuple[list[np.ndarray], np.ndarray]:
-    """The sentences as int64 arrays and their lengths; each must hold a
-    window of the widest filter."""
-    sentences = [np.asarray(ids, dtype=np.int64) for ids in sentences]
+def _lookup(params: ModelParams, sentences):
+    """The front end of both passes: a list of sentences' (B,) lengths, (U,)
+    sorted distinct ids, each position's index into those, and the ids' (U, k)
+    rows summed over channels.  A sentence shorter than the widest filter
+    or an id outside the table's rows [0, V) raises ValueError."""
     lengths = np.array([len(ids) for ids in sentences], dtype=np.int64)
     if np.any(lengths < params.max_width):
         raise ValueError("sentence shorter than the widest filter; pad it first")
-    return sentences, lengths
+    ids = np.concatenate(sentences, dtype=np.int64, casting="unsafe")
+    distinct, inverse = np.unique(ids, return_inverse=True)
+    if distinct[0] < 0 or distinct[-1] >= params.channels[0].matrix.shape[0]:
+        raise ValueError("token id outside the embedding table")
+    return lengths, distinct, inverse, summed_embedding(params.channels, distinct)
 
 
 def _ragged_pool(pre: np.ndarray, width: int, lengths: np.ndarray, activation: str):
@@ -323,11 +328,9 @@ def _first_argmax(act: np.ndarray, best: np.ndarray, lengths: np.ndarray) -> np.
 def forward_batch(params: ModelParams, sentences, masks):
     """Training forward pass of a minibatch: the (B, classes) logits and the
     trace `backward` takes whole.  `masks` is the (B, m) stack of 0/1 dropout
-    masks.  The sentences are concatenated without padding, and their distinct
-    tokens are found once and scored by one `_score_tables` table per width."""
-    sentences, lengths = _sentences(params, sentences)
-    distinct, inverse = np.unique(np.concatenate(sentences), return_inverse=True)
-    rows = summed_embedding(params.channels, distinct)
+    masks.  The sentences are concatenated without padding; `_lookup` finds
+    their distinct tokens, and one `_score_tables` table per width scores them."""
+    lengths, distinct, inverse, rows = _lookup(params, list(sentences))
     preacts, pooled, argmax = [], [], []
     with contextlib.closing(_score_tables(rows, params.filters)) as tables:
         for bank, table in tables:
@@ -421,7 +424,7 @@ def backward(params: ModelParams, trace: ForwardTrace,
         if tuned:
             d_rows += next(products)
     if tuned:
-        grads.update(dict.fromkeys(tuned, d_rows[trace.distinct != PAD_ID]))
+        grads.update(dict.fromkeys(tuned, d_rows[trace.distinct.size - trace.table_rows.size:]))
     return losses, grads
 
 
@@ -448,16 +451,14 @@ def _runs(items, limit: int):
 
 
 def _pool_block(params: ModelParams, slabs: list[FilterBank], block: list) -> np.ndarray:
-    """A block's (b, m) pooled features.  The block's distinct tokens are
-    found once; per slab of filters, one score table of them is gathered,
+    """A block's (b, m) pooled features.  `_lookup` finds the block's distinct
+    tokens once; per slab of filters, one score table of them is gathered,
     activated and pooled chunk by chunk, runs of sentences of about
     _CHUNK_ROWS rows, and freed before the next slab's."""
-    sentences, lengths = _sentences(params, block)
-    distinct, inverse = np.unique(np.concatenate(sentences), return_inverse=True)
-    rows = summed_embedding(params.channels, distinct)
+    lengths, _, inverse, rows = _lookup(params, block)
     row_at = np.concatenate([[0], np.cumsum(lengths)])
-    chunks = list(itertools.accumulate(map(len, _runs(sentences, _CHUNK_ROWS)), initial=0))
-    z, col = np.empty((len(sentences), params.num_filters)), 0
+    chunks = list(itertools.accumulate(map(len, _runs(block, _CHUNK_ROWS)), initial=0))
+    z, col = np.empty((len(block), params.num_filters)), 0
     with contextlib.closing(_score_tables(rows, slabs)) as tables:
         for slab, table in tables:
             cols = slice(col, col + slab.biases.shape[0])
@@ -477,12 +478,12 @@ def predict_logits(params: ModelParams, sentences) -> np.ndarray:
     The sentences are read one block at a time, a run of about _BLOCK_ROWS
     rows, and each block is split into chunks of about _CHUNK_ROWS, both runs
     of whole sentences; a sentence longer than a block or a chunk is one
-    alone, and one shorter than the widest filter raises ValueError when its
-    block is read.  `_pool_block` finds a block's distinct tokens once; per
-    width, and per slab of _SLAB_MAPS filters in it, it builds one score
-    table of those tokens, and gathers, activates and pools each chunk, its
-    sentences concatenated without padding, with `_ragged_pool`, no trace
-    and no argmax.  The output layer turns each block's features into its
+    alone, and one shorter than the widest filter or with an id outside the
+    table raises ValueError when its block is read.  Per width, and per slab
+    of _SLAB_MAPS filters in it, `_pool_block` builds one score table of the
+    block's distinct tokens, and gathers, activates and pools each chunk,
+    its sentences concatenated without padding, with `_ragged_pool`, no
+    trace and no argmax.  The output layer turns each block's features into its
     logits, and the blocks' logits are joined at the end.
 
     Memory: with R = max(_BLOCK_ROWS, longest sentence) rows and b <= R/h

@@ -266,8 +266,7 @@ def train_epoch(params: net.ModelParams, examples, config: TrainConfig,
     for number, batch in enumerate(batches, 1):
         # One (B, m) draw equals B sequential draws of m, bit for bit.
         masks = mask_rng.random((len(batch), params.num_filters)) < params.keep_prob
-        _, trace = net.forward_batch(params, [examples[idx].token_ids for idx in batch],
-                                     masks.astype(np.float64))
+        _, trace = net.forward_batch(params, [examples[idx].token_ids for idx in batch], masks)
         losses, grads = net.backward(params, trace, [examples[idx].label for idx in batch])
         for loss in losses.tolist():  # in example order, as the per-example sum was
             total_loss += loss

@@ -989,6 +989,50 @@ class TestForwardBatch:
         assert sum(owners.values()) == expected
 
 
+class TestFrontEnd:
+    """`_lookup`, where every sentence of `forward_batch` and `predict_logits` enters."""
+
+    @staticmethod
+    def _setup():
+        rng = np.random.default_rng(57)
+        params = toy_params(rng, random_channels(rng, 2, 10, 5), widths=(2, 3))
+        sentences = [rng.integers(0, 10, size=rng.integers(3, 12)) for _ in range(6)]
+        sentences[0][0] = PAD_ID
+        return params, sentences, np.ones((len(sentences), params.num_filters))
+
+    @pytest.mark.parametrize("bad", [-1, 10])
+    def test_an_id_outside_the_table_raises(self, bad):
+        # Unchecked, -1 indexes the table from its end and V past it.
+        params, sentences, masks = self._setup()
+        sentences[3] = np.array([1, bad, 2, 3])
+        with pytest.raises(ValueError, match="outside the embedding table"):
+            net.forward_batch(params, sentences, masks)
+        with pytest.raises(ValueError, match="outside the embedding table"):
+            net.predict_logits(params, sentences)
+        with pytest.raises(ValueError, match="outside the embedding table"):
+            net.predict_logits(params, sentences[3:4])
+
+    def test_lists_and_int32_and_int64_arrays_give_the_same_bytes(self):
+        params, sentences, masks = self._setup()
+        forms = [[ids.tolist() for ids in sentences],
+                 [ids.astype(np.int32) for ids in sentences],
+                 [ids.astype(np.int64) for ids in sentences],
+                 [ids.tolist() if i % 3 == 0 else ids.astype(np.int32 if i % 3 == 1 else np.int64)
+                  for i, ids in enumerate(sentences)]]
+        seen = []
+        for form in forms:
+            logits, trace = net.forward_batch(params, form, masks)
+            _, grads = backward(params, trace, np.arange(len(form)) % params.num_classes)
+            assert trace.distinct.dtype == np.int64
+            seen.append([net.predict_logits(params, form).tobytes(), logits.tobytes(),
+                         trace.table_rows.tobytes()]
+                        + [b"".join(a.tobytes() for a in value) if isinstance(value, list)
+                           else value.tobytes() for value in vars(trace).values()]
+                        + [grads[name].tobytes() for name in sorted(grads)])
+        assert all(bytes_ == seen[0] for bytes_ in seen[1:])
+        assert trace.table_rows.tolist() == trace.distinct[1:].tolist()
+
+
 class TestBatchBackward:
     """One `backward` call over a batch trace against the per-example dense
     oracle, `dense_reference_backward` on one-sentence traces, summed."""
@@ -1300,7 +1344,12 @@ class TestGemmHelper:
         ({"OPENBLAS_NUM_THREADS": "one"}, {0, 1}, False),
         ({"GOTO_NUM_THREADS": "1"}, {0, 1}, True),  # OpenBLAS reads it before OMP_NUM_THREADS
         ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, {0, 1}, False),
-        ({"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": "2"}, {0, 1}, True)])
+        ({"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": "2"}, {0, 1}, True),
+        # OpenBLAS reads each with atoi: the leading integer, the rest ignored
+        ({"OMP_NUM_THREADS": "1,1"}, {0, 1}, True),  # an OpenMP nested list
+        ({"OPENBLAS_NUM_THREADS": "1x"}, {0, 1}, True),
+        ({"OPENBLAS_NUM_THREADS": "1.5"}, {0, 1}, True),
+        ({"OPENBLAS_NUM_THREADS": "2_0"}, {0, 1, 2, 3}, True)])  # two threads, not 20
     def test_the_helper_runs_when_blas_leaves_a_core_idle(self, monkeypatch, env, cores,
                                                           expected):
         for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):

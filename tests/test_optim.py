@@ -461,9 +461,10 @@ class TestTrainEpochAgainstReference:
 
     def test_one_batch_forward_per_minibatch_with_sequential_masks(self, monkeypatch):
         # One `net.forward_batch` call per minibatch, through the module, with
-        # that minibatch's sentences in `make_minibatches` order, and a mask
-        # stack byte-equal to one `random(m)` draw per example in turn, so the
-        # DROPOUT stream is the one the per-example loop consumed.  Then one
+        # that minibatch's sentences in `make_minibatches` order, and a boolean
+        # mask stack byte-equal to one `random(m)` draw per example in turn, so
+        # the DROPOUT stream is the one the per-example loop consumed; the
+        # trace holds it as 0/1 float64.  Then one
         # `net.backward` call, through the module, on that call's trace with
         # the minibatch's labels; the epoch loss is its losses' sum, added in
         # example order.
@@ -504,11 +505,12 @@ class TestTrainEpochAgainstReference:
             assert len(sentences) == len(batch)
             for token_ids, idx in zip(sentences, batch):
                 assert token_ids is dataset.examples[idx].token_ids
-            expected = np.stack([
-                (sequential.random(params.num_filters) < params.keep_prob).astype(np.float64)
-                for _ in batch])
+            expected = np.stack([sequential.random(params.num_filters) < params.keep_prob
+                                 for _ in batch])
             assert masks.dtype == expected.dtype and masks.shape == expected.shape
             assert masks.tobytes() == expected.tobytes()
+            assert trace.masks.dtype == np.float64
+            assert trace.masks.tobytes() == expected.astype(np.float64).tobytes()
 
     def test_non_finite_gradient_names_tensor_epoch_and_batch(self, monkeypatch):
         params, dataset, config = tiny_setup(variant="non-static")
