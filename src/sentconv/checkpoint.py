@@ -9,13 +9,17 @@ bytes.  Files of other versions, VERSION 1 included, are rejected.
 
 `load_checkpoint` maps the file once, privately and copy-on-write, and every
 tensor it returns is a view of that mapping: no table is read into fresh
-memory, and a write to a loaded tensor copies its page and never reaches the
-file.  The views start wherever the texts end, so they are unaligned; numpy
-copies where BLAS needs alignment.  A mapped file must not be changed in
-place while a process has it loaded: a truncated page faults on its next
-read, and a rewritten one may show the new bytes.  So `save_checkpoint`
-writes a sibling temporary file and renames it over the path, and never
-truncates a checkpoint.
+memory (the finite check reads the mapped pages), a frozen table's view is
+read-only as `embed.EmbeddingChannel` makes it, and a write to a trainable
+one copies its page and never reaches the file.  The views start wherever
+the texts end, so they are unaligned; numpy copies where BLAS needs
+alignment, and every output equals that of aligned copies.  A mapped file
+must not be changed in place while a process has it loaded: a truncated
+page faults (SIGBUS) on its next read, and a rewritten one may show the new
+bytes.  So `save_checkpoint` writes a sibling `<path>.<random hex>.tmp`,
+removed if the write fails, and renames it over the path with the mode
+`open(path, "wb")` would give; it never truncates a checkpoint, and saving
+over a checkpoint the same process has loaded is safe.
 """
 
 from __future__ import annotations

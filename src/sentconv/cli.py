@@ -79,7 +79,8 @@ def cmd_train(args) -> int:
         raise ValueError(f"{config.variant} variant requires --vectors")
 
     dataset, vocab, _ = _load_and_encode(args.data, max(config.widths))
-    # Only the model holds the base matrix: frozen channels view it, trainable ones copy it.
+    # Only the model holds the base matrix: frozen channels view it, trainable
+    # ones copy it.  A fit and --cv both start from this one model.
     params = evaluate.initial_params(
         config, embed.build_base_matrix(vocab, config.dim, config.variant, config.seed,
                                         vectors_path=args.vectors,
@@ -120,7 +121,8 @@ def cmd_predict(args) -> int:
     h_max = max(ckpt.config.widths)
     # Stdin (fd 0) is decoded as strictly as a file.  Lines end at \n, \r\n or \r
     # only, as in `corpus.load_tsv`: `str.splitlines` would also break them at
-    # form feeds, U+2028 and the like.
+    # form feeds, U+2028 and the like.  Each line is encoded as `predict_logits`
+    # draws it, so memory holds one block of sentences, not the whole input.
     stdin = args.input == "-"
     with open(0 if stdin else args.input, encoding="utf-8", closefd=not stdin) as fh:
         logits = net.predict_logits(ckpt.params, (corpus.encode_and_pad(

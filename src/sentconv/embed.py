@@ -86,7 +86,8 @@ def parse_word2vec_binary(stream, vocab: Vocabulary, expected_dim: int | None = 
     then per record the word bytes, one space, `dim` little-endian float32
     values (widened to float64) and an optional newline.  The stream must be
     seekable: the header is checked against the bytes after it, so a corrupt
-    count or dimension never sizes the matrix."""
+    count or dimension never sizes the matrix.  Records are found in `_CHUNK`
+    reads with `bytes.find`, so the whole file is never held."""
     header = _header(stream.readline().split(), expected_dim)
     if header is None:
         raise ValueError("bad header")
@@ -153,6 +154,8 @@ def parse_word2vec_text(stream, vocab: Vocabulary, expected_dim: int | None = No
 
 
 def write_word2vec_binary(stream, words, matrix) -> None:
+    """Write `words` with the rows of `matrix` to a binary stream in the format
+    `parse_word2vec_binary` reads, `<count> <dim>` header first."""
     matrix = np.asarray(matrix)
     stream.write(f"{len(words)} {matrix.shape[1]}\n".encode("ascii"))
     for word, row in zip(words, matrix):
@@ -162,6 +165,8 @@ def write_word2vec_binary(stream, words, matrix) -> None:
 
 
 def write_word2vec_text(stream, words, matrix) -> None:
+    """Write `words` with the rows of `matrix` to a binary stream in the text
+    format `parse_word2vec_text` reads, with no header line."""
     for word, row in zip(words, np.asarray(matrix)):
         line = word + " " + " ".join(repr(float(x)) for x in row) + "\n"
         stream.write(line.encode("utf-8"))
@@ -257,6 +262,7 @@ def assemble_channels(variant: str, base_matrix) -> list[EmbeddingChannel]:
 
     A trainable channel gets its own copy, so fine-tuning it can never leak
     into another channel; a frozen channel is a read-only view of the base.
+    So a `static` model holds one V x k table and a `multichannel` model two.
     """
     if variant not in VARIANT_CHANNELS:
         raise ValueError(f"unknown variant {variant!r}")

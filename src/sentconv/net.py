@@ -68,7 +68,8 @@ def _blas_leaves_a_core() -> bool:
 # unpinned on 2 cores it slowed an MR-shaped fit from 118-130 to 145-153 ms.
 # A call whose products hold fewer than _HELPER_MIN_MACS multiply-adds never
 # reaches it: a hand-over and back took 45-90 us, the time of a one-thread
-# float64 GEMM of about a million multiply-adds.  Tests set `_helper_on`.
+# float64 GEMM of about a million multiply-adds.  There is no option for the
+# helper; tests set `_helper_on`.
 _helper_on = _blas_leaves_a_core()
 _HELPER_MIN_MACS = 1 << 22
 # Score tables a forward or inference call holds with the helper on: the one
@@ -78,8 +79,9 @@ _TABLES_HELD = 3
 
 
 def _new_helper() -> None:
-    """A helper whose thread starts with its first job: at import, and in a
-    forked child, which has no copy of its parent's helper thread."""
+    """A helper whose thread starts with its first job and lives to the end of
+    the process: at import, and in a forked child, which has no copy of its
+    parent's helper thread."""
     global _helper
     _helper = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="sentconv-gemm")
 
@@ -99,7 +101,10 @@ def _products(pairs, macs: int, held: int):
     `_offload(macs)`, when the helper takes untaken products too).  The
     caller takes the oldest untaken one while the one it asks for is not
     done.  A failed product raises when it is asked for; closing the
-    generator drops the untaken ones and waits for the helper."""
+    generator drops the untaken ones and waits for the helper, so a call
+    that raises leaves no helper job running.  With the helper on or off,
+    each product is the same matmul of the same operands, used in the same
+    order, so the helper changes no output byte."""
     offload, lock = _offload(macs), threading.Lock()
     pairs, jobs, order = iter(pairs), collections.deque(), collections.deque()
     held, helper = held if offload else 1, None  # helper: its latest run
@@ -254,7 +259,10 @@ def _score_tables(rows: np.ndarray, banks: list[FilterBank]):
     in order, from one `_products` queue.  A bank's table is one GEMM against
     its offset-major weights, reshaped for free to (U·h, F): row u·h + j holds
     token u's scores against every filter's offset-j slice.  A score depends
-    only on the token, so each token is scored once however often it occurs.
+    only on the token, so each token is scored once however often it occurs,
+    and the FLOPs scale with the distinct tokens, not the positions (an
+    MR-shaped batch of 50 sentences holds about 1,000 positions and 485
+    distinct tokens).
     A caller that drops each table before asking for the next holds one at a
     time with the helper off, else at most _TABLES_HELD; it closes the
     generator when it stops early."""
@@ -282,12 +290,20 @@ def _window_preacts(table: np.ndarray, bank: FilterBank, inverse: np.ndarray) ->
 def _lookup(params: ModelParams, sentences):
     """The front end of both passes: a list of sentences' (B,) lengths, (U,)
     sorted distinct ids, each position's index into those, and the ids' (U, k)
-    rows summed over channels.  A sentence shorter than the widest filter
-    or an id outside the table's rows [0, V) raises ValueError."""
+    rows summed over channels.  A sentence shorter than the widest filter,
+    an id that is not an integer, or an id outside the table's rows [0, V)
+    raises ValueError.  The dtype rule is the concatenation's cast: lists and
+    integer arrays of any width pass, a float id does not, even a whole one,
+    and a uint64 id of 2**63 or more wraps negative and fails the range
+    check.  The distinct ids come sorted, so that check reads only the
+    first and the last."""
     lengths = np.array([len(ids) for ids in sentences], dtype=np.int64)
     if np.any(lengths < params.max_width):
         raise ValueError("sentence shorter than the widest filter; pad it first")
-    ids = np.concatenate(sentences, dtype=np.int64, casting="unsafe")
+    try:
+        ids = np.concatenate(sentences, dtype=np.int64, casting="same_kind")
+    except TypeError:
+        raise ValueError("token ids must be integers") from None
     distinct, inverse = np.unique(ids, return_inverse=True)
     if distinct[0] < 0 or distinct[-1] >= params.channels[0].matrix.shape[0]:
         raise ValueError("token id outside the embedding table")
@@ -317,7 +333,8 @@ def _first_argmax(act: np.ndarray, best: np.ndarray, lengths: np.ndarray) -> np.
     from one width's activations and features as `_ragged_pool` returns them.
 
     This is numpy's argmax rule per sentence: the first maximum, or the first
-    NaN when a column holds one (the pooled max is then NaN too).
+    NaN when a column holds one (the pooled max is then NaN too), so a batch
+    whose preactivations went NaN still fails as a non-finite gradient.
     """
     n_windows = act.shape[0]
     hit = (act == np.repeat(best, lengths, axis=0)[:n_windows]) | np.isnan(act)
@@ -384,7 +401,11 @@ def backward(params: ModelParams, trace: ForwardTrace,
     offset j.  The weight gradient is then S.T @ rows, and the distinct
     tokens' row gradient is S @ W over the (F·h, k) weight view.  Every
     width's S is built first; one `_products` queue holding them all then
-    runs the products, and the row gradients are added in width order.
+    runs the products, and the row gradients are added in width order.  Each
+    column of S holds at most B nonzero cells of U.  The output layer's
+    gradients are two GEMMs over the batch.  The sums over the examples run
+    in another order than a per-sentence loop, so the gradients agree with
+    one within about 1e-15 relative, not bit for bit.
     """
     if len(trace.preacts) != len(params.filters) or \
             trace.z.shape[1] != params.output.weights.shape[1] or \
@@ -428,6 +449,9 @@ def backward(params: ModelParams, trace: ForwardTrace,
     return losses, grads
 
 
+# These two and `forward` are the one-sentence cases of the batched passes.
+# Nothing in the package calls them; they stay because the benchmark wraps
+# and calls them.
 def predict_probs(params: ModelParams, token_ids) -> np.ndarray:
     return loss_and_probs(predict_logits(params, [token_ids])[0], 0)[0]
 
@@ -514,7 +538,9 @@ def predict_logits(params: ModelParams, sentences) -> np.ndarray:
 
 
 def accuracy(params: ModelParams, examples) -> float:
-    """Fraction of examples whose inference-mode argmax class is the label."""
+    """Fraction of examples whose inference-mode argmax class is the label,
+    from one `predict_logits` call (dev evaluation in `optim.fit`, and the
+    held-out folds of cross-validation)."""
     examples = list(examples)
     if not examples:
         raise ValueError("no examples to score")

@@ -14,7 +14,8 @@ from ._seeds import DROPOUT, SHUFFLE, derive_seed
 # rescaled to norm s can land a few ulps above s and must not be touched again.
 _RENORM_SLACK = 1e-12
 # Adadelta's update runs over blocks of whole rows, about this many values,
-# so its two temporaries stay in cache between the chain's passes.
+# so its two temporaries stay in cache between the chain's passes; its bits
+# are those of the plain expressions.
 _STEP_BLOCK = 16384
 
 
@@ -255,7 +256,9 @@ def train_epoch(params: net.ModelParams, examples, config: TrainConfig,
 
     Per mini-batch: one batched forward with fresh dropout masks, one batched
     backward, gradients averaged over the batch, an Adadelta step on every
-    trainable tensor, and the output-row norm projection.  A trainable
+    trainable tensor, and the output-row norm projection.  No gradient
+    buffer is kept: each gradient `backward` returns is scaled by 1/B and
+    handed to its tensor's step.  A trainable
     channel is stepped only at the trace's `table_rows`, with the compact
     row gradient `backward` returns, so a batch costs the table in
     proportion to its tokens, not to the vocabulary, and the pad row stays

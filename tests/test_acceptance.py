@@ -16,17 +16,12 @@ import numpy as np
 import pytest
 
 import synthdata
-from rowgrad import dense_gradients
+from oracles import dense_gradients, finite_difference, oracle_feature_map, tensor_hashes
 from sentconv import checkpoint, cli, corpus, embed, evaluate, net, optim
 
 MR_PATH = os.environ.get("SENTCONV_MR_TSV")
 W2V_PATH = os.environ.get("SENTCONV_W2V_BIN")
 RUN_FULL = os.environ.get("SENTCONV_RUN_FULL") == "1"
-
-
-def tensor_hashes(params):
-    return {name: hashlib.sha256(np.ascontiguousarray(t).tobytes()).hexdigest()
-            for name, t in net.all_tensors(params)}
 
 
 # -------------------------------------------------------------------------
@@ -49,21 +44,6 @@ def _toy_model():
     token_ids = np.array([3, 7, 1, 9, 4, 11, 6])
     mask = np.array([1, 0, 1, 1, 1, 1, 0, 1], dtype=np.float64)
     return params, token_ids, mask
-
-
-def _finite_difference(loss_fn, tensor, step):
-    grad = np.zeros_like(tensor)
-    it = np.nditer(tensor, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        orig = tensor[idx]
-        tensor[idx] = orig + step
-        up = loss_fn()
-        tensor[idx] = orig - step
-        down = loss_fn()
-        tensor[idx] = orig
-        grad[idx] = (up - down) / (2.0 * step)
-    return grad
 
 
 def test_criterion_1_gradient_oracle():
@@ -90,7 +70,7 @@ def test_criterion_1_gradient_oracle():
     checked = 0
     for name, tensor in net.trainable_tensors(params):
         analytic = grads[name]
-        numeric = _finite_difference(loss_fn, tensor, step=1e-5)
+        numeric = finite_difference(loss_fn, tensor, step=1e-5)
         diff = np.abs(analytic - numeric)
         scale = np.maximum(np.abs(analytic), np.abs(numeric))
         big = np.abs(analytic) >= 1e-8
@@ -106,19 +86,6 @@ def test_criterion_1_gradient_oracle():
 # -------------------------------------------------------------------------
 # criterion 2: convolution matches a naive triple-loop oracle
 # -------------------------------------------------------------------------
-
-def _oracle_feature_map(token_ids, channels, weights, bias, activation):
-    n, h = len(token_ids), len(weights)
-    values = []
-    for i in range(n - h + 1):
-        total = bias
-        for ch in channels:
-            for t in range(h):
-                for d in range(ch.matrix.shape[1]):
-                    total += weights[t, d] * ch.matrix[token_ids[i + t], d]
-        values.append(math.tanh(total) if activation == "tanh" else max(0.0, total))
-    return np.array(values)
-
 
 def test_criterion_2_convolution_oracle():
     start = time.monotonic()
@@ -143,7 +110,7 @@ def test_criterion_2_convolution_oracle():
                                  activation=activation)
         _, trace = net.forward(params, ids, np.ones(1))  # masks change only the logits
         got = net._activate(trace.preacts[0][:, 0], activation)
-        want = _oracle_feature_map(ids, channels, weights, bias, activation)
+        want = oracle_feature_map(ids, channels, weights, bias, activation)
         worst = max(worst, float(np.max(np.abs(got - want))),
                     abs(float(trace.z[0, 0]) - float(np.max(want))))
     elapsed = time.monotonic() - start

@@ -1,12 +1,12 @@
 """Accuracy, the cross-validation protocol, and nearest-neighbor rankings."""
 
-import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import synthdata
+from oracles import tensor_hashes
 from sentconv import corpus, embed, evaluate, net, optim
 from sentconv.corpus import Example, build_vocabulary
 from sentconv.evaluate import (
@@ -24,11 +24,6 @@ def constant_classifier(num_classes, winner, vocab_size=5, dim=4):
     params = net.init_params(channels, num_classes, (2,), 2, seed=0, init_scale=0.0)
     params.output.biases[winner] = 1.0
     return params
-
-
-def tensor_hashes(params):
-    return {name: hashlib.sha256(np.ascontiguousarray(t).tobytes()).hexdigest()
-            for name, t in net.all_tensors(params)}
 
 
 class TestAccuracy:

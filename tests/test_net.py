@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from rowgrad import dense_gradients
+from oracles import dense_gradients, finite_difference, oracle_feature_map
 
 from sentconv import embed, net
 from sentconv.corpus import PAD_ID, Example
@@ -20,20 +20,6 @@ from sentconv.embed import EmbeddingChannel
 from sentconv.net import backward, forward, loss_and_probs
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-
-
-def oracle_feature_map(token_ids, channels, weights, bias, activation="relu"):
-    """Naive triple-loop reference: explicit sums over window, dims, channels."""
-    n, h = len(token_ids), len(weights)
-    values = []
-    for i in range(n - h + 1):
-        total = bias
-        for ch in channels:
-            for t in range(h):
-                for d in range(ch.matrix.shape[1]):
-                    total += weights[t, d] * ch.matrix[token_ids[i + t], d]
-        values.append(math.tanh(total) if activation == "tanh" else max(0.0, total))
-    return values
 
 
 def random_channels(rng, n_channels, vocab_size, dim, trainable_last=True):
@@ -219,7 +205,7 @@ class TestConvFeatureMap:
             params = single_filter_params(channels, weights, bias, activation)
             maps, z = feature_maps(params, ids)
             expected = oracle_feature_map(ids, channels, weights, bias, activation)
-            assert np.max(np.abs(maps[0][:, 0] - np.array(expected))) <= 1e-12
+            assert np.max(np.abs(maps[0][:, 0] - expected)) <= 1e-12
             assert abs(z[0] - max(expected)) <= 1e-12
 
     def test_oracle_sweep(self):
@@ -243,7 +229,7 @@ class TestConvFeatureMap:
             for f in range(maps):
                 want = oracle_feature_map(ids, channels, bank.weights[f], bank.biases[f],
                                           activation)
-                assert np.max(np.abs(got[0][:, f] - np.array(want))) <= 1e-12
+                assert np.max(np.abs(got[0][:, f] - want)) <= 1e-12
                 assert abs(z[f] - max(want)) <= 1e-12
 
     def test_too_short_raises(self):
@@ -400,21 +386,6 @@ class TestForward:
         params = toy_params(rng, channels, widths=(3, 4))
         with pytest.raises(ValueError, match="pad"):
             forward(params, [1, 2], np.ones(params.num_filters))
-
-
-def finite_difference(loss_fn, tensor, step=1e-5):
-    grad = np.zeros_like(tensor)
-    it = np.nditer(tensor, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        orig = tensor[idx]
-        tensor[idx] = orig + step
-        up = loss_fn()
-        tensor[idx] = orig - step
-        down = loss_fn()
-        tensor[idx] = orig
-        grad[idx] = (up - down) / (2.0 * step)
-    return grad
 
 
 def assert_grads_close(analytic, numeric, rel=1e-6, tiny=1e-8, atol=1e-9):
@@ -1000,11 +971,12 @@ class TestFrontEnd:
         sentences[0][0] = PAD_ID
         return params, sentences, np.ones((len(sentences), params.num_filters))
 
-    @pytest.mark.parametrize("bad", [-1, 10])
+    @pytest.mark.parametrize("bad", [-1, 10, pytest.param(np.uint64(2**63), id="uint64")])
     def test_an_id_outside_the_table_raises(self, bad):
-        # Unchecked, -1 indexes the table from its end and V past it.
+        # Unchecked, -1 indexes the table from its end and V past it; a uint64
+        # id of 2**63 wraps to a negative int64.
         params, sentences, masks = self._setup()
-        sentences[3] = np.array([1, bad, 2, 3])
+        sentences[3] = np.array([1, bad, 2, 3], dtype=np.asarray(bad).dtype)
         with pytest.raises(ValueError, match="outside the embedding table"):
             net.forward_batch(params, sentences, masks)
         with pytest.raises(ValueError, match="outside the embedding table"):
@@ -1012,11 +984,27 @@ class TestFrontEnd:
         with pytest.raises(ValueError, match="outside the embedding table"):
             net.predict_logits(params, sentences[3:4])
 
+    @pytest.mark.parametrize("ids", [pytest.param([1.7, 2, 3, 4], id="list"),
+                                     pytest.param(np.array([1.0, 2.0, 3.0, 4.0]), id="array")])
+    def test_a_float_id_raises(self, ids):
+        # Cast unsafely, 1.7 would read row 1; a whole float is refused too.
+        params, sentences, masks = self._setup()
+        sentences[3] = ids
+        with pytest.raises(ValueError, match="token ids must be integers"):
+            net.forward_batch(params, sentences, masks)
+        with pytest.raises(ValueError, match="token ids must be integers"):
+            net.predict_logits(params, sentences)
+        with pytest.raises(ValueError, match="token ids must be integers"):
+            net.predict_logits(params, sentences[3:4])
+
     def test_lists_and_int32_and_int64_arrays_give_the_same_bytes(self):
+        # Unsigned arrays too.
         params, sentences, masks = self._setup()
         forms = [[ids.tolist() for ids in sentences],
                  [ids.astype(np.int32) for ids in sentences],
                  [ids.astype(np.int64) for ids in sentences],
+                 [ids.astype(np.uint8) for ids in sentences],
+                 [ids.astype(np.uint64) for ids in sentences],
                  [ids.tolist() if i % 3 == 0 else ids.astype(np.int32 if i % 3 == 1 else np.int64)
                   for i, ids in enumerate(sentences)]]
         seen = []

@@ -1,12 +1,10 @@
 """Adadelta updates, norm projection, batching, training loop, early stopping."""
 
-import hashlib
-
 import numpy as np
 import pytest
 
 import synthdata
-from rowgrad import dense_gradients
+from oracles import dense_gradients, tensor_hashes
 from sentconv import corpus, embed, evaluate, net, optim
 from sentconv._seeds import DROPOUT
 from sentconv.optim import (
@@ -21,11 +19,6 @@ from sentconv.optim import (
     parse_config,
     train_epoch,
 )
-
-
-def tensor_hashes(params):
-    return {name: hashlib.sha256(np.ascontiguousarray(t).tobytes()).hexdigest()
-            for name, t in net.all_tensors(params)}
 
 
 def whole_tensor_adadelta(param, grad, acc_grad_sq, acc_update_sq, rho, eps):
