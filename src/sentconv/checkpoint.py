@@ -4,8 +4,10 @@ Layout (VERSION 2): MAGIC, u32 version, then length-prefixed config text,
 history text and vocabulary (the words joined by newlines, pad first), a u32
 class count, and finally every tensor's float64 little-endian data in
 `net.all_tensors` order.  No tensor carries a name or shape: the embedded
-config, the vocabulary size and the class count fix them all.  No trailing
-bytes.  Files of other versions, VERSION 1 included, are rejected.
+config, the vocabulary size and the class count fix them all
+(`_tensor_shapes`), and `save_checkpoint` refuses a model they do not
+describe.  No trailing bytes.  Files of other versions, VERSION 1 included,
+are rejected.
 
 `load_checkpoint` maps the file once, privately and copy-on-write, and every
 tensor it returns is a view of that mapping: no table is read into fresh
@@ -93,6 +95,17 @@ class _Reader:
         return np.frombuffer(self.map, dtype="<f8", count=count, offset=start).reshape(shape)
 
 
+def _tensor_shapes(config: optim.TrainConfig, vocab_size: int,
+                   classes: int) -> list[tuple[int, ...]]:
+    """Every tensor's shape, in `net.all_tensors` order, as the config, the
+    vocabulary size and the class count fix them."""
+    dim, maps = config.dim, config.maps_per_width
+    shapes = [(vocab_size, dim)] * len(embed.VARIANT_CHANNELS[config.variant])
+    for h in config.widths:
+        shapes += [(maps, h, dim), (maps,)]
+    return shapes + [(classes, maps * len(config.widths)), (classes,)]
+
+
 @dataclass
 class Checkpoint:
     params: net.ModelParams
@@ -103,11 +116,22 @@ class Checkpoint:
 
 def save_checkpoint(path, params: net.ModelParams, vocab: Vocabulary,
                     config: optim.TrainConfig, history_csv: str = "") -> None:
+    """Write the model, its vocabulary, config and history to `path`.  A
+    vocabulary word the file cannot hold, or a config that does not describe
+    the model (its tensor shapes with the vocabulary's size, its channels,
+    keep_prob or activation), raises ValueError before any file is made."""
     words = vocab.id_to_word
     blob = "\n".join(words)
     if blob.split() != words:
         bad = next(word for word in words if word.split() != [word])
         raise ValueError(f"vocabulary word {bad!r} is empty or holds whitespace")
+    shapes = [tensor.shape for _, tensor in net.all_tensors(params)]
+    if shapes != _tensor_shapes(config, len(words), params.num_classes):
+        raise ValueError("the config and vocabulary give other tensor shapes than the model's")
+    if tuple(ch.trainable for ch in params.channels) != embed.VARIANT_CHANNELS[config.variant]:
+        raise ValueError(f"the model's channels are not those of variant {config.variant!r}")
+    if (params.keep_prob, params.activation) != (config.keep_prob, config.activation):
+        raise ValueError("the model's keep_prob or activation is not the config's")
     # Replace the file, never rewrite it: a process may have it mapped.
     path = os.path.realpath(path)
     tmp = f"{path}.{secrets.token_hex(8)}.tmp"
@@ -159,22 +183,20 @@ def load_checkpoint(path) -> Checkpoint:
         classes = reader.u32()
         if classes < 2:
             raise CheckpointError(f"output layer needs at least two classes, got {classes}")
-        flags = embed.VARIANT_CHANNELS[config.variant]
-        dim, maps = config.dim, config.maps_per_width
-        tables = [reader.array(len(vocab), dim) for _ in flags]
-        banks = [net.FilterBank(h, reader.array(maps, h, dim), reader.array(maps))
-                 for h in config.widths]
-        output = net.OutputLayer(reader.array(classes, maps * len(banks)), reader.array(classes))
+        tensors = [reader.array(*shape) for shape in _tensor_shapes(config, len(vocab), classes)]
         if reader.left:
             raise CheckpointError("trailing garbage after checkpoint payload")
 
+    flags = embed.VARIANT_CHANNELS[config.variant]
     try:
         channels = [embed.EmbeddingChannel(table, trainable=flag)
-                    for table, flag in zip(tables, flags)]
+                    for table, flag in zip(tensors, flags)]
     except ValueError as exc:
         raise CheckpointError(str(exc)) from None
-    params = net.ModelParams(channels, banks, output, keep_prob=config.keep_prob,
-                             activation=config.activation)
+    conv = tensors[len(flags):-2]
+    banks = [net.FilterBank(weights, biases) for weights, biases in zip(conv[::2], conv[1::2])]
+    params = net.ModelParams(channels, banks, net.OutputLayer(*tensors[-2:]),
+                             keep_prob=config.keep_prob, activation=config.activation)
     for name, tensor in net.all_tensors(params):
         if not np.isfinite(tensor).all():
             raise CheckpointError(f"tensor {name} holds non-finite values")

@@ -27,7 +27,6 @@ import contextvars
 import itertools
 import os
 import re
-import threading
 from concurrent import futures
 from dataclasses import dataclass
 
@@ -81,7 +80,8 @@ _TABLES_HELD = 3
 def _new_helper() -> None:
     """A helper whose thread starts with its first job and lives to the end of
     the process: at import, and in a forked child, which has no copy of its
-    parent's helper thread."""
+    parent's helper thread, and whose copy of the parent's executor can hold
+    a lock that was taken at the moment of the fork."""
     global _helper
     _helper = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="sentconv-gemm")
 
@@ -90,56 +90,41 @@ _new_helper()
 os.register_at_fork(after_in_child=_new_helper)
 
 
-def _offload(macs: int) -> bool:
-    return _helper_on and macs >= _HELPER_MIN_MACS
-
-
 def _products(pairs, macs: int, held: int):
     """Yield a @ b for each (a, b) of the iterable `pairs`, in order, each the
     same np.matmul into an output the caller allocates as it draws the pair,
-    at most `held` products ahead of the last one handed out (one unless
-    `_offload(macs)`, when the helper takes untaken products too).  The
-    caller takes the oldest untaken one while the one it asks for is not
-    done.  A failed product raises when it is asked for; closing the
-    generator drops the untaken ones and waits for the helper, so a call
-    that raises leaves no helper job running.  With the helper on or off,
-    each product is the same matmul of the same operands, used in the same
-    order, so the helper changes no output byte."""
-    offload, lock = _offload(macs), threading.Lock()
-    pairs, jobs, order = iter(pairs), collections.deque(), collections.deque()
-    held, helper = held if offload else 1, None  # helper: its latest run
-
-    def work(until=None) -> None:
-        """Compute untaken products: on the helper while any is left, else until `until` is done."""
-        while until is None or not until.done():
-            with lock:
-                if not jobs:
-                    return
-                a, b, out, future = jobs.popleft()
-            try:
-                future.set_result(np.matmul(a, b, out=out))
-            except Exception as exc:  # raised where the product is asked for
-                future.set_exception(exc)
-
+    at most `held` products ahead of the last one handed out: one unless
+    `_helper_on` and the call's products hold _HELPER_MIN_MACS multiply-adds,
+    when each drawn product is also a job queued on the helper.  While the
+    product the caller asks for is not done, the caller walks the queue from
+    the oldest job, cancels each one the helper has not started and computes
+    it itself.  A product that fails on the caller raises at once, even ahead
+    of its turn; one that fails on the helper raises when it is asked for.
+    Closing the generator cancels the queued jobs and waits for the running
+    one, so a call that raises leaves no helper job running.  With the helper
+    on or off, each product is the same matmul of the same operands, so the
+    helper changes no output byte."""
+    offload = _helper_on and macs >= _HELPER_MIN_MACS
+    run, pairs, jobs = contextvars.copy_context().run, iter(pairs), collections.deque()
     try:
         while True:
-            new = [(a, b, np.empty((a.shape[0], b.shape[1])), futures.Future())
-                   for a, b in itertools.islice(pairs, held - len(order))]
-            order.extend(job[3] for job in new)
-            with lock:
-                jobs.extend(new)
-                if offload and jobs and (helper is None or helper.done()):
-                    helper = _helper.submit(contextvars.copy_context().run, work)
-            del new  # it would hold the drawn operands and products
-            if not order:
+            for a, b in itertools.islice(pairs, (held if offload else 1) - len(jobs)):
+                out = np.empty((a.shape[0], b.shape[1]))
+                jobs.append((_helper.submit(run, np.matmul, a, b, out=out) if offload
+                             else futures.Future(), a, b, out))
+            if not jobs:
                 return
-            work(until=order[0])
-            yield order.popleft().result()  # held by no local, so the caller's drop frees it
+            for job, a, b, out in jobs:
+                if jobs[0][0].done():
+                    break
+                if job.cancel():  # the helper has not started it
+                    np.matmul(a, b, out=out)
+            del job, a, b, out  # the walk binds them; none may keep a product the caller drops
+            if not jobs[0][0].cancelled():
+                jobs[0][0].result()  # waits for the helper, and raises its failure
+            yield jobs.popleft()[3]  # its job dropped too: a done job holds its product
     finally:
-        with lock:
-            jobs.clear()
-        if helper is not None:
-            helper.result()  # waits for the helper's last run, which raises nothing
+        futures.wait([job for job, *_ in jobs if not job.cancel()])
 
 
 def _activate(pre: np.ndarray, kind: str) -> np.ndarray:
@@ -163,9 +148,12 @@ def _activate_grad(pre: np.ndarray, kind: str) -> np.ndarray:
 class FilterBank:
     """All filters of one width, stacked: weights (F, h, k), biases (F,)."""
 
-    width: int
     weights: np.ndarray
     biases: np.ndarray
+
+    @property
+    def width(self) -> int:
+        return self.weights.shape[1]
 
 
 @dataclass
@@ -181,6 +169,12 @@ class ModelParams:
     output: OutputLayer
     keep_prob: float = 1.0
     activation: str = "relu"
+
+    def __post_init__(self) -> None:
+        # Tensors are named by width, so two banks of one width would share
+        # their gradients and optimizer states.
+        if len({bank.width for bank in self.filters}) != len(self.filters):
+            raise ValueError("filter widths must be distinct")
 
     @property
     def num_classes(self) -> int:
@@ -233,7 +227,7 @@ def init_params(channels: list[EmbeddingChannel], num_classes: int, widths,
     banks = []
     for h in widths:
         weights = rng.uniform(-init_scale, init_scale, size=(maps_per_width, h, dim))
-        banks.append(FilterBank(h, weights, np.zeros(maps_per_width)))
+        banks.append(FilterBank(weights, np.zeros(maps_per_width)))
     out_w = rng.uniform(-init_scale, init_scale, size=(num_classes, maps_per_width * len(banks)))
     return ModelParams(channels, banks, OutputLayer(out_w, np.zeros(num_classes)),
                        keep_prob=keep_prob, activation=activation)
@@ -529,7 +523,7 @@ def predict_logits(params: ModelParams, sentences) -> np.ndarray:
     size of the score GEMM and so the BLAS kernels it runs: a row agrees
     with scoring its sentence alone within 1e-12, not byte for byte.
     """
-    slabs = [FilterBank(bank.width, bank.weights[f:f + _SLAB_MAPS], bank.biases[f:f + _SLAB_MAPS])
+    slabs = [FilterBank(bank.weights[f:f + _SLAB_MAPS], bank.biases[f:f + _SLAB_MAPS])
              for bank in params.filters for f in range(0, bank.biases.shape[0], _SLAB_MAPS)]
     weights = (params.keep_prob * params.output.weights).T
     return np.concatenate([np.empty((0, params.num_classes))] + [
@@ -571,7 +565,7 @@ def clone_params(params: ModelParams) -> ModelParams:
     are shared, not copied: their tables are read-only."""
     channels = [EmbeddingChannel(ch.matrix.copy() if ch.trainable else ch.matrix, ch.trainable)
                 for ch in params.channels]
-    banks = [FilterBank(b.width, b.weights.copy(), b.biases.copy()) for b in params.filters]
+    banks = [FilterBank(b.weights.copy(), b.biases.copy()) for b in params.filters]
     output = OutputLayer(params.output.weights.copy(), params.output.biases.copy())
     return ModelParams(channels, banks, output, keep_prob=params.keep_prob,
                        activation=params.activation)

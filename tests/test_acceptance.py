@@ -105,7 +105,7 @@ def test_criterion_2_convolution_oracle():
         weights, bias = rng.normal(size=(h, k)), float(rng.normal())
         ids = rng.integers(0, vocab_size, size=n)
         activation = "tanh" if case % 2 else "relu"
-        params = net.ModelParams(channels, [net.FilterBank(h, weights[None], np.array([bias]))],
+        params = net.ModelParams(channels, [net.FilterBank(weights[None], np.array([bias]))],
                                  net.OutputLayer(np.zeros((2, 1)), np.zeros(2)),
                                  activation=activation)
         _, trace = net.forward(params, ids, np.ones(1))  # masks change only the logits

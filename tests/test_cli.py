@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output formats, checkpoint round trips."""
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -634,6 +635,44 @@ class TestCheckpointRoundTrip:
             assert path.stat().st_size == header + 8 * values, variant
 
 
+class TestCheckpointDescribesTheModel:
+    """`save_checkpoint` refuses a config that does not describe the model's
+    tensors, channels, keep_prob or activation, and leaves the file alone."""
+
+    @pytest.fixture
+    def saved(self, workdir, tmp_path):
+        vocab = workdir["vocab"]
+        config = optim.TrainConfig(variant="rand", widths=(3, 5), maps_per_width=3, dim=8)
+        params = evaluate.initial_params(config, synthdata.planted_vectors(vocab, 8, seed=5), 2)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, vocab, config)
+        return path, params, vocab, config
+
+    @pytest.mark.parametrize("change, message", [
+        ({"widths": (5, 3)}, "tensor shapes"), ({"dim": 9}, "tensor shapes"),
+        ({"maps_per_width": 4}, "tensor shapes"), (None, "tensor shapes"),
+        ({"variant": "static"}, "channels"), ({"activation": "tanh"}, "activation"),
+        ({"keep_prob": 1.0}, "keep_prob")],
+        ids=["widths-reordered", "dim", "maps", "vocabulary", "variant", "activation",
+             "keep_prob"])
+    def test_a_config_that_does_not_describe_the_model_raises(self, saved, change, message):
+        path, params, vocab, config = saved
+        before = path.read_bytes()
+        if change is None:  # a vocabulary of another size than the tables
+            vocab = corpus.Vocabulary(vocab.id_to_word[1:] + ["unheard"])
+        else:
+            config = dataclasses.replace(config, **change)
+        with pytest.raises(ValueError, match=message):
+            save_checkpoint(path, params, vocab, config)
+        assert path.read_bytes() == before
+        assert os.listdir(path.parent) == [path.name]
+
+    def test_the_unchecked_writer_writes_what_save_writes(self, saved, tmp_path):
+        path, params, vocab, config = saved
+        _write_unchecked(tmp_path / "unchecked.ckpt", params, vocab, config)
+        assert (tmp_path / "unchecked.ckpt").read_bytes() == path.read_bytes()
+
+
 class TestCheckpointMapping:
     """Loaded tensors are copy-on-write views of the mapped file, and a save
     replaces a file instead of rewriting it."""
@@ -716,12 +755,26 @@ print("ok")
         assert stat.S_IMODE(fresh.stat().st_mode) == 0o640
 
 
+def _write_unchecked(path, params, vocab, config, history_csv=""):
+    """The checkpoint format written with no check that the config describes
+    the model, as a faulty or foreign writer could leave a file."""
+    with open(path, "wb") as fh:
+        fh.write(checkpoint.MAGIC + struct.pack("<I", checkpoint.VERSION))
+        for text in (optim.config_to_text(config), history_csv, "\n".join(vocab.id_to_word)):
+            data = text.encode("utf-8")
+            fh.write(struct.pack("<I", len(data)) + data)
+        fh.write(struct.pack("<I", params.num_classes))
+        for _, tensor in net.all_tensors(params):
+            fh.write(np.ascontiguousarray(tensor, dtype="<f8"))
+
+
 def _resaved(workdir, tmp_path, mutate, history_csv=""):
-    """The trained checkpoint, changed by `mutate(params)` and saved again."""
+    """The trained checkpoint, changed by `mutate(params)` and written again
+    by `_write_unchecked`."""
     ckpt = load_checkpoint(workdir["ckpt"])
     mutate(ckpt.params)
     path = tmp_path / "changed.ckpt"
-    save_checkpoint(path, ckpt.params, ckpt.vocab, ckpt.config, history_csv)
+    _write_unchecked(path, ckpt.params, ckpt.vocab, ckpt.config, history_csv)
     return path
 
 
@@ -808,7 +861,7 @@ class TestCheckpointRejections:
         path = tmp_path / "huge.ckpt"
         if field == "dim":
             ckpt.config.dim = 1099511627776
-        save_checkpoint(path, ckpt.params, ckpt.vocab, ckpt.config)
+        _write_unchecked(path, ckpt.params, ckpt.vocab, ckpt.config)
         if field == "classes":
             blob = bytearray(path.read_bytes())
             at = len(blob) - 8 * sum(t.size for _, t in net.all_tensors(ckpt.params)) - 4

@@ -232,7 +232,7 @@ class TestNeighborReport:
         matrix[1:] = [[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]]
         params = net.ModelParams(
             [embed.EmbeddingChannel(matrix, False), embed.EmbeddingChannel(matrix, True)],
-            [net.FilterBank(2, np.zeros((1, 2, 2)), np.zeros(1))],
+            [net.FilterBank(np.zeros((1, 2, 2)), np.zeros(1))],
             net.OutputLayer(np.zeros((2, 1)), np.zeros(2)))
         ranked = neighbor_report(params, vocab, "a", count=2)
         assert ranked == [nearest_neighbors(matrix, vocab, "a", 2)] * 2

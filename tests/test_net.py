@@ -164,7 +164,7 @@ def old_window_stack(embedded, h):
 def single_filter_params(channels, weights, bias, activation="relu"):
     """One filter (an h x k window plus a bias) feeding a zero two-class output."""
     weights = np.asarray(weights, dtype=np.float64)
-    bank = net.FilterBank(weights.shape[0], weights[None], np.array([float(bias)]))
+    bank = net.FilterBank(weights[None], np.array([float(bias)]))
     output = net.OutputLayer(np.zeros((2, 1)), np.zeros(2))
     return net.ModelParams(channels, [bank], output, activation=activation)
 
@@ -220,7 +220,7 @@ class TestConvFeatureMap:
             vocab_size = int(rng.integers(2, 12))
             channels = random_channels(rng, n_ch, vocab_size, k)
             activation = "tanh" if rng.random() < 0.5 else "relu"
-            bank = net.FilterBank(h, rng.normal(size=(maps, h, k)), rng.normal(size=maps))
+            bank = net.FilterBank(rng.normal(size=(maps, h, k)), rng.normal(size=maps))
             params = net.ModelParams(channels, [bank],
                                      net.OutputLayer(np.zeros((2, maps)), np.zeros(2)),
                                      activation=activation)
@@ -302,6 +302,16 @@ class TestForward:
         assert np.array_equal(params.output.weights, expected.output.weights)
         logits, _ = forward(params, [1, 2, 3, 4], np.ones(params.num_filters))
         assert logits.shape == (2,)
+
+    def test_a_repeated_filter_width_raises(self):
+        # Tensors are named by width: two banks of one width would share a
+        # gradient and leave the optimizer fewer states than tensors.
+        channels = random_channels(np.random.default_rng(4), 1, 9, 5)
+        with pytest.raises(ValueError, match="filter widths must be distinct"):
+            net.init_params(channels, 2, (3, 3), 2, seed=1)
+        bank = net.FilterBank(np.zeros((2, 3, 5)), np.zeros(2))
+        with pytest.raises(ValueError, match="filter widths must be distinct"):
+            net.ModelParams(channels, [bank, bank], net.OutputLayer(np.zeros((2, 4)), np.zeros(2)))
 
     def test_keep_prob_one_train_equals_inference(self):
         rng = np.random.default_rng(6)
@@ -689,7 +699,7 @@ class TestPredictLogits:
         # quiet sentence's end and the loud one's start would score 5.1, above
         # the quiet sentence's own best window of 0.2.
         channels = scalar_channel([0.1, 5.0])
-        bank = net.FilterBank(2, np.ones((1, 2, 1)), np.zeros(1))
+        bank = net.FilterBank(np.ones((1, 2, 1)), np.zeros(1))
         output = net.OutputLayer(np.array([[1.0], [-1.0]]), np.zeros(2))
         params = net.ModelParams(channels, [bank], output)
         quiet, loud = [1, 1, 1], [2, 2]
@@ -906,7 +916,7 @@ class TestForwardBatch:
         # quiet sentence's end and the loud one's start would score 5.1, above
         # the quiet sentence's own best window of 0.2.
         channels = scalar_channel([0.1, 5.0])
-        bank = net.FilterBank(2, np.ones((1, 2, 1)), np.zeros(1))
+        bank = net.FilterBank(np.ones((1, 2, 1)), np.zeros(1))
         output = net.OutputLayer(np.array([[1.0], [-1.0]]), np.zeros(2))
         params = net.ModelParams(channels, [bank], output)
         quiet, loud = [1, 1, 1], [2, 2]
@@ -1280,6 +1290,42 @@ class TestGemmHelper:
         monkeypatch.undo()
         monkeypatch.setattr(net, "_helper_on", True)
         assert net.predict_logits(params, sentences).tobytes() == expected
+
+    def test_a_product_that_fails_on_the_caller_raises_and_leaves_no_helper_job(
+            self, monkeypatch):
+        # Every product the caller computes fails, while the helper holds each
+        # of its own for 50 ms, so jobs are still queued when the caller's
+        # fails: each call raises, no helper job starts or runs after it
+        # returns, and the next call gives the same bytes.
+        params, sentences, masks, labels = self._setup("nonstatic")
+        monkeypatch.setattr(net, "_helper_on", True)
+        expected, _ = self._outputs(params, sentences, masks, labels)
+        _, trace = net.forward_batch(params, sentences, masks)
+        started, finished, matmul = [], [], np.matmul
+
+        def patched(*args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                raise MemoryError("caller out of memory")
+            started.append(1)
+            time.sleep(0.05)
+            result = matmul(*args, **kwargs)
+            finished.append(1)
+            return result
+
+        monkeypatch.setattr(np, "matmul", patched)
+        for call in (lambda: net.forward_batch(params, sentences, masks),
+                     lambda: backward(params, trace, labels),
+                     lambda: net.predict_logits(params, sentences * 30)):
+            with pytest.raises(MemoryError, match="caller out of memory"):
+                try:
+                    call()
+                finally:
+                    done, running = len(started), len(started) - len(finished)
+            assert running == 0
+            time.sleep(0.2)
+            assert len(started) == len(finished) == done
+        monkeypatch.setattr(np, "matmul", matmul)
+        assert self._outputs(params, sentences, masks, labels)[0] == expected
 
     @pytest.mark.parametrize("helper_on", [True, False])
     def test_every_product_is_handed_out_once_in_order_under_frequent_switches(
