@@ -5,9 +5,9 @@ history text and vocabulary (the words joined by newlines, pad first), a u32
 class count, and finally every tensor's float64 little-endian data in
 `net.all_tensors` order.  No tensor carries a name or shape: the embedded
 config, the vocabulary size and the class count fix them all
-(`_tensor_shapes`), and `save_checkpoint` refuses a model they do not
-describe.  No trailing bytes.  Files of other versions, VERSION 1 included,
-are rejected.
+(`_tensor_shapes`).  No trailing bytes.  Files of other versions, VERSION 1
+included, are rejected.  `_model` is the one rule for what a checkpoint may
+hold, and `save_checkpoint` and `load_checkpoint` both apply it.
 
 `load_checkpoint` maps the file once, privately and copy-on-write, and every
 tensor it returns is a view of that mapping: no table is read into fresh
@@ -46,12 +46,6 @@ VERSION = 2
 class CheckpointError(Exception):
     """A checkpoint file that cannot be trusted (bad magic, version, truncation,
     undecodable text, a bad vocabulary or config, tensors that are not finite)."""
-
-
-def _write_str(fh, text: str) -> None:
-    data = text.encode("utf-8")
-    fh.write(struct.pack("<I", len(data)))
-    fh.write(data)
 
 
 class _Reader:
@@ -114,37 +108,66 @@ class Checkpoint:
     history_csv: str
 
 
-def save_checkpoint(path, params: net.ModelParams, vocab: Vocabulary,
-                    config: optim.TrainConfig, history_csv: str = "") -> None:
-    """Write the model, its vocabulary, config and history to `path`.  A
-    vocabulary word the file cannot hold, or a config that does not describe
-    the model (its tensor shapes with the vocabulary's size, its channels,
-    keep_prob or activation), raises ValueError before any file is made."""
-    words = vocab.id_to_word
-    blob = "\n".join(words)
-    if blob.split() != words:
+def _model(config: optim.TrainConfig, words: list[str], classes: int,
+           tensors) -> tuple[net.ModelParams, Vocabulary]:
+    """The model and vocabulary of a checkpoint: the one rule for what one may
+    hold, shared by save and load.  `words` start with the pad token; `tensors`
+    (in `net.all_tensors` order) are drawn once the config, words and class
+    count that size them pass.  Raises ValueError, in this order, for a bad
+    config or vocabulary, fewer than two classes, other shapes than
+    `_tensor_shapes`, a nonzero pad row, a non-numeric or non-finite tensor."""
+    config.validate()
+    if words[0] != PAD_TOKEN:
+        raise ValueError("vocabulary does not start with the pad token")
+    if "\n".join(words).split() != words:
         bad = next(word for word in words if word.split() != [word])
         raise ValueError(f"vocabulary word {bad!r} is empty or holds whitespace")
-    shapes = [tensor.shape for _, tensor in net.all_tensors(params)]
-    if shapes != _tensor_shapes(config, len(words), params.num_classes):
+    vocab = Vocabulary(words[1:])
+    if len(vocab) != len(words):
+        raise ValueError("duplicate words in checkpoint vocabulary")
+    if classes < 2:
+        raise ValueError(f"output layer needs at least two classes, got {classes}")
+    tensors = list(tensors)
+    if [tensor.shape for tensor in tensors] != _tensor_shapes(config, len(words), classes):
         raise ValueError("the config and vocabulary give other tensor shapes than the model's")
-    if tuple(ch.trainable for ch in params.channels) != embed.VARIANT_CHANNELS[config.variant]:
-        raise ValueError(f"the model's channels are not those of variant {config.variant!r}")
-    if (params.keep_prob, params.activation) != (config.keep_prob, config.activation):
-        raise ValueError("the model's keep_prob or activation is not the config's")
+    flags = embed.VARIANT_CHANNELS[config.variant]
+    channels = [embed.EmbeddingChannel(table, trainable=flag)
+                for table, flag in zip(tensors, flags)]
+    conv = tensors[len(flags):-2]
+    banks = [net.FilterBank(weights, biases) for weights, biases in zip(conv[::2], conv[1::2])]
+    params = net.ModelParams(channels, banks, net.OutputLayer(*tensors[-2:]),
+                             keep_prob=config.keep_prob, activation=config.activation)
+    for name, tensor in net.all_tensors(params):
+        if tensor.dtype.kind not in "biuf":
+            raise ValueError(f"tensor {name} is not numeric")
+        if not np.isfinite(tensor).all():
+            raise ValueError(f"tensor {name} holds non-finite values")
+    return params, vocab
+
+
+def save_checkpoint(path, params: net.ModelParams, vocab: Vocabulary,
+                    config: optim.TrainConfig, history_csv: str = "") -> None:
+    """Write the model, its vocabulary, config and history to `path`.  A model
+    `_model` refuses, or one whose channels, keep_prob or activation are not
+    the config's, raises ValueError before any file is made."""
+    tensors = [tensor for _, tensor in net.all_tensors(params)]
+    built, _ = _model(config, vocab.id_to_word, params.num_classes, tensors)
+    facts = [([ch.trainable for ch in m.channels], m.keep_prob, m.activation)
+             for m in (built, params)]
+    if facts[0] != facts[1]:
+        raise ValueError("the model's channels, keep_prob or activation are not the config's")
     # Replace the file, never rewrite it: a process may have it mapped.
     path = os.path.realpath(path)
     tmp = f"{path}.{secrets.token_hex(8)}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", VERSION))
-            _write_str(fh, optim.config_to_text(config))
-            _write_str(fh, history_csv)
-            _write_str(fh, blob)
+            fh.write(MAGIC + struct.pack("<I", VERSION))
+            for text in (optim.config_to_text(config), history_csv, "\n".join(vocab.id_to_word)):
+                data = text.encode("utf-8")
+                fh.write(struct.pack("<I", len(data)) + data)
             fh.write(struct.pack("<I", params.num_classes))
-            for _, tensor in net.all_tensors(params):
+            for tensor in tensors:
                 fh.write(np.ascontiguousarray(tensor, dtype="<f8"))
         if os.path.exists(path):  # the mode `open(path, "wb")` would have kept
             shutil.copymode(path, tmp)
@@ -168,36 +191,13 @@ def load_checkpoint(path) -> Checkpoint:
             config = optim.parse_config(config_text)
         except ValueError as exc:
             raise CheckpointError(f"bad embedded config: {exc}") from None
-        blob = reader.text()
-        words = blob.split("\n")
-        if words[0] != PAD_TOKEN:
-            raise CheckpointError("vocabulary does not start with the pad token")
-        if blob.split() != words:
-            raise CheckpointError("vocabulary holds an empty word or one with whitespace")
+        words = reader.text().split("\n")
+        classes = reader.u32()
+        tensors = (reader.array(*shape) for shape in _tensor_shapes(config, len(words), classes))
         try:
-            vocab = Vocabulary(words[1:])
+            params, vocab = _model(config, words, classes, tensors)
         except ValueError as exc:
             raise CheckpointError(str(exc)) from None
-        if len(vocab) != len(words):
-            raise CheckpointError("duplicate words in checkpoint vocabulary")
-        classes = reader.u32()
-        if classes < 2:
-            raise CheckpointError(f"output layer needs at least two classes, got {classes}")
-        tensors = [reader.array(*shape) for shape in _tensor_shapes(config, len(vocab), classes)]
         if reader.left:
             raise CheckpointError("trailing garbage after checkpoint payload")
-
-    flags = embed.VARIANT_CHANNELS[config.variant]
-    try:
-        channels = [embed.EmbeddingChannel(table, trainable=flag)
-                    for table, flag in zip(tensors, flags)]
-    except ValueError as exc:
-        raise CheckpointError(str(exc)) from None
-    conv = tensors[len(flags):-2]
-    banks = [net.FilterBank(weights, biases) for weights, biases in zip(conv[::2], conv[1::2])]
-    params = net.ModelParams(channels, banks, net.OutputLayer(*tensors[-2:]),
-                             keep_prob=config.keep_prob, activation=config.activation)
-    for name, tensor in net.all_tensors(params):
-        if not np.isfinite(tensor).all():
-            raise CheckpointError(f"tensor {name} holds non-finite values")
     return Checkpoint(params, vocab, config, history_csv)

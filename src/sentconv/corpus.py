@@ -155,6 +155,13 @@ def select_dev_split(dataset: Dataset, fraction: float = 0.10, seed: int = 0):
     return dataset.subset(train_idx), dataset.subset(dev_idx)
 
 
+def decimal_int(text: str) -> int:
+    """`int(text)` without the digit-group underscores and non-ASCII digits it takes."""
+    if "_" in text or not text.strip().isascii():
+        raise ValueError(f"invalid decimal integer {text!r}")
+    return int(text)
+
+
 def load_tsv(path) -> list[tuple[int, str]]:
     """Read `<label><TAB><sentence>` lines; blank lines are ignored."""
     pairs: list[tuple[int, str]] = []
@@ -167,7 +174,7 @@ def load_tsv(path) -> list[tuple[int, str]]:
                 raise ValueError(f"{path}: line {lineno}: expected <label><TAB><sentence>")
             label_s, text = line.split("\t", 1)
             try:
-                label = int(label_s)
+                label = decimal_int(label_s)
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: bad label {label_s!r}") from None
             if label < 0:

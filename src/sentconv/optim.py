@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import embed, net
+from . import corpus, embed, net
 from ._seeds import DROPOUT, SHUFFLE, derive_seed
 
 # Comparison slack that keeps the projection exactly idempotent: a row already
@@ -17,6 +17,10 @@ _RENORM_SLACK = 1e-12
 # so its two temporaries stay in cache between the chain's passes; its bits
 # are those of the plain expressions.
 _STEP_BLOCK = 16384
+# How a config value is read from text, by the type of its default.  Integers
+# are ASCII decimal: no digit-group underscores, no other scripts' digits.
+_PARSERS = {int: corpus.decimal_int, float: float, str: str,
+            tuple: lambda text: tuple(map(corpus.decimal_int, text.split(",")))}  # widths
 
 
 @dataclass
@@ -83,16 +87,6 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _parse_value(text: str, kind):
-    if kind is int:
-        return int(text)
-    if kind is float:
-        return float(text)
-    if kind is str:
-        return text
-    return tuple(int(v) for v in text.split(","))  # widths
-
-
 def config_to_text(config: TrainConfig) -> str:
     """Canonical serialization; parse_config(config_to_text(c)) == c."""
     return "".join(f"{f.name} = {_format_value(getattr(config, f.name))}\n"
@@ -104,7 +98,7 @@ def parse_config(text: str) -> TrainConfig:
     or U+2028 does not); `#` starts a comment, unknown or repeated keys
     reject."""
     defaults = TrainConfig()
-    kinds = {f.name: type(getattr(defaults, f.name)) for f in fields(TrainConfig)}
+    parsers = {f.name: _PARSERS[type(getattr(defaults, f.name))] for f in fields(TrainConfig)}
     overrides = {}
     for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
@@ -113,12 +107,12 @@ def parse_config(text: str) -> TrainConfig:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected `key = value`")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in kinds:
+        if key not in parsers:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         if key in overrides:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         try:
-            overrides[key] = _parse_value(value, kinds[key])
+            overrides[key] = parsers[key](value)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad value for {key!r}: {exc}") from None
     config = replace(TrainConfig(), **overrides)
@@ -258,11 +252,10 @@ def train_epoch(params: net.ModelParams, examples, config: TrainConfig,
     backward, gradients averaged over the batch, an Adadelta step on every
     trainable tensor, and the output-row norm projection.  No gradient
     buffer is kept: each gradient `backward` returns is scaled by 1/B and
-    handed to its tensor's step.  A trainable
-    channel is stepped only at the trace's `table_rows`, with the compact
-    row gradient `backward` returns, so a batch costs the table in
-    proportion to its tokens, not to the vocabulary, and the pad row stays
-    zero.
+    handed to its tensor's step.  A trainable channel is stepped only at the
+    trace's `table_rows`, with the compact row gradient `backward` returns,
+    so a batch costs the table in proportion to its tokens, not to the
+    vocabulary, and the pad row stays zero.
     """
     total_loss = 0.0
     batches = make_minibatches(len(examples), config.batch_size, shuffle_seed, epoch)

@@ -1,9 +1,12 @@
 """Command-line behavior: exit codes, output formats, checkpoint round trips."""
 
 import dataclasses
+import errno
 import hashlib
 import math
+import operator
 import os
+import re
 import stat
 import struct
 import subprocess
@@ -548,6 +551,16 @@ class TestInspectDataCommand:
         assert captured.out == ""
         assert "missing 1, 2, 3, 4" in captured.err
 
+    def test_label_with_a_digit_group_underscore_rejected(self, tmp_path, capsys):
+        # `int` reads "0_1" as 1, which would train it as class 1.
+        data = tmp_path / "underscore.tsv"
+        data.write_text("0_1\tfine film\n0\tdull film\n1\tgood film\n", encoding="utf-8")
+        code = main(["inspect-data", "--data", str(data)])
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert captured.out == ""
+        assert "line 1: bad label '0_1'" in captured.err
+
 
 class TestCheckpointRoundTrip:
     def test_save_load_save_identical_bytes(self, workdir, tmp_path):
@@ -673,6 +686,52 @@ class TestCheckpointDescribesTheModel:
         assert (tmp_path / "unchecked.ckpt").read_bytes() == path.read_bytes()
 
 
+def _tiny_model(variant="rand"):
+    """A tiny model, its vocabulary and config: widths 1 and 2, two classes."""
+    vocab = corpus.build_vocabulary([["good", "bad", "film"]])
+    config = optim.TrainConfig(variant=variant, widths=(1, 2), maps_per_width=1, dim=2)
+    base = np.ones((len(vocab), 2))
+    base[corpus.PAD_ID] = 0.0
+    return evaluate.initial_params(config, base, 2), vocab, config
+
+
+def _one_class(params, config):
+    params.output = net.OutputLayer(params.output.weights[:1], params.output.biases[:1])
+
+
+class TestSaveRefusesWhatLoadRefuses:
+    """`save_checkpoint` and `load_checkpoint` share one rule for what a
+    checkpoint may hold, so save refuses, with load's reason, every model
+    that load would refuse once written."""
+
+    @pytest.mark.parametrize("spoil, message", [
+        (_one_class, "output layer needs at least two classes, got 1"),
+        (lambda params, config: setattr(config, "norm_limit", float("nan")),
+         "norm_limit must be finite, got nan"),
+        (lambda params, config: setattr(config, "batch_size", 0), "batch_size must be >= 1"),
+        (lambda params, config: operator.setitem(params.output.weights, (0, 0), np.nan),
+         "tensor output.weights holds non-finite values"),
+        (lambda params, config: operator.setitem(params.filters[1].biases, 0, np.inf),
+         "tensor conv2.biases holds non-finite values"),
+        (lambda params, config: operator.setitem(params.channels[0].matrix, corpus.PAD_ID, 0.5),
+         "pad row must be zero")],
+        ids=["one-class", "nan-config", "zero-batch", "nan-weight", "inf-bias", "pad-row"])
+    def test_save_refuses_with_the_reason_load_gives(self, tmp_path, spoil, message):
+        params, vocab, config = _tiny_model()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, vocab, config)
+        before = path.read_bytes()
+        spoil(params, config)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            save_checkpoint(path, params, vocab, config)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == [path.name]
+        unchecked = tmp_path / "unchecked.ckpt"
+        _write_unchecked(unchecked, params, vocab, config)
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_checkpoint(unchecked)
+
+
 class TestCheckpointMapping:
     """Loaded tensors are copy-on-write views of the mapped file, and a save
     replaces a file instead of rewriting it."""
@@ -734,11 +793,45 @@ print("ok")
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
         assert os.listdir(copied.parent) == [copied.name]
 
-    def test_failed_save_leaves_the_old_file(self, workdir, copied):
+    def test_failed_save_leaves_the_old_file(self, workdir, copied, monkeypatch):
+        before = copied.read_bytes()
+        ckpt = load_checkpoint(workdir["ckpt"])
+        reached = []
+
+        class FullDisk:
+            """A file whose write fails once the file would pass half the
+            checkpoint's size, after the earlier writes reached the disk."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+
+            def write(self, data):
+                if self.fh.tell() + memoryview(data).nbytes > len(before) // 2:
+                    self.fh.flush()
+                    reached.append(os.fstat(self.fh.fileno()).st_size)
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.fh.write(data)
+
+        monkeypatch.setattr(checkpoint, "open", lambda *args: FullDisk(open(*args)),
+                            raising=False)
+        with pytest.raises(OSError) as failed:
+            save_checkpoint(copied, ckpt.params, ckpt.vocab, ckpt.config)
+        assert failed.value.errno == errno.ENOSPC
+        assert reached and reached[0] > 0  # bytes reached the temporary file
+        assert copied.read_bytes() == before
+        assert os.listdir(copied.parent) == [copied.name]
+
+    def test_non_numeric_tensor_refused_before_any_file(self, workdir, copied):
         before = copied.read_bytes()
         ckpt = load_checkpoint(workdir["ckpt"])
         ckpt.params.output.biases = np.array(["not a number"] * 2, dtype=object)
-        with pytest.raises(ValueError):  # raised after the earlier tensors were written
+        with pytest.raises(ValueError, match="tensor output.biases is not numeric"):
             save_checkpoint(copied, ckpt.params, ckpt.vocab, ckpt.config)
         assert copied.read_bytes() == before
         assert os.listdir(copied.parent) == [copied.name]
@@ -823,7 +916,7 @@ class TestCheckpointRejections:
         ckpt = load_checkpoint(workdir["ckpt"])
         ckpt.config.norm_limit = float("nan")
         path = tmp_path / "nan-config.ckpt"
-        save_checkpoint(path, ckpt.params, ckpt.vocab, ckpt.config)
+        _write_unchecked(path, ckpt.params, ckpt.vocab, ckpt.config)
         code, captured = self._predict(path, capsys)
         assert code == EXIT_CORRUPT
         assert captured.out == ""
@@ -841,8 +934,10 @@ class TestCheckpointRejections:
         assert captured.out == ""
         assert "UTF-8" in captured.err
 
-    @pytest.mark.parametrize("replacement", [b"good sh", b"good\n\nh"])
-    def test_vocabulary_word_with_whitespace(self, workdir, tmp_path, capsys, replacement):
+    @pytest.mark.parametrize("replacement, word", [
+        pytest.param(b"good sh", "good sh", id="good sh"),
+        pytest.param(b"good\n\nh", "", id="good\n\nh")])
+    def test_vocabulary_word_with_whitespace(self, workdir, tmp_path, capsys, replacement, word):
         path = _resaved(workdir, tmp_path, lambda params: None)
         blob = path.read_bytes()
         assert blob.count(b"\ngoodish\n") == 1
@@ -850,7 +945,7 @@ class TestCheckpointRejections:
         code, captured = self._predict(path, capsys)
         assert code == EXIT_CORRUPT
         assert captured.out == ""
-        assert "vocabulary holds an empty word or one with whitespace" in captured.err
+        assert f"vocabulary word {word!r} is empty or holds whitespace" in captured.err
 
     @pytest.mark.parametrize("field", ["dim", "classes"])
     def test_impossible_dims(self, workdir, tmp_path, capsys, monkeypatch, field):
@@ -894,13 +989,10 @@ class TestCheckpointRejections:
 
     @staticmethod
     def _fuzz(tmp_path, variant):
-        """Every truncation is rejected; every flipped byte loads or is rejected."""
-        vocab = corpus.build_vocabulary([["good", "bad", "film"]])
-        config = optim.TrainConfig(variant=variant, widths=(1, 2), maps_per_width=1, dim=2)
-        base = np.ones((len(vocab), 2))
-        base[0] = 0.0
-        params = evaluate.initial_params(config, base, 2)
-        path = tmp_path / "tiny.ckpt"
+        """Every truncation is rejected; every flipped byte is rejected, or
+        loads and saves back to its own bytes (save accepts what load does)."""
+        params, vocab, config = _tiny_model(variant)
+        path, again = tmp_path / "tiny.ckpt", tmp_path / "again.ckpt"
         save_checkpoint(path, params, vocab, config, "epoch,train_loss,dev_acc\n")
         blob = path.read_bytes()
         assert isinstance(load_checkpoint(path), Checkpoint)
@@ -908,9 +1000,11 @@ class TestCheckpointRejections:
         def loads_or_rejects(data):
             path.write_bytes(data)
             try:
-                assert isinstance(load_checkpoint(path), Checkpoint)
+                ckpt = load_checkpoint(path)
             except CheckpointError:
-                pass
+                return
+            save_checkpoint(again, ckpt.params, ckpt.vocab, ckpt.config, ckpt.history_csv)
+            assert again.read_bytes() == data
 
         for end in range(len(blob)):
             path.write_bytes(blob[:end])

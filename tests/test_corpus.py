@@ -328,6 +328,22 @@ class TestLoadTsv:
         with pytest.raises(ValueError, match="line 2"):
             corpus.load_tsv(p)
 
+    # `int` reads each of these as a label: 1, 10, 1 and 1.
+    @pytest.mark.parametrize("label", ["0_1", "1_0", "\u0661", "\uff11"])
+    def test_label_is_ascii_decimal(self, tmp_path, label):
+        p = tmp_path / "d.tsv"
+        p.write_text(f"0\tok\n{label}\toops\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"line 2: bad label {label!r}"):
+            corpus.load_tsv(p)
+
+    def test_signed_and_spaced_labels_still_read(self, tmp_path):
+        p = tmp_path / "d.tsv"
+        p.write_text(" 1 \tspaced\n+0\tsigned\n-1\tnegative\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 3: negative label -1"):
+            corpus.load_tsv(p)
+        p.write_text(" 1 \tspaced\n+0\tsigned\n", encoding="utf-8")
+        assert corpus.load_tsv(p) == [(1, "spaced"), (0, "signed")]
+
     def test_empty_file_raises(self, tmp_path):
         p = tmp_path / "d.tsv"
         p.write_text("\n\n", encoding="utf-8")

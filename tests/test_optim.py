@@ -658,6 +658,19 @@ class TestConfigText:
         with pytest.raises(ValueError, match="line 1"):
             parse_config("batch_size = many\n")
 
+    # `int` reads "3,4_0" as widths (3, 40) and "1_0" as 10.
+    @pytest.mark.parametrize("text", ["widths = 3,4_0\n", "seed = 1_0\n",
+                                      "maps_per_width = \u0661\n", "batch_size = \uff15\n"])
+    def test_integers_are_ascii_decimal(self, text):
+        key = text.split(" = ")[0]
+        with pytest.raises(ValueError, match=f"^line 1: bad value for {key!r}: "):
+            parse_config(text)
+
+    def test_signed_integers_still_read(self):
+        assert parse_config("seed = +3\nwidths = 2, 4\n").seed == 3
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            parse_config("seed = -1\n")
+
     def test_validation_rejects_bad_fields(self):
         for text in ("keep_prob = 0.0\n", "variant = magic\n", "widths = 0\n",
                      "widths = 3,3\n", "norm_limit = -1.0\n", "norm_limit = nan\n",
