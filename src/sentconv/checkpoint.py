@@ -113,10 +113,10 @@ def _model(config: optim.TrainConfig, words: list[str], classes: int,
     """The model and vocabulary of a checkpoint: the one rule for what one may
     hold, shared by save and load.  `words` start with the pad token; `tensors`
     (in `net.all_tensors` order) are drawn once the config, words and class
-    count that size them pass.  Raises ValueError, in this order, for a bad
-    config or vocabulary, fewer than two classes, other shapes than
-    `_tensor_shapes`, a nonzero pad row, a non-numeric or non-finite tensor."""
-    config.validate()
+    count that size them pass; the config's type, not `_model`, checks it when
+    it is made.  Raises ValueError, in this order, for a bad vocabulary, fewer
+    than two classes, other shapes than `_tensor_shapes`, a nonzero pad row, a
+    non-numeric or non-finite tensor."""
     if words[0] != PAD_TOKEN:
         raise ValueError("vocabulary does not start with the pad token")
     if "\n".join(words).split() != words:

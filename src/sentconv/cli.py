@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage, 2 validation, 3 corrupt artifact, 4 query error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -40,7 +41,7 @@ def _build_parser() -> _Parser:
     train.add_argument("--data", required=True, help="<label>TAB<sentence> lines")
     train.add_argument("--vectors", help="pre-trained vectors (word2vec binary or text)")
     train.add_argument("--variant", choices=embed.VARIANTS, help="override config variant")
-    train.add_argument("--seed", type=int, help="override config seed")
+    train.add_argument("--seed", type=corpus.decimal_int, help="override config seed")
     train.add_argument("--cv", action="store_true", help="10-fold cross-validation")
     train.add_argument("--checkpoint", help="where to save the trained model")
     train.add_argument("--out", help="where to write the history/report file")
@@ -52,7 +53,7 @@ def _build_parser() -> _Parser:
     neighbors = sub.add_parser("neighbors", help="nearest words per embedding channel")
     neighbors.add_argument("--checkpoint", required=True)
     neighbors.add_argument("query", help="vocabulary word to look up")
-    neighbors.add_argument("--count", type=int, default=4)
+    neighbors.add_argument("--count", type=corpus.decimal_int, default=4)
 
     inspect = sub.add_parser("inspect-data", help="print dataset summary statistics")
     inspect.add_argument("--data", required=True)
@@ -70,11 +71,8 @@ def _load_and_encode(data_path, h_max: int):
 
 def cmd_train(args) -> int:
     config = optim.load_config(args.config) if args.config else optim.TrainConfig()
-    if args.variant is not None:
-        config.variant = args.variant
-    if args.seed is not None:
-        config.seed = args.seed
-    config.validate()
+    overrides = {"variant": args.variant, "seed": args.seed}
+    config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
     if config.variant != "rand" and not args.vectors:
         raise ValueError(f"{config.variant} variant requires --vectors")
 

@@ -155,11 +155,12 @@ def select_dev_split(dataset: Dataset, fraction: float = 0.10, seed: int = 0):
     return dataset.subset(train_idx), dataset.subset(dev_idx)
 
 
-def decimal_int(text: str) -> int:
-    """`int(text)` without the digit-group underscores and non-ASCII digits it takes."""
+def decimal_int(text: str, kind=int):
+    """`kind(text)`, an int unless `kind` is float, without the digit-group
+    underscores and non-ASCII digits that int() and float() take."""
     if "_" in text or not text.strip().isascii():
-        raise ValueError(f"invalid decimal integer {text!r}")
-    return int(text)
+        raise ValueError(f"invalid decimal number {text!r}")
+    return kind(text)
 
 
 def load_tsv(path) -> list[tuple[int, str]]:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seeds import RAND_MATRIX, UNKNOWN_INIT, derive_seed
-from .corpus import PAD_ID, Vocabulary
+from .corpus import PAD_ID, Vocabulary, decimal_int
 
 # Per model variant, the trainable flag of each embedding channel, in channel
 # order.  Every channel starts from the same base matrix.
@@ -50,9 +50,9 @@ class EmbeddingChannel:
 
 def _header(fields, expected_dim: int | None = None):
     """`(count, dim)` if a first line's fields are word2vec's `<count> <dim>` header
-    (two non-negative integers), else None; a zero or unexpected `dim` is rejected."""
+    (two non-negative decimal integers), else None; a zero or unexpected `dim` is rejected."""
     try:
-        count, dim = map(int, fields)
+        count, dim = (decimal_int(field.decode("ascii")) for field in fields)
     except ValueError:
         return None
     if count < 0 or dim < 0:

@@ -48,7 +48,6 @@ def run_cross_validation(dataset: Dataset, config: optim.TrainConfig,
     """Train a clone of `params0` on 9 folds (with an inner dev split for early
     stopping) and score the held-out fold, for each fold in a seed-fixed plan;
     returns the held-out accuracies in fold order."""
-    config.validate()
     plan = cv_fold_plan(len(dataset), config, n_folds)
 
     accuracies = []

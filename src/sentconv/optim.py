@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -17,15 +17,19 @@ _RENORM_SLACK = 1e-12
 # so its two temporaries stay in cache between the chain's passes; its bits
 # are those of the plain expressions.
 _STEP_BLOCK = 16384
-# How a config value is read from text, by the type of its default.  Integers
-# are ASCII decimal: no digit-group underscores, no other scripts' digits.
-_PARSERS = {int: corpus.decimal_int, float: float, str: str,
-            tuple: lambda text: tuple(map(corpus.decimal_int, text.split(",")))}  # widths
+# Each config value's text writer and reader, by the type of its default.
+# Numbers are ASCII decimal: no digit-group underscores, no other scripts' digits.
+_CODECS = {int: (str, corpus.decimal_int), str: (str, str),
+           float: (lambda value: repr(float(value)), lambda text: corpus.decimal_int(text, float)),
+           tuple: (lambda value: ",".join(map(str, value)),  # widths
+                   lambda text: tuple(map(corpus.decimal_int, text.split(","))))}
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """All training hyperparameters, round-trippable through `key = value` text."""
+    """All training hyperparameters, checked when made and never changed: derive
+    one with `dataclasses.replace`.  Each value is stored as its text reads it
+    back, so parse_config(config_to_text(c)) == c for list or numpy values too."""
 
     variant: str = "rand"
     widths: tuple[int, ...] = (3, 4, 5)
@@ -44,6 +48,15 @@ class TrainConfig:
     rand_init_a: float = 0.25
     unknown_init: str = "variance_matched"
     dev_fraction: float = 0.10
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            write, read = _CODECS[type(f.default)]
+            try:
+                object.__setattr__(self, f.name, read(write(getattr(self, f.name))))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"bad value for {f.name!r}: {exc}") from None
+        self.validate()
 
     def validate(self) -> None:
         for f in fields(self):
@@ -79,17 +92,9 @@ class TrainConfig:
             raise ValueError("dev_fraction must be in (0, 1)")
 
 
-def _format_value(value) -> str:
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def config_to_text(config: TrainConfig) -> str:
     """Canonical serialization; parse_config(config_to_text(c)) == c."""
-    return "".join(f"{f.name} = {_format_value(getattr(config, f.name))}\n"
+    return "".join(f"{f.name} = {_CODECS[type(f.default)][0](getattr(config, f.name))}\n"
                    for f in fields(TrainConfig))
 
 
@@ -97,8 +102,7 @@ def parse_config(text: str) -> TrainConfig:
     """Parse flat `key = value` lines, which only a newline ends (a form feed
     or U+2028 does not); `#` starts a comment, unknown or repeated keys
     reject."""
-    defaults = TrainConfig()
-    parsers = {f.name: _PARSERS[type(getattr(defaults, f.name))] for f in fields(TrainConfig)}
+    readers = {f.name: _CODECS[type(f.default)][1] for f in fields(TrainConfig)}
     overrides = {}
     for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
@@ -107,17 +111,15 @@ def parse_config(text: str) -> TrainConfig:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected `key = value`")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in parsers:
+        if key not in readers:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         if key in overrides:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         try:
-            overrides[key] = parsers[key](value)
+            overrides[key] = readers[key](value)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad value for {key!r}: {exc}") from None
-    config = replace(TrainConfig(), **overrides)
-    config.validate()
-    return config
+    return TrainConfig(**overrides)
 
 
 def load_config(path) -> TrainConfig:
@@ -289,12 +291,12 @@ class FitResult:
 
 def fit(params: net.ModelParams, train_examples, dev_examples, config: TrainConfig,
         *, fold: int = 0) -> FitResult:
-    """Train with per-epoch dev evaluation; returns the best-dev-epoch parameters."""
+    """Train with per-epoch dev evaluation; returns the best-dev-epoch
+    parameters.  `config` needs no check here: a TrainConfig is valid once made."""
     if not train_examples:
         raise ValueError("empty training set")
     if not dev_examples:
         raise ValueError("empty dev set")
-    config.validate()
     states = init_states(params, config.rho, config.eps)
     mask_rng = np.random.default_rng([config.seed, DROPOUT, fold])
     shuffle_seed = derive_seed(config.seed, SHUFFLE, fold)

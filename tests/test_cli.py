@@ -93,8 +93,7 @@ class TestTrainCommand:
         code = main(["train", "--data", str(workdir["data"]), "--variant", "rand",
                      "--seed", "7", "--cv", "--out", str(out_file),
                      "--config", str(workdir["config"])])
-        config = optim.load_config(workdir["config"])
-        config.variant = "rand"
+        config = dataclasses.replace(optim.load_config(workdir["config"]), variant="rand")
         expected = (f"# seed=7 variant=rand config={evaluate.config_fingerprint(config)}\n"
                     "fold,accuracy\n0,0.500000\n1,0.750000\nmean,0.625000\n")
         assert code == EXIT_OK
@@ -289,6 +288,20 @@ class TestTrainCommand:
     def test_usage_error_exit_code(self, capsys):
         assert main(["train"]) == EXIT_USAGE  # --data is required
         assert main(["no-such-command"]) == EXIT_USAGE
+
+    # argparse's `int` reads "1_0" as 10 and an Arabic-Indic three as 3.
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "missing.tsv", "--seed", "1_0"],
+        ["train", "--data", "missing.tsv", "--seed", "\u0663"],
+        ["neighbors", "--checkpoint", "missing.ckpt", "good", "--count", "1_0"],
+        ["neighbors", "--checkpoint", "missing.ckpt", "good", "--count", "\u0663"]],
+        ids=["seed-underscore", "seed-arabic-indic", "count-underscore", "count-arabic-indic"])
+    def test_seed_and_count_are_ascii_decimal(self, capsys, argv):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"sentconv: argument {argv[-2]}: invalid decimal_int value: "
+                                f"{argv[-1]!r}\n")
 
 
 def _predict_process(ckpt, stdin: bytes, source="-"):
@@ -680,9 +693,20 @@ class TestCheckpointDescribesTheModel:
         assert path.read_bytes() == before
         assert os.listdir(path.parent) == [path.name]
 
+    # Each config is stored as its text reads it back: a list of widths as a
+    # tuple, a numpy float as a float.  Both once saved text that load refused.
+    @pytest.mark.parametrize("change", [{"widths": [3, 5]}, {"norm_limit": np.float64(3.0)}],
+                             ids=["list-widths", "numpy-float"])
+    def test_what_save_writes_load_reads(self, saved, change):
+        path, params, vocab, config = saved
+        given = dataclasses.replace(config, **change)
+        assert given == config
+        save_checkpoint(path, params, vocab, given)
+        assert load_checkpoint(path).config == given
+
     def test_the_unchecked_writer_writes_what_save_writes(self, saved, tmp_path):
         path, params, vocab, config = saved
-        _write_unchecked(tmp_path / "unchecked.ckpt", params, vocab, config)
+        _write_unchecked(tmp_path / "unchecked.ckpt", params, vocab, optim.config_to_text(config))
         assert (tmp_path / "unchecked.ckpt").read_bytes() == path.read_bytes()
 
 
@@ -695,7 +719,7 @@ def _tiny_model(variant="rand"):
     return evaluate.initial_params(config, base, 2), vocab, config
 
 
-def _one_class(params, config):
+def _one_class(params):
     params.output = net.OutputLayer(params.output.weights[:1], params.output.biases[:1])
 
 
@@ -704,16 +728,17 @@ class TestSaveRefusesWhatLoadRefuses:
     checkpoint may hold, so save refuses, with load's reason, every model
     that load would refuse once written."""
 
+    # A config change is a dict of fields: no such config can be made, so its
+    # half of the rule is that making it raises load's reason.
     @pytest.mark.parametrize("spoil, message", [
         (_one_class, "output layer needs at least two classes, got 1"),
-        (lambda params, config: setattr(config, "norm_limit", float("nan")),
-         "norm_limit must be finite, got nan"),
-        (lambda params, config: setattr(config, "batch_size", 0), "batch_size must be >= 1"),
-        (lambda params, config: operator.setitem(params.output.weights, (0, 0), np.nan),
+        ({"norm_limit": float("nan")}, "norm_limit must be finite, got nan"),
+        ({"batch_size": 0}, "batch_size must be >= 1"),
+        (lambda params: operator.setitem(params.output.weights, (0, 0), np.nan),
          "tensor output.weights holds non-finite values"),
-        (lambda params, config: operator.setitem(params.filters[1].biases, 0, np.inf),
+        (lambda params: operator.setitem(params.filters[1].biases, 0, np.inf),
          "tensor conv2.biases holds non-finite values"),
-        (lambda params, config: operator.setitem(params.channels[0].matrix, corpus.PAD_ID, 0.5),
+        (lambda params: operator.setitem(params.channels[0].matrix, corpus.PAD_ID, 0.5),
          "pad row must be zero")],
         ids=["one-class", "nan-config", "zero-batch", "nan-weight", "inf-bias", "pad-row"])
     def test_save_refuses_with_the_reason_load_gives(self, tmp_path, spoil, message):
@@ -721,14 +746,22 @@ class TestSaveRefusesWhatLoadRefuses:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, vocab, config)
         before = path.read_bytes()
-        spoil(params, config)
-        with pytest.raises(ValueError, match=re.escape(message)):
-            save_checkpoint(path, params, vocab, config)
+        config_text = optim.config_to_text(config)
+        if isinstance(spoil, dict):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                dataclasses.replace(config, **spoil)
+            (key, value), = spoil.items()
+            config_text = re.sub(f"(?m)^{key} = .*$", f"{key} = {value}", config_text)
+            message = f"bad embedded config: {message}"
+        else:
+            spoil(params)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                save_checkpoint(path, params, vocab, config)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == [path.name]
         unchecked = tmp_path / "unchecked.ckpt"
-        _write_unchecked(unchecked, params, vocab, config)
-        with pytest.raises(CheckpointError, match=re.escape(message)):
+        _write_unchecked(unchecked, params, vocab, config_text)
+        with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
             load_checkpoint(unchecked)
 
 
@@ -848,12 +881,13 @@ print("ok")
         assert stat.S_IMODE(fresh.stat().st_mode) == 0o640
 
 
-def _write_unchecked(path, params, vocab, config, history_csv=""):
-    """The checkpoint format written with no check that the config describes
-    the model, as a faulty or foreign writer could leave a file."""
+def _write_unchecked(path, params, vocab, config_text, history_csv=""):
+    """The checkpoint format written with no check that the config text is a
+    config, or one that describes the model, as a faulty or foreign writer
+    could leave a file."""
     with open(path, "wb") as fh:
         fh.write(checkpoint.MAGIC + struct.pack("<I", checkpoint.VERSION))
-        for text in (optim.config_to_text(config), history_csv, "\n".join(vocab.id_to_word)):
+        for text in (config_text, history_csv, "\n".join(vocab.id_to_word)):
             data = text.encode("utf-8")
             fh.write(struct.pack("<I", len(data)) + data)
         fh.write(struct.pack("<I", params.num_classes))
@@ -867,7 +901,8 @@ def _resaved(workdir, tmp_path, mutate, history_csv=""):
     ckpt = load_checkpoint(workdir["ckpt"])
     mutate(ckpt.params)
     path = tmp_path / "changed.ckpt"
-    _write_unchecked(path, ckpt.params, ckpt.vocab, ckpt.config, history_csv)
+    _write_unchecked(path, ckpt.params, ckpt.vocab, optim.config_to_text(ckpt.config),
+                     history_csv)
     return path
 
 
@@ -913,10 +948,12 @@ class TestCheckpointRejections:
         assert "non-finite" in captured.err
 
     def test_invalid_embedded_config(self, workdir, tmp_path, capsys):
+        # No config holds nan, so the bad value is planted in the config text.
         ckpt = load_checkpoint(workdir["ckpt"])
-        ckpt.config.norm_limit = float("nan")
+        text = re.sub("(?m)^norm_limit = .*$", "norm_limit = nan",
+                      optim.config_to_text(ckpt.config))
         path = tmp_path / "nan-config.ckpt"
-        _write_unchecked(path, ckpt.params, ckpt.vocab, ckpt.config)
+        _write_unchecked(path, ckpt.params, ckpt.vocab, text)
         code, captured = self._predict(path, capsys)
         assert code == EXIT_CORRUPT
         assert captured.out == ""
@@ -954,9 +991,10 @@ class TestCheckpointRejections:
         # array is allocated or any view of the mapped file is made for them.
         ckpt = load_checkpoint(workdir["ckpt"])
         path = tmp_path / "huge.ckpt"
+        config = ckpt.config
         if field == "dim":
-            ckpt.config.dim = 1099511627776
-        _write_unchecked(path, ckpt.params, ckpt.vocab, ckpt.config)
+            config = dataclasses.replace(config, dim=1099511627776)
+        _write_unchecked(path, ckpt.params, ckpt.vocab, optim.config_to_text(config))
         if field == "classes":
             blob = bytearray(path.read_bytes())
             at = len(blob) - 8 * sum(t.size for _, t in net.all_tensors(ckpt.params)) - 4

@@ -64,6 +64,14 @@ class TestParseBinary:
             with pytest.raises(ValueError, match="bad header"):
                 parse_word2vec_binary(io.BytesIO(blob), vocab)
 
+    # `int` reads b"1_0" as 10, so "1_0 3" was a header of ten records.
+    @pytest.mark.parametrize("first", [b"1_0 3\n", b"1 0_3\n", b"\xd9\xa1 3\n"])
+    def test_header_fields_are_ascii_decimal(self, first):
+        assert embed._header(first.split()) is None
+        with pytest.raises(ValueError, match="^bad header$"):
+            parse_word2vec_binary(io.BytesIO(first + b"cat " + bytes(12) * 10),
+                                  build_vocabulary([["cat"]]))
+
     def test_truncated_record(self):
         vocab = build_vocabulary([["cat", "dog"]])
         blob = binary_fixture(CAT_DOG)

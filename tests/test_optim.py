@@ -1,5 +1,8 @@
 """Adadelta updates, norm projection, batching, training loop, early stopping."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -531,7 +534,7 @@ class TestFit:
         """`fit` with `net.accuracy` returning `accuracies` in turn; returns the
         result and the live params' tensor hashes at each epoch's dev score."""
         params, dataset, config = tiny_setup(keep_prob=0.5)
-        config.patience, config.max_epochs = patience, max_epochs
+        config = dataclasses.replace(config, patience=patience, max_epochs=max_epochs)
         scripted, seen = iter(accuracies), []
 
         def scripted_accuracy(scored, examples):
@@ -565,7 +568,7 @@ class TestFit:
 
     def test_max_epochs_one(self):
         params, dataset, config = tiny_setup()
-        config.max_epochs = 1
+        config = dataclasses.replace(config, max_epochs=1)
         train_ds, dev_ds = corpus.select_dev_split(dataset, 0.10, seed=3)
         result = fit(params, train_ds.examples, dev_ds.examples, config)
         assert len(result.history) == 1
@@ -574,7 +577,7 @@ class TestFit:
         # Epoch 1's finite dev accuracy always beats the initial -inf best, so
         # it sets the result.
         params, dataset, config = tiny_setup(keep_prob=0.5)
-        config.max_epochs = 1
+        config = dataclasses.replace(config, max_epochs=1)
         train_ds, dev_ds = corpus.select_dev_split(dataset, 0.10, seed=3)
         initial = tensor_hashes(params)
         result = fit(params, train_ds.examples, dev_ds.examples, config)
@@ -596,7 +599,7 @@ class TestFit:
 
     def test_early_stop_bounds_epochs(self):
         params, dataset, config = tiny_setup()
-        config.max_epochs, config.patience = 20, 2
+        config = dataclasses.replace(config, max_epochs=20, patience=2)
         train_ds, dev_ds = corpus.select_dev_split(dataset, 0.10, seed=3)
         result = fit(params, train_ds.examples, dev_ds.examples, config)
         stale = len(result.history) - result.best_epoch
@@ -619,10 +622,38 @@ class TestFit:
     def test_synthetic_separable_reaches_high_accuracy(self):
         params, dataset, config = tiny_setup(n=240, keep_prob=0.5, separable=True,
                                              init_scale=0.1, batch_size=10)
-        config.max_epochs, config.patience = 25, 25
+        config = dataclasses.replace(config, max_epochs=25, patience=25)
         train_ds, dev_ds = corpus.select_dev_split(dataset, 0.10, seed=3)
         result = fit(params, train_ds.examples, dev_ds.examples, config)
         assert result.best_dev_accuracy >= 0.95
+
+
+class TestConfigIsValidOnceMade:
+    def test_fields_cannot_be_assigned(self):
+        config = TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.seed = 2
+        assert config == TrainConfig()
+
+    def test_values_are_stored_as_their_text_reads_back(self):
+        config = TrainConfig(widths=[2, np.int64(4)], norm_limit=np.float64(2.5),
+                             seed=np.int64(3), keep_prob=1)
+        assert config == TrainConfig(widths=(2, 4), norm_limit=2.5, seed=3, keep_prob=1.0)
+        assert [type(v) for v in (config.widths, config.norm_limit, config.seed)] == [
+            tuple, float, int]
+        assert parse_config(config_to_text(config)) == config
+
+    @pytest.mark.parametrize("change, message", [
+        ({"widths": 3}, "bad value for 'widths': "), ({"seed": 1.5}, "bad value for 'seed': "),
+        ({"norm_limit": None}, "bad value for 'norm_limit': "),
+        ({"batch_size": 0}, "batch_size must be >= 1"),
+        ({"dev_fraction": float("inf")}, "dev_fraction must be finite, got inf")],
+        ids=["int-widths", "float-seed", "none-norm-limit", "zero-batch", "inf-dev-fraction"])
+    def test_a_bad_value_raises_when_made(self, change, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            TrainConfig(**change)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            dataclasses.replace(TrainConfig(), **change)
 
 
 class TestConfigText:
@@ -662,6 +693,14 @@ class TestConfigText:
     @pytest.mark.parametrize("text", ["widths = 3,4_0\n", "seed = 1_0\n",
                                       "maps_per_width = \u0661\n", "batch_size = \uff15\n"])
     def test_integers_are_ascii_decimal(self, text):
+        key = text.split(" = ")[0]
+        with pytest.raises(ValueError, match=f"^line 1: bad value for {key!r}: "):
+            parse_config(text)
+
+    # `float` reads "1_0.5" as 10.5 and Arabic-Indic digits as ASCII ones.
+    @pytest.mark.parametrize("text", ["norm_limit = 1_0.5\n", "rho = \u0660.\u0669\n",
+                                      "eps = 1e-0_6\n"])
+    def test_floats_are_ascii_decimal(self, text):
         key = text.split(" = ")[0]
         with pytest.raises(ValueError, match=f"^line 1: bad value for {key!r}: "):
             parse_config(text)
