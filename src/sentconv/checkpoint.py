@@ -112,10 +112,10 @@ def _model(config: optim.TrainConfig, words: list[str], classes: int,
            tensors) -> tuple[net.ModelParams, Vocabulary]:
     """The model and vocabulary of a checkpoint: the one rule for what one may
     hold, shared by save and load.  `words` start with the pad token; `tensors`
-    (in `net.all_tensors` order) are drawn once the config, words and class
-    count that size them pass; the config's type, not `_model`, checks it when
-    it is made.  Raises ValueError, in this order, for a bad vocabulary, fewer
-    than two classes, other shapes than `_tensor_shapes`, a nonzero pad row, a
+    (in `net.all_tensors` order) are drawn once the words pass; the config's
+    and the model's types, not `_model`, check them when made.  Raises
+    ValueError, in this order, for a bad vocabulary, other shapes than
+    `_tensor_shapes`, a nonzero pad row, fewer than two classes, a
     non-numeric or non-finite tensor."""
     if words[0] != PAD_TOKEN:
         raise ValueError("vocabulary does not start with the pad token")
@@ -125,8 +125,6 @@ def _model(config: optim.TrainConfig, words: list[str], classes: int,
     vocab = Vocabulary(words[1:])
     if len(vocab) != len(words):
         raise ValueError("duplicate words in checkpoint vocabulary")
-    if classes < 2:
-        raise ValueError(f"output layer needs at least two classes, got {classes}")
     tensors = list(tensors)
     if [tensor.shape for tensor in tensors] != _tensor_shapes(config, len(words), classes):
         raise ValueError("the config and vocabulary give other tensor shapes than the model's")

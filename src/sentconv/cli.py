@@ -75,6 +75,8 @@ def cmd_train(args) -> int:
     config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
     if config.variant != "rand" and not args.vectors:
         raise ValueError(f"{config.variant} variant requires --vectors")
+    if config.variant == "rand" and args.vectors:
+        sys.stderr.write("sentconv: the rand variant draws its embeddings; --vectors is ignored\n")
 
     dataset, vocab, _ = _load_and_encode(args.data, max(config.widths))
     # Only the model holds the base matrix: frozen channels view it, trainable

@@ -45,9 +45,9 @@ def fit_with_dev_split(params: net.ModelParams, dataset: Dataset, config: optim.
 
 def run_cross_validation(dataset: Dataset, config: optim.TrainConfig,
                          params0: net.ModelParams, n_folds: int = 10) -> list[float]:
-    """Train a clone of `params0` on 9 folds (with an inner dev split for early
-    stopping) and score the held-out fold, for each fold in a seed-fixed plan;
-    returns the held-out accuracies in fold order."""
+    """For each fold of a seed-fixed plan, train a clone of `params0` (with its
+    keep_prob and activation, not `config`'s) on the other 9 folds, with an inner
+    dev split for early stopping; returns the held-out folds' accuracies in order."""
     plan = cv_fold_plan(len(dataset), config, n_folds)
 
     accuracies = []

@@ -28,7 +28,7 @@ import itertools
 import os
 import re
 from concurrent import futures
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -130,18 +130,14 @@ def _products(pairs, macs: int, held: int):
 def _activate(pre: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
         return np.maximum(pre, 0.0)
-    if kind == "tanh":
-        return np.tanh(pre)
-    raise ValueError(f"unknown activation {kind!r}")
+    return np.tanh(pre)
 
 
 def _activate_grad(pre: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
         return (pre > 0.0).astype(np.float64)
-    if kind == "tanh":
-        t = np.tanh(pre)
-        return 1.0 - t * t
-    raise ValueError(f"unknown activation {kind!r}")
+    t = np.tanh(pre)
+    return 1.0 - t * t
 
 
 @dataclass
@@ -162,8 +158,10 @@ class OutputLayer:
     biases: np.ndarray   # (classes,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelParams:
+    """A model, checked when made and frozen; the arrays it holds stay writable."""
+
     channels: list[EmbeddingChannel]
     filters: list[FilterBank]
     output: OutputLayer
@@ -175,6 +173,12 @@ class ModelParams:
         # their gradients and optimizer states.
         if len({bank.width for bank in self.filters}) != len(self.filters):
             raise ValueError("filter widths must be distinct")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}")
+        if self.num_classes < 2:
+            raise ValueError(f"need at least two classes, got {self.num_classes}")
+        if not 0.0 < self.keep_prob <= 1.0:
+            raise ValueError("keep_prob must be in (0, 1]")
 
     @property
     def num_classes(self) -> int:
@@ -217,11 +221,8 @@ class ForwardTrace:
 def init_params(channels: list[EmbeddingChannel], num_classes: int, widths,
                 maps_per_width: int, seed: int, *, keep_prob: float = 1.0,
                 activation: str = "relu", init_scale: float = 0.01) -> ModelParams:
-    """Fresh parameters: filter/output weights U[-init_scale, init_scale], zero biases."""
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
-    if num_classes < 2:
-        raise ValueError(f"need at least two classes, got {num_classes}")
+    """Fresh parameters: filter/output weights U[-init_scale, init_scale], zero
+    biases.  The draw comes first; `ModelParams` then checks the model."""
     dim = channels[0].dim
     rng = np.random.default_rng(seed)
     banks = []
@@ -567,5 +568,4 @@ def clone_params(params: ModelParams) -> ModelParams:
                 for ch in params.channels]
     banks = [FilterBank(b.weights.copy(), b.biases.copy()) for b in params.filters]
     output = OutputLayer(params.output.weights.copy(), params.output.biases.copy())
-    return ModelParams(channels, banks, output, keep_prob=params.keep_prob,
-                       activation=params.activation)
+    return replace(params, channels=channels, filters=banks, output=output)

@@ -65,7 +65,7 @@ class TrainConfig:
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if self.variant not in embed.VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if not self.widths or any(h < 1 for h in self.widths):
+        if any(h < 1 for h in self.widths):
             raise ValueError("widths must be positive")
         if len(set(self.widths)) != len(self.widths):
             raise ValueError("widths must be distinct")
@@ -292,7 +292,7 @@ class FitResult:
 def fit(params: net.ModelParams, train_examples, dev_examples, config: TrainConfig,
         *, fold: int = 0) -> FitResult:
     """Train with per-epoch dev evaluation; returns the best-dev-epoch
-    parameters.  `config` needs no check here: a TrainConfig is valid once made."""
+    parameters.  keep_prob and the activation are the model's, not `config`'s."""
     if not train_examples:
         raise ValueError("empty training set")
     if not dev_examples:

@@ -119,6 +119,22 @@ class TestTrainCommand:
         assert "dev_accuracy\t" in out
         assert hist.read_text(encoding="utf-8").splitlines()[0] == "epoch,train_loss,dev_acc"
 
+    def test_rand_says_it_ignores_vectors(self, workdir, capsys, monkeypatch, tmp_path):
+        # rand is the default variant, so a run that forgot `--variant static`
+        # would otherwise train random embeddings without a word.  The file
+        # is never opened.
+        monkeypatch.setattr(evaluate, "run_cross_validation", lambda *args: [0.5, 0.75])
+        for extra in ([], ["--cv"]):
+            args = ["train", "--config", str(workdir["config"]), "--data", str(workdir["data"]),
+                    "--variant", "rand"] + extra
+            assert main(args) == EXIT_OK
+            plain = capsys.readouterr()
+            assert main(args + ["--vectors", str(tmp_path / "absent.bin")]) == EXIT_OK
+            warned = capsys.readouterr()
+            assert (plain.err, warned.out) == ("", plain.out)
+            assert warned.err == ("sentconv: the rand variant draws its embeddings; "
+                                  "--vectors is ignored\n")
+
     def test_static_without_vectors_is_validation_error(self, workdir, capsys):
         code = main(["train", "--data", str(workdir["data"]), "--variant", "static"])
         assert code == EXIT_VALIDATION
@@ -719,8 +735,15 @@ def _tiny_model(variant="rand"):
     return evaluate.initial_params(config, base, 2), vocab, config
 
 
+def _keep_classes(params, classes):
+    """Cut the output layer to its first `classes` rows: a model can no longer
+    be made so, but its writable output layer can still be changed."""
+    params.output.weights = params.output.weights[:classes]
+    params.output.biases = params.output.biases[:classes]
+
+
 def _one_class(params):
-    params.output = net.OutputLayer(params.output.weights[:1], params.output.biases[:1])
+    _keep_classes(params, 1)
 
 
 class TestSaveRefusesWhatLoadRefuses:
@@ -731,7 +754,7 @@ class TestSaveRefusesWhatLoadRefuses:
     # A config change is a dict of fields: no such config can be made, so its
     # half of the rule is that making it raises load's reason.
     @pytest.mark.parametrize("spoil, message", [
-        (_one_class, "output layer needs at least two classes, got 1"),
+        (_one_class, "need at least two classes, got 1"),
         ({"norm_limit": float("nan")}, "norm_limit must be finite, got nan"),
         ({"batch_size": 0}, "batch_size must be >= 1"),
         (lambda params: operator.setitem(params.output.weights, (0, 0), np.nan),
@@ -929,14 +952,18 @@ class TestCheckpointRejections:
             elif change == "output":
                 params.output.weights = params.output.weights[:, :-1]
             else:
-                classes = 0 if change == "no-classes" else 1
-                params.output = net.OutputLayer(params.output.weights[:classes],
-                                                params.output.biases[:classes])
+                _keep_classes(params, 0 if change == "no-classes" else 1)
         path = _resaved(workdir, tmp_path, reshape)
         code, captured = self._predict(path, capsys)
         assert code == EXIT_CORRUPT
         assert captured.out == ""
         assert message in captured.err
+
+    def test_a_one_class_checkpoint_gives_the_model_s_reason(self, workdir, tmp_path, capsys):
+        code, captured = self._predict(_resaved(workdir, tmp_path, _one_class), capsys)
+        assert code == EXIT_CORRUPT
+        assert captured.out == ""
+        assert captured.err == "sentconv: corrupt checkpoint: need at least two classes, got 1\n"
 
     def test_non_finite_values(self, workdir, tmp_path, capsys):
         def poison(params):

@@ -1,8 +1,10 @@
 """Forward/backward correctness against independent oracles."""
 
+import dataclasses
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -406,6 +408,83 @@ def assert_grads_close(analytic, numeric, rel=1e-6, tiny=1e-8, atol=1e-9):
     big = np.abs(analytic) >= tiny
     assert np.all(diff[big] <= rel * scale[big]), f"rel err {np.max(diff[big] / scale[big])}"
     assert np.all(diff[~big] <= atol)
+
+
+class TestModelIsValidOnceMade:
+    """`ModelParams` owns what a model may be: a bad one raises when it is
+    made, by `init_params`, by a caller or by `dataclasses.replace`, never
+    at its first forward pass or not at all."""
+
+    @staticmethod
+    def _parts(num_classes=2):
+        channels = random_channels(np.random.default_rng(8), 1, 9, 5)
+        bank = net.FilterBank(np.zeros((2, 3, 5)), np.zeros(2))
+        return channels, bank, net.OutputLayer(np.zeros((num_classes, 2)), np.zeros(num_classes))
+
+    @staticmethod
+    def _raises(message):
+        return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
+
+    # nan fails `0 < keep_prob <= 1` too; each of these once fitted and
+    # predicted without error, nan to nan logits, the others to logits
+    # scaled by keep_prob.
+    @pytest.mark.parametrize("keep_prob", [0.0, -1.0, 2.0, float("nan")])
+    def test_keep_prob_outside_zero_to_one_raises(self, keep_prob):
+        channels, bank, output = self._parts()
+        with self._raises("keep_prob must be in (0, 1]"):
+            net.init_params(channels, 2, (3,), 2, seed=1, keep_prob=keep_prob)
+        with self._raises("keep_prob must be in (0, 1]"):
+            net.ModelParams(channels, [bank], output, keep_prob=keep_prob)
+
+    def test_an_unknown_activation_raises_when_made(self):
+        channels, bank, output = self._parts()
+        with self._raises("unknown activation 'sigmoid'"):
+            net.init_params(channels, 2, (3,), 2, seed=1, activation="sigmoid")
+        with self._raises("unknown activation 'sigmoid'"):
+            net.ModelParams(channels, [bank], output, activation="sigmoid")
+
+    # A one-class model would predict its class at probability 1, loss 0.
+    @pytest.mark.parametrize("num_classes", [0, 1])
+    def test_fewer_than_two_classes_raise_when_made(self, num_classes):
+        channels, bank, output = self._parts(num_classes)
+        message = f"need at least two classes, got {num_classes}"
+        with self._raises(message):
+            net.init_params(channels, num_classes, (3,), 2, seed=1)
+        with self._raises(message):
+            net.ModelParams(channels, [bank], output)
+
+    def test_the_checks_run_in_order(self):
+        channels, bank, output = self._parts()
+        good = {"filters": [bank], "activation": "relu", "output": output, "keep_prob": 0.5}
+        bad = {"filters": [bank, bank], "activation": "sigmoid", "output": self._parts(1)[2],
+               "keep_prob": float("nan")}
+        messages = ["filter widths must be distinct", "unknown activation 'sigmoid'",
+                    "need at least two classes, got 1", "keep_prob must be in (0, 1]"]
+        for first, message in enumerate(messages):
+            with self._raises(message):
+                net.ModelParams(channels, **{**good, **dict(list(bad.items())[first:])})
+
+    def test_fields_cannot_be_assigned_and_replace_checks(self):
+        channels, bank, output = self._parts()
+        params = net.ModelParams(channels, [bank], output, keep_prob=0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.keep_prob = 0.3
+        assert params.keep_prob == 0.5
+        with self._raises("keep_prob must be in (0, 1]"):
+            dataclasses.replace(params, keep_prob=0.0)
+        derived = dataclasses.replace(params, keep_prob=0.3)
+        assert derived.keep_prob == 0.3 and derived.output is output
+
+    def test_the_arrays_and_their_holders_stay_writable(self):
+        # Training updates the arrays in place, and `+=` on a holder's field
+        # adds in place and then rebinds the field.
+        channels, bank, output = self._parts()
+        params = net.ModelParams(channels, [bank], output, activation="tanh")
+        params.output.weights += 1.0
+        assert params.output.weights.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+        clone = net.clone_params(params)
+        assert (clone.keep_prob, clone.activation) == (params.keep_prob, "tanh")
+        assert clone.output.weights is not params.output.weights
 
 
 class TestBackward:

@@ -647,8 +647,10 @@ class TestConfigIsValidOnceMade:
         ({"widths": 3}, "bad value for 'widths': "), ({"seed": 1.5}, "bad value for 'seed': "),
         ({"norm_limit": None}, "bad value for 'norm_limit': "),
         ({"batch_size": 0}, "batch_size must be >= 1"),
-        ({"dev_fraction": float("inf")}, "dev_fraction must be finite, got inf")],
-        ids=["int-widths", "float-seed", "none-norm-limit", "zero-batch", "inf-dev-fraction"])
+        ({"dev_fraction": float("inf")}, "dev_fraction must be finite, got inf"),
+        ({"widths": ()}, "bad value for 'widths': invalid literal for int() with base 10: ''")],
+        ids=["int-widths", "float-seed", "none-norm-limit", "zero-batch", "inf-dev-fraction",
+             "empty-widths"])
     def test_a_bad_value_raises_when_made(self, change, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             TrainConfig(**change)
@@ -684,6 +686,12 @@ class TestConfigText:
     def test_duplicate_key_rejected_with_line(self):
         with pytest.raises(ValueError, match="^line 2: duplicate key 'seed'$"):
             parse_config("seed = 1\nseed = 7\n")
+
+    def test_empty_widths_report_line(self):
+        # The tuple reader refuses an empty list before any check could.
+        message = "line 2: bad value for 'widths': invalid literal for int() with base 10: ''"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_config("seed = 1\nwidths =\n")
 
     def test_bad_value_reports_line(self):
         with pytest.raises(ValueError, match="line 1"):
