@@ -78,7 +78,7 @@ for variant in embed.VARIANTS:
     params = evaluate.initial_params(config, base, dataset.num_classes)
     start = time.monotonic()
     fit = optim.fit(params, train.examples, dev.examples, config)
-    acc = evaluate.accuracy(fit.params, held.examples)
+    acc = net.accuracy(fit.params, held.examples)
     results[variant] = fit
     print(f"{variant:13s} held-out accuracy {acc:.4f}  "
           f"(best epoch {fit.best_epoch}, {time.monotonic() - start:.0f}s)")

@@ -5,9 +5,9 @@ history text and vocabulary (the words joined by newlines, pad first), a u32
 class count, and finally every tensor's float64 little-endian data in
 `net.all_tensors` order.  No tensor carries a name or shape: the embedded
 config, the vocabulary size and the class count fix them all
-(`_tensor_shapes`).  No trailing bytes.  Files of other versions, VERSION 1
+(`optim.tensor_shapes`).  No trailing bytes; other versions, VERSION 1
 included, are rejected.  `_model` is the one rule for what a checkpoint may
-hold, and `save_checkpoint` and `load_checkpoint` both apply it.
+hold, for save and load alike; save then applies `optim.check_model`.
 
 `load_checkpoint` maps the file once, privately and copy-on-write, and every
 tensor it returns is a view of that mapping: no table is read into fresh
@@ -83,21 +83,10 @@ class _Reader:
         except UnicodeDecodeError:
             raise CheckpointError("string is not valid UTF-8") from None
 
-    def array(self, *shape: int) -> np.ndarray:
+    def array(self, shape: tuple[int, ...]) -> np.ndarray:
         count = math.prod(shape)
         start = self._take(8 * count)
         return np.frombuffer(self.map, dtype="<f8", count=count, offset=start).reshape(shape)
-
-
-def _tensor_shapes(config: optim.TrainConfig, vocab_size: int,
-                   classes: int) -> list[tuple[int, ...]]:
-    """Every tensor's shape, in `net.all_tensors` order, as the config, the
-    vocabulary size and the class count fix them."""
-    dim, maps = config.dim, config.maps_per_width
-    shapes = [(vocab_size, dim)] * len(embed.VARIANT_CHANNELS[config.variant])
-    for h in config.widths:
-        shapes += [(maps, h, dim), (maps,)]
-    return shapes + [(classes, maps * len(config.widths)), (classes,)]
 
 
 @dataclass
@@ -115,7 +104,7 @@ def _model(config: optim.TrainConfig, words: list[str], classes: int,
     (in `net.all_tensors` order) are drawn once the words pass; the config's
     and the model's types, not `_model`, check them when made.  Raises
     ValueError, in this order, for a bad vocabulary, other shapes than
-    `_tensor_shapes`, a nonzero pad row, fewer than two classes, a
+    `optim.tensor_shapes`, a nonzero pad row, fewer than two classes, a
     non-numeric or non-finite tensor."""
     if words[0] != PAD_TOKEN:
         raise ValueError("vocabulary does not start with the pad token")
@@ -126,7 +115,7 @@ def _model(config: optim.TrainConfig, words: list[str], classes: int,
     if len(vocab) != len(words):
         raise ValueError("duplicate words in checkpoint vocabulary")
     tensors = list(tensors)
-    if [tensor.shape for tensor in tensors] != _tensor_shapes(config, len(words), classes):
+    if [tensor.shape for tensor in tensors] != optim.tensor_shapes(config, len(words), classes):
         raise ValueError("the config and vocabulary give other tensor shapes than the model's")
     flags = embed.VARIANT_CHANNELS[config.variant]
     channels = [embed.EmbeddingChannel(table, trainable=flag)
@@ -145,15 +134,11 @@ def _model(config: optim.TrainConfig, words: list[str], classes: int,
 
 def save_checkpoint(path, params: net.ModelParams, vocab: Vocabulary,
                     config: optim.TrainConfig, history_csv: str = "") -> None:
-    """Write the model, its vocabulary, config and history to `path`.  A model
-    `_model` refuses, or one whose channels, keep_prob or activation are not
-    the config's, raises ValueError before any file is made."""
+    """Write the model, its vocabulary, config and history to `path`.  A model that
+    `_model`, then `optim.check_model`, refuses raises ValueError before any file is made."""
     tensors = [tensor for _, tensor in net.all_tensors(params)]
-    built, _ = _model(config, vocab.id_to_word, params.num_classes, tensors)
-    facts = [([ch.trainable for ch in m.channels], m.keep_prob, m.activation)
-             for m in (built, params)]
-    if facts[0] != facts[1]:
-        raise ValueError("the model's channels, keep_prob or activation are not the config's")
+    _model(config, vocab.id_to_word, params.num_classes, tensors)
+    optim.check_model(config, params)
     # Replace the file, never rewrite it: a process may have it mapped.
     path = os.path.realpath(path)
     tmp = f"{path}.{secrets.token_hex(8)}.tmp"
@@ -191,7 +176,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"bad embedded config: {exc}") from None
         words = reader.text().split("\n")
         classes = reader.u32()
-        tensors = (reader.array(*shape) for shape in _tensor_shapes(config, len(words), classes))
+        tensors = map(reader.array, optim.tensor_shapes(config, len(words), classes))
         try:
             params, vocab = _model(config, words, classes, tensors)
         except ValueError as exc:

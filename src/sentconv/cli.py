@@ -73,8 +73,6 @@ def cmd_train(args) -> int:
     config = optim.load_config(args.config) if args.config else optim.TrainConfig()
     overrides = {"variant": args.variant, "seed": args.seed}
     config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
-    if config.variant != "rand" and not args.vectors:
-        raise ValueError(f"{config.variant} variant requires --vectors")
     if config.variant == "rand" and args.vectors:
         sys.stderr.write("sentconv: the rand variant draws its embeddings; --vectors is ignored\n")
 

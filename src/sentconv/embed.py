@@ -21,6 +21,7 @@ VARIANT_CHANNELS = {
     "multichannel": (False, True),
 }
 VARIANTS = tuple(VARIANT_CHANNELS)
+UNKNOWN_INITS = ("variance_matched", "fixed")
 # Bytes the binary reader and the format sniff take from the file per read.
 _CHUNK = 1 << 20
 
@@ -236,8 +237,8 @@ def build_base_matrix(vocab: Vocabulary, dim: int, variant: str, seed: int,
         matrix, matched, stream = np.zeros((len(vocab), dim), dtype=np.float64), set(), RAND_MATRIX
     elif vectors_path is None:
         raise ValueError(f"{variant} variant requires pre-trained vectors")
-    elif unknown_init not in ("variance_matched", "fixed"):
-        raise ValueError(f"unknown unknown_init mode {unknown_init!r}")
+    elif unknown_init not in UNKNOWN_INITS:
+        raise ValueError(f"unknown unknown_init {unknown_init!r}")
     else:
         (matrix, matched), stream = load_vectors(vectors_path, vocab, dim), UNKNOWN_INIT
         if not matched:

@@ -9,7 +9,6 @@ import numpy as np
 from . import corpus, embed, net, optim
 from ._seeds import DEV_SPLIT, FOLDS, PARAMS, derive_seed
 from .corpus import Dataset, Vocabulary
-from .net import accuracy
 
 
 def config_fingerprint(config: optim.TrainConfig) -> str:
@@ -45,17 +44,17 @@ def fit_with_dev_split(params: net.ModelParams, dataset: Dataset, config: optim.
 
 def run_cross_validation(dataset: Dataset, config: optim.TrainConfig,
                          params0: net.ModelParams, n_folds: int = 10) -> list[float]:
-    """For each fold of a seed-fixed plan, train a clone of `params0` (with its
-    keep_prob and activation, not `config`'s) on the other 9 folds, with an inner
-    dev split for early stopping; returns the held-out folds' accuracies in order."""
+    """For each fold of a seed-fixed plan, train a clone of `params0` on the other
+    9 folds, with an inner dev split for early stopping; returns the held-out folds'
+    accuracies in order.  A model `config` does not describe raises at fold 0."""
     plan = cv_fold_plan(len(dataset), config, n_folds)
 
     accuracies = []
     for fold in range(n_folds):
         result = fit_with_dev_split(net.clone_params(params0),
                                     dataset.subset(np.flatnonzero(plan != fold)), config, fold)
-        accuracies.append(accuracy(result.params,
-                                   dataset.subset(np.flatnonzero(plan == fold)).examples))
+        accuracies.append(net.accuracy(result.params,
+                                       dataset.subset(np.flatnonzero(plan == fold)).examples))
     return accuracies
 
 

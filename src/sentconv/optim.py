@@ -86,7 +86,7 @@ class TrainConfig:
             raise ValueError("seed must be non-negative")
         if self.activation not in net.ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.unknown_init not in ("variance_matched", "fixed"):
+        if self.unknown_init not in embed.UNKNOWN_INITS:
             raise ValueError(f"unknown unknown_init {self.unknown_init!r}")
         if not 0.0 < self.dev_fraction < 1.0:
             raise ValueError("dev_fraction must be in (0, 1)")
@@ -125,6 +125,28 @@ def parse_config(text: str) -> TrainConfig:
 def load_config(path) -> TrainConfig:
     with open(path, encoding="utf-8") as fh:
         return parse_config(fh.read())
+
+
+def tensor_shapes(config: TrainConfig, vocab_size: int, classes: int) -> list[tuple[int, ...]]:
+    """Every tensor's shape, in `net.all_tensors` order, as the config, the
+    vocabulary size and the class count fix them."""
+    dim, maps = config.dim, config.maps_per_width
+    shapes = [(vocab_size, dim)] * len(embed.VARIANT_CHANNELS[config.variant])
+    for h in config.widths:
+        shapes += [(maps, h, dim), (maps,)]
+    return shapes + [(classes, maps * len(config.widths)), (classes,)]
+
+
+def check_model(config: TrainConfig, params: net.ModelParams) -> None:
+    """Raise ValueError unless `params` is the model `config` describes: its shapes
+    (`tensor_shapes`), trainable flags, keep_prob and activation.  `rand` and
+    `non-static` both give one trainable channel, so no check tells them apart."""
+    shapes = [tensor.shape for _, tensor in net.all_tensors(params)]
+    if shapes != tensor_shapes(config, len(params.channels[0].matrix), params.num_classes):
+        raise ValueError("the config gives other tensor shapes than the model's")
+    facts = (tuple(ch.trainable for ch in params.channels), params.keep_prob, params.activation)
+    if facts != (embed.VARIANT_CHANNELS[config.variant], config.keep_prob, config.activation):
+        raise ValueError("the model's channels, keep_prob or activation are not the config's")
 
 
 @dataclass
@@ -292,7 +314,8 @@ class FitResult:
 def fit(params: net.ModelParams, train_examples, dev_examples, config: TrainConfig,
         *, fold: int = 0) -> FitResult:
     """Train with per-epoch dev evaluation; returns the best-dev-epoch
-    parameters.  keep_prob and the activation are the model's, not `config`'s."""
+    parameters.  First, `check_model` refuses a model that `config` does not describe."""
+    check_model(config, params)
     if not train_examples:
         raise ValueError("empty training set")
     if not dev_examples:

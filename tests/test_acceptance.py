@@ -142,7 +142,7 @@ def test_criterion_3_synthetic_end_to_end():
     start = time.monotonic()
     result = optim.fit(params, train_ds.examples, dev_ds.examples, config)
     rand_time = time.monotonic() - start
-    accs = {"rand": evaluate.accuracy(result.params, held.examples)}
+    accs = {"rand": net.accuracy(result.params, held.examples)}
     assert len(result.history) <= 25
     assert accs["rand"] >= 0.95
     assert rand_time < 120.0
@@ -158,7 +158,7 @@ def test_criterion_3_synthetic_end_to_end():
         assert len(matched) == len(vocab) - 1
         params = evaluate.initial_params(config, base, dataset.num_classes)
         result = optim.fit(params, train_ds.examples, dev_ds.examples, config)
-        accs[variant] = evaluate.accuracy(result.params, held.examples)
+        accs[variant] = net.accuracy(result.params, held.examples)
 
     assert accs["static"] >= accs["rand"] - 0.01
     assert accs["non-static"] >= accs["static"] - 0.01

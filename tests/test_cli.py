@@ -138,7 +138,7 @@ class TestTrainCommand:
     def test_static_without_vectors_is_validation_error(self, workdir, capsys):
         code = main(["train", "--data", str(workdir["data"]), "--variant", "static"])
         assert code == EXIT_VALIDATION
-        assert "requires --vectors" in capsys.readouterr().err
+        assert capsys.readouterr().err == "sentconv: static variant requires pre-trained vectors\n"
 
     def test_static_on_headered_text_vectors(self, workdir, capsys, tmp_path):
         """A text file with word2vec's `<count> <dim>` header (fastText's
@@ -188,6 +188,15 @@ class TestTrainCommand:
         code = main(["train", "--data", str(bad), "--variant", "rand"])
         assert code == EXIT_VALIDATION
         assert "line 2" in capsys.readouterr().err
+
+    def test_malformed_dataset_reported_before_missing_vectors(self, tmp_path, capsys):
+        # The data is read before the vector file is asked for.
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("0\tfine\nnot a pair\n", encoding="utf-8")
+        code = main(["train", "--data", str(bad), "--variant", "static"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (f"sentconv: {bad}: line 2: "
+                                           "expected <label><TAB><sentence>\n")
 
     def test_one_class_corpus_rejected(self, tmp_path, capsys):
         # `inspect-data` describes such a corpus; `train` and `--cv` refuse

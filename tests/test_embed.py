@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sentconv import embed
+from sentconv import embed, optim
 from sentconv._seeds import RAND_MATRIX, UNKNOWN_INIT, derive_seed
 from sentconv.corpus import PAD_ID, build_vocabulary
 from sentconv.embed import (
@@ -416,6 +416,15 @@ class TestVarianceMatchedInit:
                                match=r"empty\.txt: no vector matches a vocabulary word"):
                 build_base_matrix(vocab, 4, variant, seed=0, vectors_path=empty,
                                   unknown_init=unknown_init)
+
+    def test_unknown_init_modes_have_one_message(self, tmp_path):
+        # The config and the matrix builder read one list of modes.
+        with pytest.raises(ValueError) as from_config:
+            optim.TrainConfig(unknown_init="bogus")
+        with pytest.raises(ValueError) as from_builder:
+            build_base_matrix(build_vocabulary([words(4)]), 4, "static", seed=0,
+                              vectors_path=tmp_path / "unread.bin", unknown_init="bogus")
+        assert str(from_config.value) == str(from_builder.value) == "unknown unknown_init 'bogus'"
 
     def test_sampled_variance_within_5_percent(self, tmp_path):
         rng = np.random.default_rng(3)

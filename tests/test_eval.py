@@ -10,12 +10,12 @@ from oracles import tensor_hashes
 from sentconv import corpus, embed, evaluate, net, optim
 from sentconv.corpus import Example, build_vocabulary
 from sentconv.evaluate import (
-    accuracy,
     cv_fold_plan,
     nearest_neighbors,
     neighbor_report,
     run_cross_validation,
 )
+from sentconv.net import accuracy
 
 
 def constant_classifier(num_classes, winner, vocab_size=5, dim=4):

@@ -564,7 +564,7 @@ class TestFit:
         assert 1 <= result.best_epoch <= len(result.history)
         best_dev = max(acc for _, _, acc in result.history)
         assert result.best_dev_accuracy == best_dev
-        assert evaluate.accuracy(result.params, dev_ds.examples) == best_dev
+        assert net.accuracy(result.params, dev_ds.examples) == best_dev
 
     def test_max_epochs_one(self):
         params, dataset, config = tiny_setup()
@@ -626,6 +626,44 @@ class TestFit:
         train_ds, dev_ds = corpus.select_dev_split(dataset, 0.10, seed=3)
         result = fit(params, train_ds.examples, dev_ds.examples, config)
         assert result.best_dev_accuracy >= 0.95
+
+
+class TestFitChecksTheModel:
+    """`fit`, and through it the dev-split fit and cross-validation, refuse a
+    config that does not describe the model before any training: a report's
+    config is then the one that ran."""
+
+    RUNS = {
+        "fit": lambda params, dataset, config: fit(
+            params, dataset.examples[:100], dataset.examples[100:], config),
+        "fit_with_dev_split": evaluate.fit_with_dev_split,
+        "run_cross_validation": lambda params, dataset, config: (
+            evaluate.run_cross_validation(dataset, config, params)),
+    }
+
+    @pytest.mark.parametrize("run", RUNS)
+    @pytest.mark.parametrize("variant, change, message", [
+        ("rand", {"keep_prob": 0.5}, "keep_prob"),
+        ("rand", {"activation": "tanh"}, "activation"),
+        ("rand", {"widths": (3, 2)}, "tensor shapes"),
+        ("rand", {"maps_per_width": 4}, "tensor shapes"),
+        ("rand", {"dim": 9}, "tensor shapes"),
+        ("rand", {"variant": "static"}, "channels"),
+        ("non-static", {"variant": "multichannel"}, "tensor shapes")],
+        ids=["keep_prob", "activation", "widths-reordered", "maps", "dim",
+             "static-for-rand", "multichannel-for-non-static"])
+    def test_a_config_that_does_not_describe_the_model_raises(self, monkeypatch, run,
+                                                               variant, change, message):
+        params, dataset, config = tiny_setup(variant=variant)
+        epochs = []
+        monkeypatch.setattr(optim, "train_epoch", lambda *args: epochs.append(args) or 0.0)
+        with pytest.raises(ValueError, match=message):
+            self.RUNS[run](params, dataset, dataclasses.replace(config, **change))
+        assert epochs == []
+
+    def test_rand_and_non_static_give_the_same_model(self):
+        params, _, config = tiny_setup(variant="rand")
+        optim.check_model(dataclasses.replace(config, variant="non-static"), params)
 
 
 class TestConfigIsValidOnceMade:
