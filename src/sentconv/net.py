@@ -160,7 +160,8 @@ class OutputLayer:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """A model, checked when made and frozen; the arrays it holds stay writable."""
+    """A model, checked when made and frozen; the arrays it holds stay writable.
+    Shapes: 1+ channels (V, k), 1+ banks (F, h, k), (F,) with F, h >= 1, output (c, ΣF), (c,)."""
 
     channels: list[EmbeddingChannel]
     filters: list[FilterBank]
@@ -179,6 +180,14 @@ class ModelParams:
             raise ValueError(f"need at least two classes, got {self.num_classes}")
         if not 0.0 < self.keep_prob <= 1.0:
             raise ValueError("keep_prob must be in (0, 1]")
+        table = self.channels[0].matrix.shape if self.channels else ()
+        shapes = [table] * len(self.channels)
+        for bank in self.filters:
+            shapes += [bank.weights.shape[:2] + table[1:], bank.weights.shape[:1]]
+        shapes += [(self.num_classes, self.num_filters), (self.num_classes,)]
+        if not self.channels or shapes != [tensor.shape for _, tensor in all_tensors(self)] or \
+                min((min(bank.weights.shape[:2]) for bank in self.filters), default=0) < 1:
+            raise ValueError("the model's tensors do not fit together")
 
     @property
     def num_classes(self) -> int:
@@ -222,13 +231,11 @@ def init_params(channels: list[EmbeddingChannel], num_classes: int, widths,
                 maps_per_width: int, seed: int, *, keep_prob: float = 1.0,
                 activation: str = "relu", init_scale: float = 0.01) -> ModelParams:
     """Fresh parameters: filter/output weights U[-init_scale, init_scale], zero
-    biases.  The draw comes first; `ModelParams` then checks the model."""
-    dim = channels[0].dim
+    biases, drawn first; `ModelParams` then checks the model, even one of no channels."""
+    dim = channels[0].dim if channels else 0
     rng = np.random.default_rng(seed)
-    banks = []
-    for h in widths:
-        weights = rng.uniform(-init_scale, init_scale, size=(maps_per_width, h, dim))
-        banks.append(FilterBank(weights, np.zeros(maps_per_width)))
+    banks = [FilterBank(rng.uniform(-init_scale, init_scale, size=(maps_per_width, h, dim)),
+                        np.zeros(maps_per_width)) for h in widths]
     out_w = rng.uniform(-init_scale, init_scale, size=(num_classes, maps_per_width * len(banks)))
     return ModelParams(channels, banks, OutputLayer(out_w, np.zeros(num_classes)),
                        keep_prob=keep_prob, activation=activation)
@@ -367,11 +374,13 @@ def forward(params: ModelParams, token_ids, mask: np.ndarray):
 
 def loss_and_probs(logits: np.ndarray, labels):
     """Row-wise stable softmax: the probabilities of (B, classes) logits and
-    the (B,) negative log-likelihoods of `labels`.  One (classes,) row with a
-    scalar label gives one row and a 0-d loss."""
+    the (B,) negative log-likelihoods of `labels`, each in [0, classes) or a
+    ValueError.  One (classes,) row with a scalar label gives one row and a 0-d loss."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if np.any((labels < 0) | (labels >= logits.shape[-1])):
+        raise ValueError("label outside the model's classes")
     shifted = logits - logits.max(axis=-1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    labels = np.asarray(labels, dtype=np.int64)
     losses = -np.take_along_axis(log_probs, labels[..., None], axis=-1)[..., 0]
     return np.exp(log_probs), losses
 
@@ -533,14 +542,16 @@ def predict_logits(params: ModelParams, sentences) -> np.ndarray:
 
 
 def accuracy(params: ModelParams, examples) -> float:
-    """Fraction of examples whose inference-mode argmax class is the label,
-    from one `predict_logits` call (dev evaluation in `optim.fit`, and the
-    held-out folds of cross-validation)."""
+    """Fraction of examples whose inference-mode argmax class is the label, from
+    one `predict_logits` call (dev evaluation in `optim.fit`, and the held-out
+    folds of cross-validation); a label outside [0, classes) raises ValueError."""
     examples = list(examples)
     if not examples:
         raise ValueError("no examples to score")
-    logits = predict_logits(params, [ex.token_ids for ex in examples])
     labels = np.array([ex.label for ex in examples])
+    if np.any((labels < 0) | (labels >= params.num_classes)):
+        raise ValueError("label outside the model's classes")
+    logits = predict_logits(params, [ex.token_ids for ex in examples])
     return int(np.count_nonzero(logits.argmax(axis=1) == labels)) / len(examples)
 
 

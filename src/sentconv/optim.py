@@ -313,8 +313,9 @@ class FitResult:
 
 def fit(params: net.ModelParams, train_examples, dev_examples, config: TrainConfig,
         *, fold: int = 0) -> FitResult:
-    """Train with per-epoch dev evaluation; returns the best-dev-epoch
-    parameters.  First, `check_model` refuses a model that `config` does not describe."""
+    """Train with per-epoch dev evaluation; returns the best-dev-epoch parameters.
+    First, `check_model` refuses a model `config` does not describe.  A label outside
+    the classes raises ValueError in its batch, after earlier ones stepped, as divergence does."""
     check_model(config, params)
     if not train_examples:
         raise ValueError("empty training set")

@@ -293,6 +293,26 @@ class TestLossAndProbs:
                 assert got_loss == want_loss
 
 
+class TestLabelsAreTheModelsClasses:
+    """A label outside [0, classes) raises ValueError where labels meet the
+    model: `loss_and_probs`, and so `backward`, and `accuracy`."""
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_loss_backward_and_accuracy_refuse_it(self, bad):
+        # At the parent, the loss read -1 as the last class and raised
+        # IndexError for 3, and `accuracy` scored both as misses.
+        rng = np.random.default_rng(47)
+        params = toy_params(rng, random_channels(rng, 1, 20, 5), num_classes=3)
+        with pytest.raises(ValueError, match="^label outside the model's classes$"):
+            loss_and_probs(np.zeros((2, 3)), [0, bad])
+        _, trace = net.forward_batch(params, [[1, 2, 3], [4, 5, 6]], np.ones((2, 8)))
+        with pytest.raises(ValueError, match="^label outside the model's classes$"):
+            backward(params, trace, [0, bad])
+        examples = [Example(np.array([1, 2, 3]), 0), Example(np.array([4, 5, 6]), bad)]
+        with pytest.raises(ValueError, match="^label outside the model's classes$"):
+            net.accuracy(params, examples)
+
+
 class TestForward:
     def test_widths_iterator_sizes_the_output_layer(self):
         # `widths` is walked once, so an iterator gives the same parameters
@@ -474,6 +494,40 @@ class TestModelIsValidOnceMade:
             dataclasses.replace(params, keep_prob=0.0)
         derived = dataclasses.replace(params, keep_prob=0.3)
         assert derived.keep_prob == 0.3 and derived.output is output
+
+    # Each of these was made at the parent: a V x 1 table and (1,) output
+    # biases broadcast to finite logits, the others failed at their first
+    # pass with IndexError, numpy's matmul error or all-zero logits.
+    @pytest.mark.parametrize("change", [
+        lambda ch, bank, out: {"channels": ch + [EmbeddingChannel(np.zeros((9, 1)), False)]},
+        lambda ch, bank, out: {"output": net.OutputLayer(out.weights, np.zeros(1))},
+        lambda ch, bank, out: {"channels": []},
+        lambda ch, bank, out: {"filters": [], "output": net.OutputLayer(np.zeros((2, 0)),
+                                                                        np.zeros(2))},
+        lambda ch, bank, out: {"channels": [EmbeddingChannel(np.zeros((9, 4)), True)]},
+        lambda ch, bank, out: {"filters": [net.FilterBank(bank.weights, np.zeros(3))]},
+        lambda ch, bank, out: {"output": net.OutputLayer(np.zeros((2, 3)), out.biases)},
+        lambda ch, bank, out: {"filters": [net.FilterBank(np.zeros((0, 3, 5)), np.zeros(0))],
+                               "output": net.OutputLayer(np.zeros((2, 0)), np.zeros(2))},
+        lambda ch, bank, out: {"filters": [net.FilterBank(np.zeros((2, 0, 5)), np.zeros(2))]}],
+        ids=["v-by-1-second-table", "one-output-bias", "no-channels", "no-banks",
+             "dim-5-bank-on-dim-4-table", "conv-biases-not-the-filters", "output-columns",
+             "zero-filters", "width-0"])
+    def test_tensors_that_do_not_fit_together_raise_when_made(self, change):
+        channels, bank, output = self._parts()
+        good = net.ModelParams(channels, [bank], output)
+        fields = {"channels": channels, "filters": [bank], "output": output}
+        with self._raises("the model's tensors do not fit together"):
+            net.ModelParams(**{**fields, **change(channels, bank, output)})
+        with self._raises("the model's tensors do not fit together"):
+            dataclasses.replace(good, **change(channels, bank, output))
+
+    @pytest.mark.parametrize("n_channels, widths", [(0, (2, 3)), (1, ())],
+                             ids=["no-channels", "no-widths"])
+    def test_init_params_reports_the_model_s_error(self, n_channels, widths):
+        channels = random_channels(np.random.default_rng(8), n_channels, 9, 5)
+        with self._raises("the model's tensors do not fit together"):
+            net.init_params(channels, 2, widths, 3, 1)
 
     def test_the_arrays_and_their_holders_stay_writable(self):
         # Training updates the arrays in place, and `+=` on a holder's field

@@ -666,6 +666,25 @@ class TestFitChecksTheModel:
         optim.check_model(dataclasses.replace(config, variant="non-static"), params)
 
 
+class TestFitChecksTheLabels:
+    """A label outside the model's classes raises ValueError in `fit`: a
+    training one in its own batch, a dev one at the first scoring."""
+
+    @pytest.mark.parametrize("bad", [-1, 2], ids=["minus-one", "the-class-count"])
+    @pytest.mark.parametrize("where", ["train", "dev"])
+    def test_a_label_outside_the_classes_raises(self, where, bad):
+        # At the parent, a training -1 trained as the last class and a
+        # training 2 raised numpy's IndexError; a dev one scored as a miss.
+        params, dataset, config = tiny_setup()
+        train, dev = dataset.examples[:100], dataset.examples[100:]
+        if where == "train":
+            train = train[:-1] + [dataclasses.replace(train[-1], label=bad)]
+        else:
+            dev = dev[:-1] + [dataclasses.replace(dev[-1], label=bad)]
+        with pytest.raises(ValueError, match="^label outside the model's classes$"):
+            fit(params, train, dev, config)
+
+
 class TestConfigIsValidOnceMade:
     def test_fields_cannot_be_assigned(self):
         config = TrainConfig()
