@@ -170,8 +170,9 @@ class ModelParams:
     activation: str = "relu"
 
     def __post_init__(self) -> None:
-        # Tensors are named by width, so two banks of one width would share
-        # their gradients and optimizer states.
+        if any(bank.weights.ndim != 3 for bank in self.filters) or self.output.weights.ndim != 2:
+            raise ValueError("the model's tensors do not fit together")  # before shapes are read
+        # Tensors are named by width: two banks of one width would share gradients and states.
         if len({bank.width for bank in self.filters}) != len(self.filters):
             raise ValueError("filter widths must be distinct")
         if self.activation not in ACTIVATIONS:
@@ -372,13 +373,18 @@ def forward(params: ModelParams, token_ids, mask: np.ndarray):
     return logits[0], trace
 
 
-def loss_and_probs(logits: np.ndarray, labels):
-    """Row-wise stable softmax: the probabilities of (B, classes) logits and
-    the (B,) negative log-likelihoods of `labels`, each in [0, classes) or a
-    ValueError.  One (classes,) row with a scalar label gives one row and a 0-d loss."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if np.any((labels < 0) | (labels >= logits.shape[-1])):
+def _labels(labels, classes: int) -> np.ndarray:
+    """int64 `labels`, or ValueError unless of an integer or bool dtype and in [0, classes)."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "biu" or np.any((labels < 0) | (labels >= classes)):
         raise ValueError("label outside the model's classes")
+    return labels.astype(np.int64)
+
+
+def loss_and_probs(logits: np.ndarray, labels):
+    """Row-wise stable softmax: the probabilities of (B, classes) logits and the (B,)
+    negative log-likelihoods of `labels` (`_labels`); a row and a scalar label give a 0-d loss."""
+    labels = _labels(labels, logits.shape[-1])
     shifted = logits - logits.max(axis=-1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     losses = -np.take_along_axis(log_probs, labels[..., None], axis=-1)[..., 0]
@@ -415,7 +421,7 @@ def backward(params: ModelParams, trace: ForwardTrace,
             trace.z.shape[1] != params.output.weights.shape[1] or \
             trace.logits.shape[1] != params.num_classes:
         raise ValueError("trace does not match params")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _labels(labels, params.num_classes)
     if labels.shape != trace.logits.shape[:1]:
         raise ValueError("need one label per example of the trace")
 
@@ -544,13 +550,11 @@ def predict_logits(params: ModelParams, sentences) -> np.ndarray:
 def accuracy(params: ModelParams, examples) -> float:
     """Fraction of examples whose inference-mode argmax class is the label, from
     one `predict_logits` call (dev evaluation in `optim.fit`, and the held-out
-    folds of cross-validation); a label outside [0, classes) raises ValueError."""
+    folds of cross-validation); a label `_labels` refuses raises ValueError first."""
     examples = list(examples)
     if not examples:
         raise ValueError("no examples to score")
-    labels = np.array([ex.label for ex in examples])
-    if np.any((labels < 0) | (labels >= params.num_classes)):
-        raise ValueError("label outside the model's classes")
+    labels = _labels([ex.label for ex in examples], params.num_classes)
     logits = predict_logits(params, [ex.token_ids for ex in examples])
     return int(np.count_nonzero(logits.argmax(axis=1) == labels)) / len(examples)
 

@@ -313,7 +313,8 @@ class FitResult:
 
 def fit(params: net.ModelParams, train_examples, dev_examples, config: TrainConfig,
         *, fold: int = 0) -> FitResult:
-    """Train with per-epoch dev evaluation; returns the best-dev-epoch parameters.
+    """Train `params` in place, scoring the dev set each epoch; returns the best epoch's model,
+    `params` itself if it is the last epoch run, else a copy sharing only frozen channels.
     First, `check_model` refuses a model `config` does not describe.  A label outside
     the classes raises ValueError in its batch, after earlier ones stepped, as divergence does."""
     check_model(config, params)
@@ -325,17 +326,18 @@ def fit(params: net.ModelParams, train_examples, dev_examples, config: TrainConf
     mask_rng = np.random.default_rng([config.seed, DROPOUT, fold])
     shuffle_seed = derive_seed(config.seed, SHUFFLE, fold)
 
-    # Dev accuracy is finite, so epoch 1 always beats -inf and sets
-    # `best_params`; no clone is needed before it.  Ties keep the earlier epoch.
+    # Epoch 1's finite dev accuracy beats -inf and sets `best_params`; ties keep the earlier epoch.
     best_params, best_epoch, best_acc = None, 0, -np.inf
     history: list[tuple[int, float, float]] = []
     for epoch in range(1, config.max_epochs + 1):
+        if best_params is params:
+            best_params = net.clone_params(params)
         loss = train_epoch(params, train_examples, config, states, mask_rng,
                            shuffle_seed, epoch)
         dev_acc = net.accuracy(params, dev_examples)
         history.append((epoch, loss, dev_acc))
         if dev_acc > best_acc:
-            best_params, best_epoch, best_acc = net.clone_params(params), epoch, dev_acc
+            best_params, best_epoch, best_acc = params, epoch, dev_acc
         elif epoch - best_epoch >= config.patience:
             break
     return FitResult(best_params, history, best_epoch, best_acc)

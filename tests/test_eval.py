@@ -90,28 +90,32 @@ class TestCrossValidation:
 
     @pytest.mark.parametrize("variant", ["static", "multichannel"])
     def test_folds_share_only_the_frozen_channel(self, variant, monkeypatch):
-        # Each fold trains a clone of the initial params and returns the
-        # best epoch's clone; both share the frozen table and copy the rest.
+        # Each fold trains its own clone of the initial params, so the models
+        # the folds return share the frozen table with `params0` and with each
+        # other, and nothing else; `params0` is left as it was.
         dataset, config, base, _ = cv_setup(variant)
-        fits = []
+        models = []
         original = evaluate.fit_with_dev_split
 
-        def recording_fit(params, *args):
-            result = original(params, *args)
-            fits.append((params, result.params))
+        def recording_fit(*args):
+            result = original(*args)
+            models.append(result.params)
             return result
 
         monkeypatch.setattr(evaluate, "fit_with_dev_split", recording_fit)
         params0 = evaluate.initial_params(config, base, dataset.num_classes)
+        before = tensor_hashes(params0)
         run_cross_validation(dataset, config, params0)
-        assert len(fits) == 10
+        assert len(models) == 10 and tensor_hashes(params0) == before
         frozen = params0.channels[0].matrix  # channel0 is the frozen one
-        for live, best in fits:
-            for (name, got), (_, original) in zip(net.all_tensors(best), net.all_tensors(live)):
-                if name == "channel0":
-                    assert got is original is frozen
-                else:
-                    assert not np.shares_memory(got, original), name
+        for i, model in enumerate(models):
+            for other in [params0] + models[:i]:
+                for (name, got), (_, theirs) in zip(net.all_tensors(model),
+                                                    net.all_tensors(other)):
+                    if name == "channel0":
+                        assert got is theirs is frozen
+                    else:
+                        assert not np.shares_memory(got, theirs), name
 
     def test_deterministic_report(self):
         dataset, config, base, _ = cv_setup()

@@ -294,8 +294,8 @@ class TestLossAndProbs:
 
 
 class TestLabelsAreTheModelsClasses:
-    """A label outside [0, classes) raises ValueError where labels meet the
-    model: `loss_and_probs`, and so `backward`, and `accuracy`."""
+    """A label that is not an integer in [0, classes) raises ValueError where
+    labels meet the model: `loss_and_probs`, and so `backward`, and `accuracy`."""
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_loss_backward_and_accuracy_refuse_it(self, bad):
@@ -309,6 +309,24 @@ class TestLabelsAreTheModelsClasses:
         with pytest.raises(ValueError, match="^label outside the model's classes$"):
             backward(params, trace, [0, bad])
         examples = [Example(np.array([1, 2, 3]), 0), Example(np.array([4, 5, 6]), bad)]
+        with pytest.raises(ValueError, match="^label outside the model's classes$"):
+            net.accuracy(params, examples)
+
+    # Labels follow the token ids' cast rule: a float fails, even a whole one.
+    # These were read as class 0 (0.7, by the int64 cast) and as class 1.
+    @pytest.mark.parametrize("labels", [[0.7], [1.0], np.ones(1)])
+    def test_loss_refuses_a_non_integer_label(self, labels):
+        with pytest.raises(ValueError, match="^label outside the model's classes$"):
+            loss_and_probs(np.array([[0.0, 5.0]]), labels)
+        _, losses = loss_and_probs(np.array([[0.0, 5.0]]), np.ones(1, dtype=np.uint8))
+        assert losses.tolist() == loss_and_probs(np.array([[0.0, 5.0]]), [1])[1].tolist()
+
+    # A 0.5 label was scored as a miss, a 1.0 label as class 1.
+    @pytest.mark.parametrize("bad", [0.5, 1.0])
+    def test_accuracy_refuses_a_non_integer_label(self, bad):
+        rng = np.random.default_rng(47)
+        params = toy_params(rng, random_channels(rng, 1, 20, 5), num_classes=3)
+        examples = [Example(np.array([1, 2, 3]), 1), Example(np.array([4, 5, 6]), bad)]
         with pytest.raises(ValueError, match="^label outside the model's classes$"):
             net.accuracy(params, examples)
 
@@ -495,9 +513,11 @@ class TestModelIsValidOnceMade:
         derived = dataclasses.replace(params, keep_prob=0.3)
         assert derived.keep_prob == 0.3 and derived.output is output
 
-    # Each of these was made at the parent: a V x 1 table and (1,) output
-    # biases broadcast to finite logits, the others failed at their first
-    # pass with IndexError, numpy's matmul error or all-zero logits.
+    # Each of the first nine was once made without error: a V x 1 table and
+    # (1,) output biases broadcast to finite logits, the others failed at
+    # their first pass with IndexError, numpy's matmul error or all-zero
+    # logits.  The last two raised IndexError in the checks that read a
+    # width or the class count, which now run after a check of the ranks.
     @pytest.mark.parametrize("change", [
         lambda ch, bank, out: {"channels": ch + [EmbeddingChannel(np.zeros((9, 1)), False)]},
         lambda ch, bank, out: {"output": net.OutputLayer(out.weights, np.zeros(1))},
@@ -509,10 +529,12 @@ class TestModelIsValidOnceMade:
         lambda ch, bank, out: {"output": net.OutputLayer(np.zeros((2, 3)), out.biases)},
         lambda ch, bank, out: {"filters": [net.FilterBank(np.zeros((0, 3, 5)), np.zeros(0))],
                                "output": net.OutputLayer(np.zeros((2, 0)), np.zeros(2))},
-        lambda ch, bank, out: {"filters": [net.FilterBank(np.zeros((2, 0, 5)), np.zeros(2))]}],
+        lambda ch, bank, out: {"filters": [net.FilterBank(np.zeros((2, 0, 5)), np.zeros(2))]},
+        lambda ch, bank, out: {"filters": [net.FilterBank(np.zeros(3), np.zeros(3))]},
+        lambda ch, bank, out: {"output": net.OutputLayer(np.zeros(()), np.zeros(2))}],
         ids=["v-by-1-second-table", "one-output-bias", "no-channels", "no-banks",
              "dim-5-bank-on-dim-4-table", "conv-biases-not-the-filters", "output-columns",
-             "zero-filters", "width-0"])
+             "zero-filters", "width-0", "1-d-bank-weights", "0-d-output-weights"])
     def test_tensors_that_do_not_fit_together_raise_when_made(self, change):
         channels, bank, output = self._parts()
         good = net.ModelParams(channels, [bank], output)

@@ -530,10 +530,22 @@ class TestTrainEpochAgainstReference:
 
 class TestFit:
     @staticmethod
-    def scripted_fit(monkeypatch, accuracies, patience, max_epochs):
+    def copied_models(monkeypatch):
+        """The models `net.clone_params` copies from here on, one entry per call."""
+        copied, clone = [], net.clone_params
+
+        def recording_clone(params):
+            copied.append(params)
+            return clone(params)
+
+        monkeypatch.setattr(net, "clone_params", recording_clone)
+        return copied
+
+    @staticmethod
+    def scripted_fit(monkeypatch, accuracies, patience, max_epochs, variant="rand"):
         """`fit` with `net.accuracy` returning `accuracies` in turn; returns the
         result and the live params' tensor hashes at each epoch's dev score."""
-        params, dataset, config = tiny_setup(keep_prob=0.5)
+        params, dataset, config = tiny_setup(variant=variant, keep_prob=0.5)
         config = dataclasses.replace(config, patience=patience, max_epochs=max_epochs)
         scripted, seen = iter(accuracies), []
 
@@ -573,20 +585,35 @@ class TestFit:
         result = fit(params, train_ds.examples, dev_ds.examples, config)
         assert len(result.history) == 1
 
-    def test_max_epochs_one_returns_a_copy_of_epoch_one(self):
-        # Epoch 1's finite dev accuracy always beats the initial -inf best, so
-        # it sets the result.
+    def test_max_epochs_one_returns_the_live_model_uncopied(self, monkeypatch):
+        # Epoch 1's finite dev accuracy always beats the initial -inf best, and
+        # no epoch follows to overwrite it, so no copy is made.
         params, dataset, config = tiny_setup(keep_prob=0.5)
         config = dataclasses.replace(config, max_epochs=1)
         train_ds, dev_ds = corpus.select_dev_split(dataset, 0.10, seed=3)
         initial = tensor_hashes(params)
+        copied = self.copied_models(monkeypatch)
         result = fit(params, train_ds.examples, dev_ds.examples, config)
         assert result.best_epoch == 1
-        assert result.params is not params
+        assert result.params is params
         assert tensor_hashes(params) != initial
-        assert tensor_hashes(result.params) == tensor_hashes(params)
-        for (_, best), (_, live) in zip(net.all_tensors(result.params), net.all_tensors(params)):
-            assert not np.shares_memory(best, live)
+        assert copied == []
+
+    # A best epoch is copied only when another epoch would train it further:
+    # one copy per improving epoch that is not the last one run.
+    def test_each_improving_epoch_but_the_last_is_copied_once(self, monkeypatch):
+        copied = self.copied_models(monkeypatch)
+        result, seen = self.scripted_fit(monkeypatch, [0.6, 0.7, 0.8], 5, 3)
+        assert (result.best_epoch, len(copied)) == (3, 2)
+        assert result.params is copied[0] is copied[1]  # the live model
+        assert tensor_hashes(result.params) == seen[2]
+
+    def test_a_best_epoch_before_the_last_returns_its_copy(self, monkeypatch):
+        copied = self.copied_models(monkeypatch)
+        result, seen = self.scripted_fit(monkeypatch, [0.7, 0.6], 5, 2, variant="multichannel")
+        assert (result.best_epoch, len(copied)) == (1, 1)
+        assert tensor_hashes(result.params) == seen[0] != seen[1]
+        assert_shares_only_frozen_channels(result.params, copied[0])
 
     @pytest.mark.parametrize("variant", ["static", "multichannel"])
     def test_best_params_share_only_the_frozen_channel(self, variant):
