@@ -76,7 +76,7 @@ def cmd_train(args) -> int:
     if config.variant == "rand" and args.vectors:
         sys.stderr.write("sentconv: the rand variant draws its embeddings; --vectors is ignored\n")
 
-    dataset, vocab, _ = _load_and_encode(args.data, max(config.widths))
+    dataset, vocab = _load_and_encode(args.data, max(config.widths))[:2]
     # Only the model holds the base matrix: frozen channels view it, trainable
     # ones copy it.  A fit and --cv both start from this one model.
     params = evaluate.initial_params(

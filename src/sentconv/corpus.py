@@ -78,11 +78,15 @@ class Vocabulary:
 
 
 def build_vocabulary(token_lists) -> Vocabulary:
-    """Vocabulary over all distinct tokens, ids in first-occurrence order."""
+    """Vocabulary over all distinct tokens, ids in first-occurrence order.  Its words are
+    copies sliced from one joined string: a word kept as its token string would keep that
+    string's CPython small-object pool, full of dead tokens, resident once the lists go."""
     token_lists = list(token_lists)
     if not token_lists:
         raise ValueError("empty corpus")
-    return Vocabulary(itertools.chain.from_iterable(token_lists))
+    words = list(dict.fromkeys(itertools.chain.from_iterable(token_lists)))
+    packed, ends = "".join(words), itertools.accumulate(map(len, words))
+    return Vocabulary(packed[end - len(word):end] for word, end in zip(words, ends))
 
 
 def _encode_padded(token_lists, vocab: Vocabulary, h_max: int) -> list[np.ndarray]:
@@ -192,7 +196,10 @@ def tokenize_corpus(pairs):
 
 
 def count_classes(labels) -> int:
-    """The class count c: the labels must be exactly 0..c-1, each one used."""
+    """The class count c: the labels must be exactly 0..c-1, each one used, and integers of
+    `net`'s label kinds (bool, int or uint), so a whole float such as 1.0 is refused."""
+    if not all(issubclass(t, (int, np.integer, np.bool_)) for t in set(map(type, labels))):
+        raise ValueError("class labels must be integers")
     present = set(labels)
     c = max(present) + 1
     if len(present) < c:

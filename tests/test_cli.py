@@ -2,6 +2,7 @@
 
 import dataclasses
 import errno
+import gc
 import hashlib
 import math
 import operator
@@ -12,6 +13,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -118,6 +120,29 @@ class TestTrainCommand:
         assert out.startswith("seed\t7\nvariant\tmultichannel\n")
         assert "dev_accuracy\t" in out
         assert hist.read_text(encoding="utf-8").splitlines()[0] == "epoch,train_loss,dev_acc"
+
+    def test_token_lists_are_dropped_before_the_fit(self, workdir, monkeypatch):
+        class TokenLists(list):  # a list that a weak reference can follow
+            pass
+
+        load, fit, refs, alive = cli._load_and_encode, evaluate.fit_with_dev_split, [], []
+
+        def recording_load(*args):
+            dataset, vocab, token_lists = load(*args)
+            token_lists = TokenLists(token_lists)
+            refs.append(weakref.ref(token_lists))
+            return dataset, vocab, token_lists
+
+        def checked_fit(*args):
+            gc.collect()
+            alive.append(refs[0]() is not None)
+            return fit(*args)
+
+        monkeypatch.setattr(cli, "_load_and_encode", recording_load)
+        monkeypatch.setattr(evaluate, "fit_with_dev_split", checked_fit)
+        assert main(["train", "--config", str(workdir["config"]), "--data", str(workdir["data"]),
+                     "--variant", "rand"]) == EXIT_OK
+        assert alive == [False]
 
     def test_rand_says_it_ignores_vectors(self, workdir, capsys, monkeypatch, tmp_path):
         # rand is the default variant, so a run that forgot `--variant static`

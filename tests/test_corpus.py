@@ -151,6 +151,22 @@ class TestVocabulary:
         v = build_vocabulary([["a"]])
         assert v.id(PAD_TOKEN) == PAD_ID == 0
 
+    def test_words_are_copies_of_the_tokens(self):
+        # Equal words, but none held through a token string, so dropping the
+        # token lists frees every token.  Strings of one character or none are
+        # CPython singletons: they are the same object either way.
+        token_lists = corpus.tokenize_texts(["A good film, isn't it?", "a bad film", "x y"])
+        v = build_vocabulary(token_lists)
+        assert v.id_to_word == [PAD_TOKEN, *dict.fromkeys(sum(token_lists, []))]
+        tokens = {id(tok) for toks in token_lists for tok in toks}
+        assert [w for w in v.id_to_word[1:] if len(w) > 1 and id(w) in tokens] == []
+
+    def test_any_word_keeps_its_id(self):
+        words = ["two words", "", "x", "line\nbreak", "two", "é", "中文", "🙂ok", "words"]
+        v = build_vocabulary([words[:4], ["x", "two words", *words[4:]]])
+        assert v.id_to_word == [PAD_TOKEN, *words]
+        assert [v.id(w) for w in words] == list(range(1, len(words) + 1))
+
 
 class TestEncodeAndPad:
     def test_pads_to_window_width(self):
@@ -308,6 +324,19 @@ class TestDataset:
         # a stray huge label is named without enumerating the gap
         with pytest.raises(ValueError, match=r"missing 2, 3, 4, 5, 6, \.\.\.$"):
             corpus.count_classes([0, 1, 10**12])
+
+    def test_float_labels_refused(self):
+        # {0.0, 1.0} == {0, 1}: only the labels' types tell a float from an int
+        token_lists = [["good"], ["bad"]]
+        with pytest.raises(ValueError, match="^class labels must be integers$"):
+            corpus.encode_corpus(token_lists, [0.0, 1.0], build_vocabulary(token_lists), 5)
+
+    def test_float_labels_refused_before_counting(self):
+        for labels in ([0.0, 2.0], [0, 1, 0.0], np.array([0.0, 1.0])):
+            with pytest.raises(ValueError, match="^class labels must be integers$"):
+                corpus.count_classes(labels)
+        assert corpus.count_classes(np.array([1, 0], dtype=np.uint8)) == 2
+        assert corpus.count_classes([False, True, np.int32(1)]) == 2
 
 
 class TestLoadTsv:
